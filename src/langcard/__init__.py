@@ -39,6 +39,7 @@ from .counting import (
     compute_ogf,
     count_dp,
     digraph_construction,
+    elimination_ogf,
 )
 from .inference import (
     InferenceConfig,
@@ -87,6 +88,7 @@ __all__ = [
     "count_dp",
     "cumulative_assessment",
     "digraph_construction",
+    "elimination_ogf",
     "format_traces",
     "generate_training_set",
     "k_tails",

@@ -5,12 +5,13 @@ holding the full configuration, so a run can be reproduced exactly (the
 manifest's duration field is the only part that varies between runs).
 
 Exit codes: 0 success, 1 usage, 2 input parse problem, 3 resource limit
-exceeded, 4 method refusal (size guard).
+exceeded, 4 method refusal (size guard), 5 output file cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -53,11 +54,16 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_REFUSED = 4
+EXIT_OUTPUT = 5
 
 BUDGET_ENV = "LANGCARD_WORK_BUDGET"
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -91,9 +97,14 @@ class RunManifest:
 
 def _atomic_write(path, text):
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _read(path):
@@ -148,6 +159,16 @@ def _parse_range(text):
     return lo, hi
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def build_parser():
     parser = _Parser(prog="langcard", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -156,15 +177,15 @@ def build_parser():
     p = sub.add_parser("assess", help="exact precision/recall of a model pair")
     p.add_argument("reference")
     p.add_argument("inferred")
-    p.add_argument("--max-length", type=int, default=200)
+    p.add_argument("--max-length", type=_nonnegative_int, default=200)
     p.add_argument("--range", dest="length_range", default=None, metavar="A..B")
     p.add_argument("--mode", choices=("single", "cumulative", "both"), default="both")
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=_nonnegative_int, default=6)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("count", help="count accepted traces per length")
     p.add_argument("model")
-    p.add_argument("--max-length", type=int, default=200)
+    p.add_argument("--max-length", type=_nonnegative_int, default=200)
     p.add_argument("--oracle", choices=("dp",), default=None)
     p.add_argument("--out", required=True)
 
@@ -181,10 +202,10 @@ def build_parser():
     p.add_argument("--min-coverage", type=int, default=10)
     p.add_argument("--time-limit", type=float, default=1800.0)
     p.add_argument("--m-bound", type=int, default=None, help="state bound for mbt")
-    p.add_argument("--length", type=int, default=None, help="trace length for sigma-sample")
+    p.add_argument("--length", type=_nonnegative_int, default=None, help="trace length for sigma-sample")
     p.add_argument("--samples", type=int, default=1000, help="accepted samples for sigma-sample")
     p.add_argument("--metric", choices=("precision", "recall"), default="precision")
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=_nonnegative_int, default=6)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("infer", help="k-tails inference from a trace file")
@@ -458,6 +479,9 @@ def main(argv=None) -> int:
     except LangcardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -1,11 +1,25 @@
 """Exact trace counting for regular languages.
 
-The central object is the ordinary generating function of a language's
-cardinality sequence: the formal power series whose n-th coefficient is the
-number of accepted traces of length n.  For a DFA the series is a rational
-function, obtained here by node elimination on a digraph whose edges carry
-rational functions: eliminating a node n rewires every predecessor/successor
-pair (p, s) with
+The central object is the ordinary generating function (OGF) of a language's
+cardinality sequence: the formal power series whose n-th coefficient a_n is
+the number of accepted traces of length n.  Only the q live states of a DFA
+(reachable from the initial state and able to reach an accepting one) carry
+accepted traces, so the series is a rational function N/D with
+deg N <= q - 1 and deg D <= q, and by Fatou's lemma D has integer
+coefficients and constant term 1 once reduced.
+
+``compute_ogf`` never builds a digraph.  It takes the 2q + 2 terms
+a_0..a_{2q+1} from the DP counter, runs Berlekamp-Massey modulo word-size
+primes to get the connection polynomial, and lifts it to the integers by
+CRT.  A candidate D of degree <= q, with N = (D * a) mod z^q, is accepted
+only after checking in integers that coefficients q..2q+1 of D * a vanish.
+That proves N/D is the OGF: with the true OGF N*/D*, the polynomial
+N * D* - N* * D has degree < 2q and is divisible by z^(2q), so it is zero.
+An unlucky prime can only delay the answer, never change it.
+
+``elimination_ogf``, the reference engine, is the construction of the
+paper: node elimination on a digraph whose edges carry rational functions.
+Eliminating a node n rewires every predecessor/successor pair (p, s) with
 
     E(p, s) += E(p, n) * E(n, s) * 1/(1 - E(n, n))
 
@@ -18,9 +32,10 @@ Coefficients come out of the rational function through the linear recurrence
 
     a_n = (b_n - sum_{j=1..n} c_j a_{n-j}) / c_0
 
-with b and c the numerator and denominator coefficients.  An independent
-dynamic-programming counter over the transition table serves as the
-cross-check oracle throughout the test suite.
+with b and c the numerator and denominator coefficients.  ``count_dp``, a
+sparse push DP over the transition table, is the independent oracle: the
+test suite checks both engines against it, and each engine against the
+other.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     NonIntegerCoefficientError,
@@ -39,6 +55,8 @@ from .polynomials import (
     RF_ZERO,
     Polynomial,
     RationalFunction,
+    _crt_lift,
+    _primes,
     kleene_star,
 )
 
@@ -161,11 +179,79 @@ def digraph_construction(d) -> tuple[LabeledDigraph, int, int]:
     return g, INITIAL, FINAL
 
 
-def compute_ogf(d, budget: WorkBudget | None = None, order=None) -> RationalFunction:
+def compute_ogf(d, budget: WorkBudget | None = None) -> RationalFunction:
     """Generating function of the cardinality sequence of L(d).
 
+    Berlekamp-Massey on the first 2q + 2 DP terms, q the number of live
+    states, proved exact before it is returned.  The deadline is checked on
+    every step of the DP, of Berlekamp-Massey and of the exact check; the
+    degree of the result is checked against ``budget.max_degree``.
+    """
+    budget = budget or DEFAULT_BUDGET
+    deadline = time.monotonic() + budget.time_limit_s
+
+    def check_deadline(stage):
+        def check():
+            if time.monotonic() > deadline:
+                raise ResourceLimitError(
+                    f"{stage}: generating-function computation exceeded "
+                    f"{budget.time_limit_s:.0f} s"
+                )
+
+        return check
+
+    dead = d.error_states
+    q = sum(1 for s in d.reachable_states() if s not in dead)
+    terms = _dp_terms(d, 2 * q + 1, check_deadline("counting terms"))
+    rev = terms[::-1]
+    top = 2 * q + 1
+
+    def product_coefficient(den, n):
+        # coefficient n of den * sum(a_k z^k); rev[top - n + i] is a_{n-i}
+        start = top - n
+        return sum(map(mul, den, rev[start : start + len(den)]))
+
+    check_bm = check_deadline("berlekamp-massey")
+    check_exact = check_deadline("exact check")
+    best = -1  # longest recurrence seen; shorter ones come from unlucky primes
+    residues = previous = None
+    modulus = 1
+    for p in _primes():
+        c, length = _berlekamp_massey_mod([a % p for a in terms], p, check_bm)
+        # the proof needs deg D <= q, so a longer recurrence is never lifted
+        if length > q or length < best:
+            continue
+        if length > best:
+            best = length
+            residues, modulus, previous = None, 1, None
+        c = c[: length + 1] + [0] * (length + 1 - len(c))
+        residues, modulus, sym = _crt_lift(residues, modulus, c, p)
+        cand = Polynomial(sym)
+        # check once the lift stops changing (always on round one); the
+        # check makes a wrong candidate impossible, just wasteful
+        if previous is None or cand == previous:
+            den = cand.coeffs
+            for n in range(q, top + 1):
+                check_exact()
+                if product_coefficient(den, n):
+                    break
+            else:
+                result = RationalFunction(
+                    Polynomial([product_coefficient(den, n) for n in range(q)]), cand
+                )
+                if result.degree > budget.max_degree:
+                    raise ResourceLimitError(
+                        f"degree {result.degree} exceeded budget {budget.max_degree}"
+                    )
+                return result
+        previous = cand
+
+
+def elimination_ogf(d, budget: WorkBudget | None = None, order=None) -> RationalFunction:
+    """The generating function by node elimination, the reference engine.
+
     ``order`` overrides the elimination order (a sequence of state ids);
-    any order yields the same canonical result.
+    every order yields the same canonical result as ``compute_ogf``.
     """
     budget = budget or DEFAULT_BUDGET
     g, _, _ = digraph_construction(d)
@@ -211,6 +297,41 @@ def compute_ogf(d, budget: WorkBudget | None = None, order=None) -> RationalFunc
     return g.label(INITIAL, FINAL)
 
 
+def _unbounded():
+    pass
+
+
+def _berlekamp_massey_mod(seq, p, check=_unbounded):
+    """Shortest linear recurrence of ``seq`` over GF(p).
+
+    Returns ``(c, length)``: ascending coefficients of the connection
+    polynomial, with c[0] = 1 and degree at most ``length``, such that
+    sum_i c[i] * seq[n - i] = 0 (mod p) for every length <= n < len(seq).
+    ``check`` is called before every step.
+    """
+    rev = seq[::-1]
+    top = len(seq) - 1
+    c, b = [1], [1]
+    length, shift, b_disc = 0, 1, 1
+    for n in range(len(seq)):
+        check()
+        start = top - n  # rev[start + i] is seq[n - i]
+        disc = sum(map(mul, c, rev[start : start + len(c)])) % p
+        if disc == 0:
+            shift += 1
+            continue
+        coef = disc * pow(b_disc, -1, p) % p
+        old = c
+        c = c + [0] * (len(b) + shift - len(c))
+        end = shift + len(b)
+        c[shift:end] = [(x - coef * y) % p for x, y in zip(c[shift:end], b)]
+        if 2 * length <= n:
+            length, b, b_disc, shift = n + 1 - length, old, disc, 1
+        else:
+            shift += 1
+    return c, length
+
+
 def coefficients(f: RationalFunction, n_max: int) -> CardinalitySequence:
     """First n_max+1 series coefficients of f via the linear recurrence."""
     c = f.den.coeffs
@@ -235,28 +356,38 @@ def coefficients(f: RationalFunction, n_max: int) -> CardinalitySequence:
 
 
 def count_dp(d, n_max: int) -> CardinalitySequence:
-    """Accepted-trace counts per length by iterating a path-count vector.
+    """Accepted-trace counts per length by pushing path counts forward.
 
-    Independent of the generating-function machinery; used as the
-    cross-check oracle.
+    Only live states carry a count: error states are dropped, so the
+    frontier stays as small as the automaton allows.  Independent of the
+    generating-function machinery; used as the cross-check oracle.
     """
-    incoming = [[] for _ in range(d.state_count)]
-    for q, row in enumerate(d.transitions):
+    return _dp_terms(d, n_max, _unbounded)
+
+
+def _dp_terms(d, n_max, check):
+    # count_dp, calling ``check`` before every step; the term source of
+    # the Berlekamp-Massey engine
+    dead = d.error_states
+    moves = []
+    for row in d.transitions:
         bundle = {}
         for t in row:
-            bundle[t] = bundle.get(t, 0) + 1
-        for t, mult in bundle.items():
-            incoming[t].append((q, mult))
-    v = [0] * d.state_count
-    v[d.initial] = 1
-    acc_states = list(d.accepting)
-    out = [sum(v[q] for q in acc_states)]
+            if t not in dead:
+                bundle[t] = bundle.get(t, 0) + 1
+        moves.append(tuple(bundle.items()))
+    accepting = d.accepting
+    frontier = {} if d.initial in dead else {d.initial: 1}
+    out = [sum(v for q, v in frontier.items() if q in accepting)]
     for _ in range(n_max):
-        v = [
-            sum(v[q] * mult for q, mult in inc) if inc else 0
-            for inc in incoming
-        ]
-        out.append(sum(v[q] for q in acc_states))
+        check()
+        nxt = {}
+        get = nxt.get
+        for q, v in frontier.items():
+            for t, mult in moves[q]:
+                nxt[t] = get(t, 0) + v * mult
+        frontier = nxt
+        out.append(sum(v for q, v in frontier.items() if q in accepting))
     return out
 
 

@@ -75,6 +75,32 @@ def _extend_primes():
     _PRIMES.append(n)
 
 
+def _primes():
+    """The word-size primes in order, extending the list on demand."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            _extend_primes()
+        yield _PRIMES[i]
+        i += 1
+
+
+def _crt_lift(residues, modulus, new, p):
+    """Fold coefficient residues mod p into residues mod ``modulus``.
+
+    ``residues`` of None starts afresh.  Returns the combined residues, their
+    modulus, and their symmetric representatives in (-modulus/2, modulus/2].
+    """
+    if residues is None:
+        combined, modulus = list(new), p
+    else:
+        inv = pow(modulus, -1, p)
+        combined = [r + modulus * ((s - r) % p * inv % p) for r, s in zip(residues, new)]
+        modulus *= p
+    half = modulus // 2
+    return combined, modulus, [r - modulus if r > half else r for r in combined]
+
+
 # Kronecker packing pays off once schoolbook would do this many int products.
 _KRONECKER_CUTOFF = 256
 
@@ -184,12 +210,6 @@ class Polynomial:
         if k == 0:
             return ZERO_POLY
         return Polynomial(tuple(c * k for c in self.coeffs))
-
-    def shift(self, k):
-        """Multiply by z**k."""
-        if self.is_zero:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
 
     def __call__(self, x):
         acc = 0
@@ -320,15 +340,9 @@ def poly_gcd(a, b):
         pa, pb = pb, pa
     lc = math.gcd(pa[-1], pb[-1])
     best = len(pb)  # 1 + max possible gcd degree
-    residues = None
+    residues = previous = None
     modulus = 1
-    previous = None
-    idx = 0
-    while True:
-        if idx == len(_PRIMES):
-            _extend_primes()
-        p = _PRIMES[idx]
-        idx += 1
+    for p in _primes():
         if pa[-1] % p == 0 or pb[-1] % p == 0:
             continue
         g = _gcd_mod(pa, pb, p)
@@ -339,19 +353,7 @@ def poly_gcd(a, b):
         if len(g) < best:
             best = len(g)
             residues, modulus, previous = None, 1, None
-        scaled = [x * lc % p for x in g]
-        if residues is None:
-            residues, modulus = scaled, p
-        else:
-            # coefficient-wise CRT
-            inv = pow(modulus, -1, p)
-            combined = []
-            for r_old, r_new in zip(residues, scaled):
-                t = (r_new - r_old) % p * inv % p
-                combined.append(r_old + modulus * t)
-            residues, modulus = combined, modulus * p
-        half = modulus // 2
-        sym = [r - modulus if r > half else r for r in residues]
+        residues, modulus, sym = _crt_lift(residues, modulus, [x * lc % p for x in g], p)
         cand = Polynomial(sym)
         cc = cand.content()
         if cc:

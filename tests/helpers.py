@@ -97,5 +97,20 @@ def empty_language(n_symbols):
     return Dfa(Alphabet(SYMS[:n_symbols]), rows, 0, frozenset())
 
 
+def binary_tree(depth):
+    """Unminimized acceptor of all words over {a, b} up to ``depth`` long.
+
+    One state per word (2^(depth+1) - 1 of them) plus a sink, so the OGF,
+    sum 2^n z^n for n <= depth, has a far smaller degree than the model has
+    states.
+    """
+    inner = 2 ** depth - 1  # states below the last level
+    leaves = 2 ** (depth + 1) - 1
+    sink = leaves
+    rows = [(2 * q + 1, 2 * q + 2) if q < inner else (sink, sink) for q in range(leaves)]
+    rows.append((sink, sink))
+    return Dfa(Alphabet(SYMS[:2]), tuple(rows), 0, frozenset(range(leaves)))
+
+
 def seeded(seed):
     return random.Random(seed)

@@ -22,6 +22,7 @@ from langcard.counting import (
     coefficients,
     compute_ogf,
     count_dp,
+    elimination_ogf,
 )
 from langcard.inference import InferenceConfig, generate_training_set, k_tails
 from langcard.metrics import confusion_counts, single_length_assessment
@@ -104,13 +105,16 @@ def test_criterion_4_oracle_equivalence(capsys):
     rng = seeded(4040)
     for i in range(200):
         d = random_dfa(rng, rng.randrange(1, 13), rng.randrange(1, 5))
-        ogf_counts = coefficients(compute_ogf(d), 60)
+        ogf = compute_ogf(d)
+        assert elimination_ogf(d) == ogf, f"engine mismatch on model {i}"
+        ogf_counts = coefficients(ogf, 60)
         assert ogf_counts == count_dp(d, 60), f"dp mismatch on model {i}"
         assert ogf_counts[:9] == enumerate_counts(d, 8), f"enumeration mismatch on model {i}"
     report(
         capsys, 4, time.monotonic() - started, 120.0,
-        "200 random models: series coefficients equal the dynamic-programming "
-        "counts (n <= 60) and exhaustive enumeration (n <= 8)",
+        "200 random models: both engines give the same function, whose series "
+        "coefficients equal the dynamic-programming counts (n <= 60) and "
+        "exhaustive enumeration (n <= 8)",
     )
 
 
@@ -123,7 +127,7 @@ def test_criterion_5_elimination_order_invariance(capsys):
         for _ in range(10):
             order = list(range(d.state_count))
             rng.shuffle(order)
-            assert compute_ogf(d, order=order) == reference
+            assert elimination_ogf(d, order=order) == reference
     report(
         capsys, 5, time.monotonic() - started, 120.0,
         "50 random models x 10 random elimination orders all reach the same "
@@ -307,8 +311,9 @@ def test_criterion_10_scalability_smoke(capsys):
         n += 10
     ogf = compute_ogf(d, WorkBudget())  # default budget
     assert coefficients(ogf, 80) == count_dp(d, 80)
+    assert elimination_ogf(d, WorkBudget()) == ogf
     report(
         capsys, 10, time.monotonic() - started, WorkBudget().time_limit_s,
         f"generating function of a {d.state_count}-state minimized model "
-        "computed within the default work budget and cross-checked",
+        "computed within the default work budget by both engines and cross-checked",
     )

@@ -4,7 +4,7 @@ import pytest
 
 from langcard.automata import serialize_dfa
 from langcard.cli import main
-from helpers import all_accepting, empty_language, signature_models
+from helpers import all_accepting, binary_tree, empty_language, signature_models
 
 
 @pytest.fixture
@@ -252,3 +252,51 @@ def test_disjoint_alphabets_exit_with_parse_code(tmp_path):
     a.write_text("alphabet: x\nstates: 1\ninitial: 0\naccepting: 0\n0 x 0\n")
     b.write_text("alphabet: z\nstates: 1\ninitial: 0\naccepting: 0\n0 z 0\n")
     assert run("assess", str(a), str(b), "--out", str(tmp_path / "o.csv")) == 2
+
+
+def test_assess_rejects_negative_digits(tmp_path, signature_files):
+    r_path, h_path = signature_files
+    out = tmp_path / "o.csv"
+    assert run("assess", r_path, h_path, "--digits", "-2", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_assess_rejects_negative_max_length(tmp_path, signature_files):
+    r_path, h_path = signature_files
+    out = tmp_path / "o.csv"
+    assert run("assess", r_path, h_path, "--max-length", "-3", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_count_rejects_negative_max_length(tmp_path):
+    model = tmp_path / "m.dfa"
+    model.write_text(serialize_dfa(all_accepting(2)))
+    out = tmp_path / "o.csv"
+    assert run("count", str(model), "--max-length", "-2", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [("--length", "3", "--digits", "-1"), ("--length", "-1")])
+def test_baseline_rejects_negative_integers(tmp_path, signature_files, extra):
+    r_path, h_path = signature_files
+    out = tmp_path / "o.csv"
+    assert run("baseline", "sigma-sample", r_path, h_path, *extra, "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_unwritable_output_exits_with_output_code(tmp_path):
+    model = tmp_path / "m.dfa"
+    model.write_text(serialize_dfa(all_accepting(2)))
+    out = tmp_path / "missing" / "x.csv"
+    assert run("count", str(model), "--out", str(out)) == 5
+    assert not (tmp_path / "missing").exists()
+
+
+def test_count_budgets_the_degree_not_the_states_of_an_unminimized_model(tmp_path, monkeypatch):
+    model = tmp_path / "tree.dfa"
+    model.write_text(serialize_dfa(binary_tree(7)))  # 256 states, OGF degree 7
+    out = tmp_path / "o.csv"
+    monkeypatch.setenv("LANGCARD_WORK_BUDGET", "60:100")
+    assert run("count", str(model), "--max-length", "9", "--out", str(out)) == 0
+    counts = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    assert counts == [str(2**n) for n in range(8)] + ["0", "0"]

@@ -1,15 +1,20 @@
+from types import SimpleNamespace
+
 import pytest
 
+from langcard import Alphabet, Dfa, counting, polynomials
 from langcard.counting import (
     FINAL,
     INITIAL,
     LabeledDigraph,
     WorkBudget,
+    _berlekamp_massey_mod,
     approx_star_height,
     coefficients,
     compute_ogf,
     count_dp,
     digraph_construction,
+    elimination_ogf,
 )
 from langcard.errors import (
     DivergentStarError,
@@ -22,6 +27,7 @@ from langcard.regexes import seq, star, sym, to_dfa
 
 from helpers import (
     all_accepting,
+    binary_tree,
     empty_language,
     enumerate_counts,
     random_dfa,
@@ -136,7 +142,7 @@ def test_elimination_order_invariance():
         for _ in range(5):
             order = list(range(d.state_count))
             rng.shuffle(order)
-            assert compute_ogf(d, order=order) == reference
+            assert elimination_ogf(d, order=order) == reference
 
 
 def test_coefficients_of_geometric_series():
@@ -200,6 +206,101 @@ def test_degree_budget_is_enforced():
     assert d.state_count > 12
     with pytest.raises(ResourceLimitError):
         compute_ogf(d, WorkBudget(max_degree=3))
+
+
+def test_degree_budget_bounds_the_result_not_the_state_count():
+    d = binary_tree(7)
+    assert d.state_count == 256
+    tree_ogf = RationalFunction(Polynomial([2**n for n in range(8)]))
+    assert compute_ogf(d, WorkBudget(max_degree=7)) == tree_ogf
+    with pytest.raises(ResourceLimitError, match="degree 7 exceeded budget 6"):
+        compute_ogf(d, WorkBudget(max_degree=6))
+
+
+def _clock_jumping_after(monkeypatch, n_readings):
+    """Fake clock: 0 for the first ``n_readings`` readings, then 2."""
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) <= n_readings else 2.0
+
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    return readings
+
+
+@pytest.mark.parametrize("stage", ["counting terms", "berlekamp-massey", "exact check"])
+def test_deadline_is_checked_inside_every_bm_stage(monkeypatch, stage):
+    d = random_dfa(seeded(31), 40, 2, accept_p=0.5).minimize()
+    q = d.state_count
+    assert not d.error_states and q > 12
+    # readings: 1 sets the deadline, then one per step: 2q + 1 DP steps,
+    # 2q + 2 Berlekamp-Massey steps for the first prime, q + 2 checked
+    # coefficients; the clock passes the deadline halfway through a stage
+    jump = {
+        "counting terms": 1 + q,
+        "berlekamp-massey": 1 + (2 * q + 1) + q,
+        "exact check": 1 + (2 * q + 1) + (2 * q + 2) + 1,
+    }[stage]
+    readings = _clock_jumping_after(monkeypatch, jump)
+    with pytest.raises(ResourceLimitError, match=stage):
+        compute_ogf(d, WorkBudget(time_limit_s=1.0))
+    assert len(readings) == jump + 1  # the first late reading raised
+
+
+def test_berlekamp_massey_mod_finds_the_shortest_recurrence():
+    p = 2147483647
+    # Fibonacci: a_n = a_{n-1} + a_{n-2}
+    fib = [1, 1]
+    for _ in range(10):
+        fib.append(fib[-1] + fib[-2])
+    assert _berlekamp_massey_mod(fib, p) == ([1, p - 1, p - 1], 2)
+    assert _berlekamp_massey_mod([0] * 6, p) == ([1], 0)
+    # epsilon only: a_n = 0 for n >= 1 is a recurrence of length 1
+    assert _berlekamp_massey_mod([1, 0, 0, 0], p)[1] == 1
+
+
+def test_bm_engine_survives_unlucky_primes_and_rejected_candidates(monkeypatch):
+    # {a, b, c}* d* has 1/((1 - 3z)(1 - z)) as its OGF, and its counts
+    # (3^(n+1) - 1)/2 are all 1 mod 3: a shorter recurrence than over the
+    # integers, so the prime 3 is unlucky and the CRT must restart.  All words
+    # over {a, b, c} number 3^n, 0 mod 3 for n >= 1: the length is right but
+    # the lift is the candidate 1, which the exact check must reject.
+    abc_then_d = Dfa(
+        Alphabet(("a", "b", "c", "d")),
+        ((0, 0, 0, 1), (2, 2, 2, 1), (2, 2, 2, 2)),
+        0,
+        frozenset({0, 1}),
+    )
+    everything = all_accepting(3)
+    assert _berlekamp_massey_mod([a % 3 for a in count_dp(abc_then_d, 7)], 3) == ([1, 2], 1)
+    assert _berlekamp_massey_mod([a % 3 for a in count_dp(everything, 3)], 3) == ([1, 0], 1)
+    expected = [elimination_ogf(d) for d in (abc_then_d, everything)]
+    assert expected[0] == RationalFunction(ONE_POLY, Polynomial([1, -4, 3]))
+    # a tiny prime in front of the real ones; the list must keep its tail,
+    # since new primes are found by counting down from the last entry
+    monkeypatch.setattr(polynomials, "_PRIMES", [3] + polynomials._PRIMES)
+    # a lift that never settles fails on the budget instead of hanging
+    budget = WorkBudget(time_limit_s=10.0)
+    assert [compute_ogf(d, budget) for d in (abc_then_d, everything)] == expected
+    rng = seeded(29)
+    for _ in range(30):
+        d = random_dfa(rng, rng.randrange(1, 10), rng.randrange(1, 4))
+        assert compute_ogf(d, budget) == elimination_ogf(d)
+
+
+def test_bm_engine_on_a_large_four_letter_model():
+    # elimination needs minutes at this size, so the DP is the only oracle;
+    # 40 terms past the 2|Q| + 2 that BM reads check the extrapolation
+    rng = seeded(1515)
+    n = 160
+    while True:
+        d = random_dfa(rng, n, 4, accept_p=0.3).minimize()
+        if d.state_count >= 150:
+            break
+        n += 10
+    q = d.state_count
+    assert coefficients(compute_ogf(d), 2 * q + 40) == count_dp(d, 2 * q + 40)
 
 
 def test_star_height_of_finite_language_is_zero():
