@@ -179,7 +179,9 @@ def _check_alphabets(a, b):
         )
 
 
-def _product(a, b, combine):
+def _product_table(a, b):
+    """Reachable part of ``a`` x ``b``: transition rows over pair ids (the
+    start pair is 0, pairs numbered in BFS order) and the pair of each id."""
     _check_alphabets(a, b)
     start = (a.initial, b.initial)
     ids = {start: 0}
@@ -199,33 +201,63 @@ def _product(a, b, combine):
         rows.append(
             tuple(ids[(a.transitions[qa][s], b.transitions[qb][s])] for s in a.alphabet)
         )
+    return tuple(rows), order
+
+
+def _product(a, b, combine):
+    rows, order = _product_table(a, b)
     acc = frozenset(
         i for i, (qa, qb) in enumerate(order)
         if combine(qa in a.accepting, qb in b.accepting)
     )
-    return Dfa(a.alphabet, tuple(rows), 0, acc)
+    return Dfa(a.alphabet, rows, 0, acc)
 
 
 def _minimize(d):
-    # Moore partition refinement on the reachable part, then canonical
-    # renumbering by BFS from the initial state so that equal languages give
-    # structurally equal automata.
+    # Hopcroft partition refinement on the reachable part (Hopcroft 1971;
+    # Valmari & Lehtinen, STACS 2008), then canonical renumbering by BFS
+    # from the initial state so that equal languages give structurally
+    # equal automata.
+    rows = d.transitions
+    symbols = range(len(d.alphabet))
     reachable = d.reachable_states()
-    cls = {q: (1 if q in d.accepting else 0) for q in reachable}
-    if len(set(cls.values())) == 1:
-        cls = {q: 0 for q in reachable}
-    while True:
-        sig = {}
-        for q in reachable:
-            sig[q] = (cls[q], tuple(cls[d.transitions[q][s]] for s in d.alphabet))
-        renumber = {}
-        for q in reachable:
-            renumber.setdefault(sig[q], len(renumber))
-        new_cls = {q: renumber[sig[q]] for q in reachable}
-        if len(set(new_cls.values())) == len(set(cls.values())):
-            cls = new_cls
-            break
-        cls = new_cls
+    inverse = [[[] for _ in rows] for _ in symbols]
+    for p in reachable:
+        for s, t in enumerate(rows[p]):
+            inverse[s][t].append(p)
+    final = {q for q in reachable if q in d.accepting}
+    blocks = [b for b in (final, set(reachable) - final) if b]
+    cls = [0] * len(rows)
+    for b, members in enumerate(blocks):
+        for q in members:
+            cls[q] = b
+    # A splitter block refines by every symbol.  When a block splits, both
+    # halves wait if it was waiting, else only the smaller one: stability
+    # under the block and under one half implies it under the other half.
+    pending = [min(range(len(blocks)), key=lambda b: len(blocks[b]))]
+    waiting = set(pending)
+    while pending:
+        splitter = pending.pop()
+        waiting.discard(splitter)
+        members = list(blocks[splitter])
+        for s in symbols:
+            preds = inverse[s]
+            marked = {}
+            for t in members:
+                for p in preds[t]:
+                    marked.setdefault(cls[p], []).append(p)
+            for b, hit in marked.items():
+                block = blocks[b]
+                if len(hit) == len(block):
+                    continue
+                block.difference_update(hit)
+                new = len(blocks)
+                blocks.append(set(hit))
+                for p in hit:
+                    cls[p] = new
+                half = new if b in waiting or len(hit) <= len(block) else b
+                pending.append(half)
+                waiting.add(half)
     # BFS over classes, visiting symbols in id order
     rep = {}
     for q in reachable:
@@ -237,30 +269,63 @@ def _minimize(d):
     while todo:
         c = todo.popleft()
         q = rep[c]
-        for s in d.alphabet:
-            t = cls[d.transitions[q][s]]
+        for s in symbols:
+            t = cls[rows[q][s]]
             if t not in ids:
                 ids[t] = len(order)
                 order.append(t)
                 todo.append(t)
-    rows = []
+    out_rows = []
     accepting = set()
     for c in order:
         q = rep[c]
-        rows.append(tuple(ids[cls[d.transitions[q][s]]] for s in d.alphabet))
+        out_rows.append(tuple(ids[cls[t]] for t in rows[q]))
         if q in d.accepting:
             accepting.add(ids[c])
-    return Dfa(d.alphabet, tuple(rows), 0, frozenset(accepting))
+    return Dfa(d.alphabet, tuple(out_rows), 0, frozenset(accepting))
+
+
+def subset_construction(alpha: Alphabet, start, step, is_accepting) -> Dfa:
+    """Complete DFA over the subsets reachable from the frozenset ``start``.
+
+    ``step(subset, symbol)`` returns the successor frozenset of a nonempty
+    subset; the empty subset is the sink.  Subsets are numbered in discovery
+    order, ``start`` first, symbols visited in id order, and a subset
+    accepts when ``is_accepting(subset)`` holds.
+    """
+    sink = frozenset()
+    ids = {start: 0}
+    order = [start]
+    rows = []
+    for subset in order:  # grows while it is walked
+        row = []
+        for s in alpha:
+            nxt = step(subset, s) if subset else sink
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row.append(ids[nxt])
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, subset in enumerate(order) if is_accepting(subset))
+    return Dfa(alpha, tuple(rows), 0, accepting)
 
 
 def confusion_automata(reference, inferred):
     """Minimized acceptors for true-positive, false-positive and
-    false-negative traces of ``inferred`` against ``reference``."""
-    _check_alphabets(reference, inferred)
-    tp = reference.intersect(inferred).minimize()
-    fp = reference.complement().intersect(inferred).minimize()
-    fn = reference.intersect(inferred.complement()).minimize()
-    return tp, fp, fn
+    false-negative traces of ``inferred`` against ``reference``.
+
+    All three are the one product automaton R x H with different accepting
+    sets, so the product is built once and minimized three times."""
+    rows, pairs = _product_table(reference, inferred)
+
+    def minimized(in_r, in_h):
+        acc = frozenset(
+            i for i, (qr, qh) in enumerate(pairs)
+            if (qr in reference.accepting) == in_r and (qh in inferred.accepting) == in_h
+        )
+        return Dfa(reference.alphabet, rows, 0, acc).minimize()
+
+    return minimized(True, True), minimized(False, True), minimized(True, False)
 
 
 def build_dfa(symbols, n_states, initial, accepting, edges) -> Dfa:

@@ -159,14 +159,24 @@ def _parse_range(text):
     return lo, hi
 
 
-def _nonnegative_int(text):
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+def _checked(convert, accept, expected):
+    """argparse type: ``convert`` the text, then require ``accept(value)``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_probability = _checked(float, lambda v: 0 < v <= 1, "a probability in (0, 1]")
 
 
 def build_parser():
@@ -196,30 +206,30 @@ def build_parser():
     )
     p.add_argument("reference")
     p.add_argument("inferred")
-    p.add_argument("--pa", type=float, default=0.1)
+    p.add_argument("--pa", type=_probability, default=0.1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--target-traces", type=int, default=100_000)
-    p.add_argument("--min-coverage", type=int, default=10)
+    p.add_argument("--target-traces", type=_nonnegative_int, default=100_000)
+    p.add_argument("--min-coverage", type=_nonnegative_int, default=10)
     p.add_argument("--time-limit", type=float, default=1800.0)
-    p.add_argument("--m-bound", type=int, default=None, help="state bound for mbt")
+    p.add_argument("--m-bound", type=_nonnegative_int, default=None, help="state bound for mbt")
     p.add_argument("--length", type=_nonnegative_int, default=None, help="trace length for sigma-sample")
-    p.add_argument("--samples", type=int, default=1000, help="accepted samples for sigma-sample")
+    p.add_argument("--samples", type=_positive_int, default=1000, help="accepted samples for sigma-sample")
     p.add_argument("--metric", choices=("precision", "recall"), default="precision")
     p.add_argument("--digits", type=_nonnegative_int, default=6)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("infer", help="k-tails inference from a trace file")
     p.add_argument("traces")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--alphabet", default=None, help="space-separated symbols (default: from traces)")
     p.add_argument("--out-model", required=True)
 
     p = sub.add_parser("gen-traces", help="random-walk training traces from a model")
     p.add_argument("model")
-    p.add_argument("--pa", type=float, default=0.1)
+    p.add_argument("--pa", type=_probability, default=0.1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--min-traces", type=int, default=100)
-    p.add_argument("--min-state-visits", type=int, default=4)
+    p.add_argument("--min-traces", type=_nonnegative_int, default=100)
+    p.add_argument("--min-state-visits", type=_nonnegative_int, default=4)
     p.add_argument("--time-limit", type=float, default=1800.0)
     p.add_argument("--out", required=True)
 
@@ -319,6 +329,11 @@ def _baseline_rows(args, reference, inferred):
     if args.method == "mbt":
         if args.m_bound is None:
             raise _UsageError("mbt needs --m-bound")
+        if args.m_bound < reference.state_count:
+            raise _UsageError(
+                f"--m-bound {args.m_bound} is below the reference's "
+                f"{reference.state_count} states"
+            )
         precision, recall = mbt_assessment(
             reference, inferred, WMethodConfig(m=args.m_bound)
         )

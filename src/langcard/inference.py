@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, Trace, build_dfa
+from .automata import Alphabet, Dfa, Trace, build_dfa, subset_construction
 from .baselines import RandomWalkConfig, _walk, _WalkTables, derive_rng
 from .errors import ResourceLimitError
 
@@ -69,22 +69,15 @@ class _Trie:
 
     def tails(self, k):
         """Per-node set of suffixes of length <= k that reach acceptance."""
-        sets = [set() for _ in self.children]
-
-        def visit(node):
-            # suffixes of length <= k from node, collected over the subtree
-            stack = [(node, ())]
-            while stack:
-                cur, path = stack.pop()
-                if cur in self.accepting:
-                    sets[node].add(path)
-                if len(path) < k:
-                    for s, nxt in self.children[cur].items():
-                        stack.append((nxt, path + (s,)))
-
-        for node in range(len(self.children)):
-            visit(node)
-        return [frozenset(s) for s in sets]
+        # children have larger ids than their parents, so a reverse sweep
+        # sees every child's set before its parent's
+        sets = [None] * len(self.children)
+        for node in range(len(self.children) - 1, -1, -1):
+            tails = {()} if node in self.accepting else set()
+            for s, nxt in self.children[node].items():
+                tails.update((s,) + t for t in sets[nxt] if len(t) < k)
+            sets[node] = frozenset(tails)
+        return sets
 
 
 def build_pta(ts: TrainingSet) -> Dfa:
@@ -114,31 +107,13 @@ def k_tails(ts: TrainingSet, cfg: InferenceConfig) -> Dfa:
         for s, nxt in kids.items():
             moves[cls[node]].setdefault(s, set()).add(cls[nxt])
     accepting_classes = {cls[node] for node in trie.accepting}
-    dfa = _determinize(moves, cls[0], accepting_classes, ts.alphabet)
-    return dfa.minimize()
-
-
-def _determinize(moves, start, accepting, alpha: Alphabet) -> Dfa:
-    start_set = frozenset([start])
-    ids = {start_set: 0}
-    order = [start_set]
-    rows = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        i += 1
-        row = []
-        for s in alpha:
-            targets = frozenset().union(*(moves[q].get(s, set()) for q in subset)) if subset else frozenset()
-            if targets not in ids:
-                ids[targets] = len(order)
-                order.append(targets)
-            row.append(ids[targets])
-        rows.append(tuple(row))
-    acc = frozenset(
-        i for i, subset in enumerate(order) if subset & accepting
+    dfa = subset_construction(
+        ts.alphabet,
+        frozenset([cls[0]]),
+        lambda subset, s: frozenset().union(*(moves[q].get(s, ()) for q in subset)),
+        lambda subset: not accepting_classes.isdisjoint(subset),
     )
-    return Dfa(alpha, tuple(rows), 0, acc)
+    return dfa.minimize()
 
 
 def generate_training_set(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa
+from .automata import Alphabet, Dfa, subset_construction
 
 
 class Regex:
@@ -142,22 +142,11 @@ def to_dfa(r: Regex, alpha: Alphabet | tuple[str, ...] | list[str]) -> Dfa:
                     todo.append(t)
         return frozenset(seen)
 
-    start = closure([entry])
-    ids = {start: 0}
-    order = [start]
-    rows = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        i += 1
-        row = []
-        for s in alpha:
-            targets = [t for q in subset for (ss, t) in nfa.moves[q] if ss == s]
-            nxt = closure(targets) if targets else frozenset()
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-            row.append(ids[nxt])
-        rows.append(tuple(row))
-    accepting = frozenset(i for i, subset in enumerate(order) if final in subset)
-    return Dfa(alpha, tuple(rows), 0, accepting).minimize()
+    return subset_construction(
+        alpha,
+        closure([entry]),
+        lambda subset, s: closure(
+            [t for q in subset for (ss, t) in nfa.moves[q] if ss == s]
+        ),
+        lambda subset: final in subset,
+    ).minimize()

@@ -7,6 +7,7 @@ traces.
 """
 
 import random
+from collections import deque
 
 from langcard import Alphabet, Dfa
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
@@ -110,6 +111,48 @@ def binary_tree(depth):
     rows = [(2 * q + 1, 2 * q + 2) if q < inner else (sink, sink) for q in range(leaves)]
     rows.append((sink, sink))
     return Dfa(Alphabet(SYMS[:2]), tuple(rows), 0, frozenset(range(leaves)))
+
+
+def moore_minimize(d):
+    """Minimal DFA by Moore refinement: split classes by the classes of their
+    successors until a round splits nothing, then number the classes by BFS
+    from the initial one.  Oracle for the Hopcroft minimizer."""
+    reachable = d.reachable_states()
+    cls = {q: (1 if q in d.accepting else 0) for q in reachable}
+    if len(set(cls.values())) == 1:
+        cls = {q: 0 for q in reachable}
+    while True:
+        sig = {
+            q: (cls[q], tuple(cls[d.transitions[q][s]] for s in d.alphabet))
+            for q in reachable
+        }
+        renumber = {}
+        for q in reachable:
+            renumber.setdefault(sig[q], len(renumber))
+        new_cls = {q: renumber[sig[q]] for q in reachable}
+        done = len(renumber) == len(set(cls.values()))
+        cls = new_cls
+        if done:
+            break
+    rep = {}
+    for q in reachable:
+        rep.setdefault(cls[q], q)
+    ids = {cls[d.initial]: 0}
+    order = [cls[d.initial]]
+    todo = deque(order)
+    while todo:
+        q = rep[todo.popleft()]
+        for s in d.alphabet:
+            t = cls[d.transitions[q][s]]
+            if t not in ids:
+                ids[t] = len(order)
+                order.append(t)
+                todo.append(t)
+    rows = tuple(
+        tuple(ids[cls[d.transitions[rep[c]][s]]] for s in d.alphabet) for c in order
+    )
+    accepting = frozenset(ids[c] for c in order if rep[c] in d.accepting)
+    return Dfa(d.alphabet, rows, 0, accepting)
 
 
 def seeded(seed):

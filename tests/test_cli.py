@@ -300,3 +300,37 @@ def test_count_budgets_the_degree_not_the_states_of_an_unminimized_model(tmp_pat
     assert run("count", str(model), "--max-length", "9", "--out", str(out)) == 0
     counts = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
     assert counts == [str(2**n) for n in range(8)] + ["0", "0"]
+
+
+TWO_STATES = "alphabet: a b\nstates: 2\ninitial: 0\naccepting: 1\n0 a 1\n1 b 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-traces", "M", "--pa", "2"),
+        ("gen-traces", "M", "--min-traces", "-5"),
+        ("gen-traces", "M", "--min-state-visits", "-3"),
+        ("baseline", "trace-sim", "M", "M", "--pa", "0"),
+        ("baseline", "trace-sim", "M", "M", "--target-traces", "-5"),
+        ("baseline", "trace-sim", "M", "M", "--min-coverage", "-5"),
+        ("baseline", "mbt", "M", "M", "--m-bound", "1"),  # the model has 3 states
+        ("baseline", "sigma-sample", "M", "M", "--samples", "0", "--length", "3"),
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a != "M"),
+)
+def test_out_of_range_arguments_exit_with_usage_code(tmp_path, argv):
+    model = tmp_path / "m.dfa"
+    model.write_text(TWO_STATES)
+    out = tmp_path / "o.txt"
+    argv = [str(model) if a == "M" else a for a in argv]
+    assert run(*argv, "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_infer_rejects_k_below_one(tmp_path):
+    traces = tmp_path / "one.traces"
+    traces.write_text("a b a\n")
+    out = tmp_path / "m.dfa"
+    assert run("infer", str(traces), "--k", "0", "--out-model", str(out)) == 1
+    assert not out.exists()

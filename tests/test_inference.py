@@ -5,6 +5,7 @@ from langcard.baselines import RandomWalkConfig
 from langcard.inference import (
     InferenceConfig,
     TrainingSet,
+    _Trie,
     build_pta,
     generate_training_set,
     k_tails,
@@ -92,6 +93,31 @@ def test_k_tails_output_is_minimal_and_complete():
     inferred = k_tails(ts, InferenceConfig(k=2))
     assert inferred.minimize().state_count == inferred.state_count
     assert all(len(row) == 2 for row in inferred.transitions)
+
+
+def test_tails_are_the_short_accepted_suffixes_of_each_prefix():
+    rng = seeded(23)
+    for _ in range(100):
+        ts = TrainingSet(
+            tuple(
+                tuple(rng.randrange(2) for _ in range(rng.randrange(12)))
+                for _ in range(rng.randrange(1, 8))
+            ),
+            AB,
+        )
+        trie = _Trie(ts)
+        prefixes = {0: ()}
+        for node, kids in enumerate(trie.children):
+            for s, nxt in kids.items():
+                prefixes[nxt] = prefixes[node] + (s,)
+        for k in (1, 2, 3, 12):
+            tails = trie.tails(k)
+            for node, prefix in prefixes.items():
+                expected = {
+                    t[len(prefix):] for t in ts.traces
+                    if t[:len(prefix)] == prefix and len(t) - len(prefix) <= k
+                }
+                assert tails[node] == expected
 
 
 def test_k_tails_merges_shared_tails():
