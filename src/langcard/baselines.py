@@ -25,6 +25,7 @@ from .errors import (
     IndistinguishableStatesError,
     ResourceLimitError,
     SizeGuardError,
+    UnsuitableModelError,
 )
 
 DEFAULT_SEED = 52_4287
@@ -94,7 +95,7 @@ class _WalkTables:
     def __init__(self, d, exclude_error):
         errors = d.error_states
         if d.initial in errors:
-            raise ValueError("random walk needs a model with a nonempty language")
+            raise UnsuitableModelError("random walk needs a model with a nonempty language")
         self.accepting = d.accepting
         self.initial = d.initial
         self.choices = []
@@ -278,7 +279,7 @@ def state_cover(d) -> list[tuple[int, ...]]:
         todo = nxt
     if len(paths) != d.state_count:
         # unreachable states cannot be covered; minimize() removes them
-        raise ValueError("state cover requires every state to be reachable")
+        raise UnsuitableModelError("state cover requires every state to be reachable")
     return sorted(paths.values(), key=lambda t: (len(t), t))
 
 
@@ -394,7 +395,7 @@ def sigma_sampling_assessment(
         raise ValueError("metric must be 'precision' or 'recall'")
     conditioning = inferred if metric == "precision" else reference
     if count_dp(conditioning, length)[length] == 0:
-        raise ValueError(f"conditioning language has no trace of length {length}")
+        raise UnsuitableModelError(f"conditioning language has no trace of length {length}")
     rng = random.Random(seed)
     sigma = len(reference.alphabet)
     r_rows = reference.transitions

@@ -5,13 +5,15 @@ holding the full configuration, so a run can be reproduced exactly (the
 manifest's duration field is the only part that varies between runs).
 
 Exit codes: 0 success, 1 usage, 2 input parse problem, 3 resource limit
-exceeded, 4 method refusal (size guard), 5 output file cannot be written.
+exceeded, 4 method refusal (size guard, or a method that cannot run on the given
+model), 5 output file cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -36,6 +38,7 @@ from .errors import (
     ModelParseError,
     ResourceLimitError,
     SizeGuardError,
+    UnsuitableModelError,
 )
 from .inference import InferenceConfig, TrainingSet, generate_training_set, k_tails
 from .metrics import (
@@ -236,10 +239,14 @@ def build_parser():
     p = sub.add_parser("report", help="render assessment CSVs as an SVG chart")
     p.add_argument("csvs", nargs="+")
     p.add_argument("--columns", default="precision_eq,recall_eq")
-    p.add_argument("--format", choices=("csv", "svg"), default="svg")
     p.add_argument("--title", default="")
     p.add_argument("--out", required=True)
     return parser
+
+
+# built once per process: parse_args keeps no state between calls, and the
+# build costs about as much as a small command
+_shared_parser = functools.cache(build_parser)
 
 
 def _cmd_assess(args):
@@ -257,10 +264,11 @@ def _cmd_assess(args):
         result = cumulative_assessment(counts)
     else:
         result = assess(counts)
+    # slices of the row views: no row is built, the CSV reads the counts
     if result.per_length is not None:
-        result.per_length = [r for r in result.per_length if lo <= r.n <= hi]
+        result.per_length = result.per_length[lo : hi + 1]
     if result.cumulative is not None:
-        result.cumulative = [r for r in result.cumulative if r.n <= args.max_length]
+        result.cumulative = result.cumulative[: args.max_length + 1]
     _atomic_write(args.out, assessment_csv(result, args.digits))
     RunManifest(
         command="assess",
@@ -452,8 +460,6 @@ def _cmd_report(args):
         for column in columns:
             name = f"{stem}:{column}" if len(columns) > 1 else stem
             series.append(series_from_csv(name, text, column))
-    if args.format == "csv":
-        raise _UsageError("report only renders svg output")
     _atomic_write(args.out, render_chart(series, title=args.title))
     RunManifest(
         command="report",
@@ -475,9 +481,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -485,7 +490,7 @@ def main(argv=None) -> int:
     except (ModelParseError, AlphabetMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SizeGuardError as exc:
+    except (SizeGuardError, UnsuitableModelError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except ResourceLimitError as exc:

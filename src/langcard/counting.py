@@ -341,18 +341,23 @@ def coefficients(f: RationalFunction, n_max: int) -> CardinalitySequence:
         )
     b = f.num.coeffs
     c0 = c[0]
-    out = []
+    # ``out`` starts with d zeros standing for the coefficients before z^0,
+    # so coefficient n - j sits at out[n + d - j] and no tap needs a bound
+    d = len(c) - 1
+    taps = [(d - j, cj) for j, cj in enumerate(c) if j and cj]
+    out = [0] * d
     for n in range(n_max + 1):
         s = b[n] if n < len(b) else 0
-        for j in range(1, min(n, len(c) - 1) + 1):
-            s -= c[j] * out[n - j]
-        q, r = divmod(s, c0)
-        if r:
-            raise NonIntegerCoefficientError(
-                f"coefficient {n} is not an integer; not a language series?"
-            )
-        out.append(q)
-    return out
+        for offset, cj in taps:
+            s -= cj * out[n + offset]
+        if c0 != 1:
+            s, r = divmod(s, c0)
+            if r:
+                raise NonIntegerCoefficientError(
+                    f"coefficient {n} is not an integer; not a language series?"
+                )
+        out.append(s)
+    return out[d:]
 
 
 def count_dp(d, n_max: int) -> CardinalitySequence:

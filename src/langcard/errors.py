@@ -46,5 +46,10 @@ class SizeGuardError(LangcardError):
         super().__init__(message)
 
 
+class UnsuitableModelError(LangcardError, ValueError):
+    """A method cannot run on the given model: an empty language, no trace
+    of the requested length, or states that cannot be reached."""
+
+
 class IndistinguishableStatesError(LangcardError):
     """A characterization set was requested for a non-minimal automaton."""

@@ -8,6 +8,7 @@ traces.
 
 import random
 from collections import deque
+from fractions import Fraction
 
 from langcard import Alphabet, Dfa
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
@@ -153,6 +154,41 @@ def moore_minimize(d):
     )
     accepting = frozenset(ids[c] for c in order if rep[c] in d.accepting)
     return Dfa(d.alphabet, rows, 0, accepting)
+
+
+def fraction_rows_csv(counts, digits=6, mode="both", lo=0, hi=None, max_length=None):
+    """Assessment CSV from exact ``Fraction`` rows: a row per n for each part
+    the mode asks for (per-length rows kept for lo <= n <= hi, cumulative
+    rows for n <= max_length), each value rounded as a Fraction by ``round``.
+    Oracle for ``metrics.assessment_csv``, which divides the integers
+    directly."""
+    hi = counts.max_length if hi is None else hi
+    max_length = counts.max_length if max_length is None else max_length
+
+    def ratio(num, den):
+        return Fraction(num, den) if den else None
+
+    def render(value):
+        if value is None:
+            return "undefined"
+        scaled = round(value * 10**digits)
+        sign = "-" if scaled < 0 else ""
+        text = str(abs(scaled)).rjust(digits + 1, "0")
+        return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+
+    per, cum = {}, {}
+    for n in range(counts.max_length + 1):
+        tp, fp, fn = counts.tp[n], counts.fp[n], counts.fn[n]
+        c_tp, c_fp, c_fn = sum(counts.tp[: n + 1]), sum(counts.fp[: n + 1]), sum(counts.fn[: n + 1])
+        if mode != "cumulative" and lo <= n <= hi:
+            per[n] = (ratio(tp, tp + fp), ratio(tp, tp + fn))
+        if mode != "single" and n <= max_length:
+            cum[n] = (ratio(c_tp, c_tp + c_fp), ratio(c_tp, c_tp + c_fn))
+    lines = ["n,precision_eq,recall_eq,precision_le,recall_le"]
+    for n in sorted(per.keys() | cum.keys()):
+        cells = per.get(n, (None, None)) + cum.get(n, (None, None))
+        lines.append(",".join([str(n)] + [render(v) for v in cells]))
+    return "\n".join(lines) + "\n"
 
 
 def seeded(seed):

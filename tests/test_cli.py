@@ -334,3 +334,69 @@ def test_infer_rejects_k_below_one(tmp_path):
     out = tmp_path / "m.dfa"
     assert run("infer", str(traces), "--k", "0", "--out-model", str(out)) == 1
     assert not out.exists()
+
+
+def test_assess_range_past_max_length(tmp_path, signature_files):
+    r_path, h_path = signature_files
+    out = tmp_path / "past.csv"
+    assert run("assess", r_path, h_path, "--max-length", "3", "--range", "2..6",
+               "--out", str(out)) == 0
+    lines = out.read_text().strip().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == [str(n) for n in range(7)]
+    # per-length cells exist only in 2..6, cumulative ones only up to 3
+    assert lines[0] == "0,undefined,undefined,1.000000,1.000000"
+    assert lines[3].startswith("3,0.200000,1.000000,0.")
+    for line in lines[4:]:
+        assert line.endswith(",0.200000,1.000000,undefined,undefined")
+
+
+def test_consecutive_calls_share_no_parser_state(tmp_path, signature_files):
+    r_path, h_path = signature_files
+    three = tmp_path / "three.csv"
+    six = tmp_path / "six.csv"
+    assert run("assess", r_path, h_path, "--max-length", "3", "--digits", "3",
+               "--out", str(three)) == 0
+    assert run("assess", r_path, h_path, "--max-length", "3", "--out", str(six)) == 0
+    assert three.read_text().splitlines()[1] == "0,1.000,1.000,1.000,1.000"
+    assert six.read_text().splitlines()[1] == "0,1.000000,1.000000,1.000000,1.000000"
+    # a usage error leaves the next call unaffected
+    assert run("assess", r_path, h_path, "--mode", "none", "--out", str(three)) == 1
+    again = tmp_path / "again.csv"
+    assert run("assess", r_path, h_path, "--max-length", "3", "--out", str(again)) == 0
+    assert again.read_bytes() == six.read_bytes()
+
+
+ODD_LENGTHS = TWO_STATES  # accepts (ab)*a: no trace of even length
+UNREACHABLE = (
+    "alphabet: a b\nstates: 3\ninitial: 0\naccepting: 1\n"
+    "0 a 1\n0 b 0\n1 a 1\n1 b 0\n2 a 1\n2 b 2\n"  # nothing leads to state 2
+)
+
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        (ODD_LENGTHS, ("baseline", "sigma-sample", "M", "M", "--length", "2")),
+        (None, ("gen-traces", "M")),
+        (None, ("baseline", "trace-sim", "M", "M")),
+        (UNREACHABLE, ("baseline", "mbt", "M", "M", "--m-bound", "3")),
+    ],
+    ids=["sigma-sample no trace of the length", "gen-traces empty language",
+         "trace-sim empty language", "mbt unreachable states"],
+)
+def test_methods_that_cannot_run_on_the_model_exit_refused(tmp_path, capsys, model, argv):
+    path = tmp_path / "m.dfa"
+    path.write_text(model or serialize_dfa(empty_language(2)))
+    out = tmp_path / "o.txt"
+    argv = [str(path) if a == "M" else a for a in argv]
+    assert run(*argv, "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("refused: ")
+    assert not out.exists()
+
+
+def test_report_has_no_format_option(tmp_path):
+    csv = tmp_path / "a.csv"
+    csv.write_text("n,precision_eq,recall_eq,precision_le,recall_le\n0,1.0,1.0,1.0,1.0\n")
+    out = tmp_path / "chart.svg"
+    assert run("report", str(csv), "--format", "svg", "--out", str(out)) == 1
+    assert not out.exists()

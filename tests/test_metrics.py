@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from langcard import confusion_automata
 from langcard.counting import count_dp
 from langcard.metrics import (
@@ -11,6 +14,7 @@ from langcard.metrics import (
     confusion_counts,
     counts_csv,
     cumulative_assessment,
+    format_ratio,
     format_value,
     single_length_assessment,
 )
@@ -18,6 +22,7 @@ from langcard.regexes import EPSILON, seq, sym, to_dfa
 
 from helpers import (
     all_accepting,
+    fraction_rows_csv,
     random_dfa,
     seeded,
     signature_models,
@@ -218,6 +223,93 @@ def test_format_value():
     assert format_value(None) == "undefined"
     assert format_value(Fraction(2, 3), 3) == "0.667"
     assert format_value(Fraction(1), 2) == "1.00"
+
+
+def test_format_ratio_rounds_half_to_even():
+    assert format_ratio(1, 8, 2) == "0.12"  # 0.125, tie to the even 12
+    assert format_ratio(3, 8, 2) == "0.38"  # 0.375, tie to the even 38
+    assert format_ratio(-1, 8, 2) == "-0.12"
+    assert format_ratio(-3, 8, 2) == "-0.38"
+    assert format_ratio(1, 3, 2) == "0.33"
+    assert format_ratio(-1, 300, 2) == "0.00"  # rounds to zero: no sign
+    assert [format_ratio(k, 2, 0) for k in (1, 3, 5, -1, -3)] == ["0", "2", "2", "0", "-2"]
+    assert format_ratio(7, 1, 0) == "7"
+    assert format_ratio(0, 0, 3) == "undefined"
+    assert format_ratio(5, 0, 0) == "undefined"
+
+
+_COUNT = st.one_of(st.just(0), st.integers(0, 9), st.integers(2**3000, 2**3100))
+
+
+_ASSESSMENTS = {
+    "single": single_length_assessment,
+    "cumulative": cumulative_assessment,
+    "both": assess,
+}
+
+
+def _window(counts, mode, lo, hi, max_length):
+    """The rows ``assess --mode MODE --range LO..HI --max-length M`` writes."""
+    result = _ASSESSMENTS[mode](counts)
+    if result.per_length is not None:
+        result.per_length = result.per_length[lo : hi + 1]
+    if result.cumulative is not None:
+        result.cumulative = result.cumulative[: max_length + 1]
+    return result
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    triples=st.lists(st.tuples(_COUNT, _COUNT, _COUNT), min_size=1, max_size=12),
+    mode=st.sampled_from(("single", "cumulative", "both")),
+    window=st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14)),
+    digits=st.integers(0, 12),
+)
+def test_assessment_csv_equals_fraction_row_oracle(triples, mode, window, digits):
+    tp, fp, fn = (tuple(column) for column in zip(*triples))
+    counts = ConfusionCounts(tp=tp, fp=fp, fn=fn, alphabet_size=2)
+    lo, width, max_length = window
+    hi = lo + width
+    text = assessment_csv(_window(counts, mode, lo, hi, max_length), digits)
+    assert text == fraction_rows_csv(counts, digits, mode, lo, hi, max_length)
+
+
+def test_assessment_csv_of_whole_results():
+    rng = seeded(39)
+    r = random_dfa(rng, 5, 3)
+    h = random_dfa(rng, 5, 3)
+    counts = confusion_counts(r, h, 30)
+    for mode, assessment in _ASSESSMENTS.items():
+        assert assessment_csv(assessment(counts)) == fraction_rows_csv(counts, mode=mode)
+
+
+def test_row_views_slice_like_lists():
+    rng = seeded(40)
+    counts = confusion_counts(random_dfa(rng, 5, 2), random_dfa(rng, 5, 2), 12)
+    result = assess(counts)
+    for rows in (result.per_length, result.cumulative):
+        listed = list(rows)
+        assert [row.n for row in listed] == list(range(13))
+        for window in (slice(3, 8), slice(None, 5), slice(10, 40), slice(None, None, -3)):
+            assert rows[window] == listed[window]
+            assert len(rows[window]) == len(listed[window])
+        assert rows[-1] == listed[-1]
+        assert rows + [] == listed
+    assert (result.c_tp, result.c_fp, result.c_fn) == tuple(map(sum, (counts.tp, counts.fp, counts.fn)))
+
+
+def test_assessment_csv_builds_no_fraction(monkeypatch):
+    rng = seeded(41)
+    counts = confusion_counts(random_dfa(rng, 5, 2), random_dfa(rng, 5, 2), 20)
+    expected = fraction_rows_csv(counts, 4, "both", 5, 20, 9)
+
+    def refuse(*args):
+        raise AssertionError("the CSV path built a Fraction")
+
+    monkeypatch.setattr("langcard.metrics.Fraction", refuse)
+    result = _window(counts, "both", 5, 20, 9)
+    assert (len(result.per_length), len(result.cumulative)) == (16, 10)
+    assert assessment_csv(result, 4) == expected
 
 
 def test_assessment_csv_layout():
