@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Every command writes its result file atomically together with a JSON manifest
-holding the full configuration, so a run can be reproduced exactly (the
-manifest's duration field is the only part that varies between runs).
+Each command returns its result text and the record of its run; ``main``
+alone writes the result file atomically together with a JSON manifest holding
+the full configuration, so a run can be reproduced exactly (the manifest's
+duration field is the only part that varies between runs).
 
-Exit codes: 0 success, 1 usage, 2 input parse problem, 3 resource limit
-exceeded, 4 method refusal (size guard, or a method that cannot run on the given
-model), 5 output file cannot be written.
+``main`` is also the one error boundary: every failure is a ``LangcardError``
+whose class carries the exit code and the stderr label.  Exit codes: 0
+success, 1 usage, 2 input parse problem, 3 resource limit exceeded, 4 method
+refusal (size guard, or a method that cannot run on the given model), 5 output
+file cannot be written.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
-from .automata import Dfa, format_traces, parse_dfa, parse_traces, serialize_dfa
+from .automata import Alphabet, Dfa, format_traces, parse_dfa, parse_traces, serialize_dfa
 from .baselines import (
     DEFAULT_SEED,
     RandomWalkConfig,
@@ -32,16 +35,10 @@ from .baselines import (
     trace_similarity_conditioned,
 )
 from .counting import WorkBudget, compute_ogf, coefficients, count_dp
-from .errors import (
-    AlphabetMismatchError,
-    LangcardError,
-    ModelParseError,
-    ResourceLimitError,
-    SizeGuardError,
-    UnsuitableModelError,
-)
+from .errors import LangcardError, ModelParseError
 from .inference import InferenceConfig, TrainingSet, generate_training_set, k_tails
 from .metrics import (
+    CSV_HEADER,
     assess,
     assessment_csv,
     confusion_counts,
@@ -52,50 +49,44 @@ from .metrics import (
 )
 from .report import render_chart, series_from_csv
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_RESOURCE = 3
-EXIT_REFUSED = 4
-EXIT_OUTPUT = 5
-
 BUDGET_ENV = "LANGCARD_WORK_BUDGET"
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(LangcardError):
+    exit_code = 1
+    label = "usage error"
 
 
-class _OutputError(Exception):
-    pass
+class _OutputError(LangcardError):
+    exit_code = 5
+    label = "output error"
+
+
+class _Answered(LangcardError):
+    """argparse has answered the call itself (``--help``, ``--version``)."""
+
+    exit_code = 0
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def exit(self, status=0, message=None):
+        # reached only from --help and --version, since error() raises
+        raise _Answered
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every result file."""
 
+class _Output(NamedTuple):
+    """What a command produced: the result file's path and text, and the
+    record of the run that goes into its manifest."""
+
+    path: str
+    text: str
     command: str
     inputs: dict
     config: dict
-    tool_version: str = __version__
-    duration_s: float = 0.0
-    extra: dict = field(default_factory=dict)
-
-    def write(self, result_path):
-        payload = {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "inputs": self.inputs,
-            "config": self.config,
-            "duration_s": round(self.duration_s, 3),
-        }
-        payload.update(self.extra)
-        _atomic_write(result_path + ".manifest.json", json.dumps(payload, indent=2) + "\n")
+    extra: dict = {}
 
 
 def _atomic_write(path, text):
@@ -104,10 +95,12 @@ def _atomic_write(path, text):
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except OSError as exc:
+    # UnicodeEncodeError: text taken from undecodable command-line bytes
+    except (OSError, UnicodeEncodeError) as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
+        reason = exc.reason if isinstance(exc, UnicodeEncodeError) else exc.strerror
+        raise _OutputError(f"cannot write {path}: {reason}") from None
 
 
 def _read(path):
@@ -116,6 +109,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise ModelParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"cannot read {path}: not {exc.encoding} text") from None
 
 
 def _load_model(path) -> Dfa:
@@ -180,6 +175,9 @@ def _checked(convert, accept, expected):
 _nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _probability = _checked(float, lambda v: 0 < v <= 1, "a probability in (0, 1]")
+_symbols = _checked(
+    str, lambda v: len(set(v.split())) == len(v.split()), "distinct space-separated symbols"
+)
 
 
 def build_parser():
@@ -224,7 +222,7 @@ def build_parser():
     p = sub.add_parser("infer", help="k-tails inference from a trace file")
     p.add_argument("traces")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--alphabet", default=None, help="space-separated symbols (default: from traces)")
+    p.add_argument("--alphabet", type=_symbols, default=None, help="space-separated symbols (default: from traces)")
     p.add_argument("--out-model", required=True)
 
     p = sub.add_parser("gen-traces", help="random-walk training traces from a model")
@@ -250,42 +248,39 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _cmd_assess(args):
-    started = time.monotonic()
     reference, inferred = _load_pair(args.reference, args.inferred)
     if args.length_range:
         lo, hi = _parse_range(args.length_range)
     else:
         lo, hi = 0, args.max_length
-    n_max = max(args.max_length, hi)
-    counts = confusion_counts(reference, inferred, n_max, _budget_from_env())
+    # count only as far as the rows the mode writes
     if args.mode == "single":
-        result = single_length_assessment(counts)
+        n_max, assessment = hi, single_length_assessment
     elif args.mode == "cumulative":
-        result = cumulative_assessment(counts)
+        n_max, assessment = args.max_length, cumulative_assessment
     else:
-        result = assess(counts)
+        n_max, assessment = max(args.max_length, hi), assess
+    result = assessment(confusion_counts(reference, inferred, n_max, _budget_from_env()))
     # slices of the row views: no row is built, the CSV reads the counts
     if result.per_length is not None:
         result.per_length = result.per_length[lo : hi + 1]
     if result.cumulative is not None:
         result.cumulative = result.cumulative[: args.max_length + 1]
-    _atomic_write(args.out, assessment_csv(result, args.digits))
-    RunManifest(
-        command="assess",
-        inputs={"reference": args.reference, "inferred": args.inferred},
-        config={
+    return _Output(
+        args.out,
+        assessment_csv(result, args.digits),
+        "assess",
+        {"reference": args.reference, "inferred": args.inferred},
+        {
             "max_length": args.max_length,
             "range": [lo, hi],
             "mode": args.mode,
             "digits": args.digits,
         },
-        duration_s=time.monotonic() - started,
-    ).write(args.out)
-    return EXIT_OK
+    )
 
 
 def _cmd_count(args):
-    started = time.monotonic()
     model = _load_model(args.model)
     extra = {}
     if args.oracle == "dp":
@@ -295,18 +290,18 @@ def _cmd_count(args):
         counts = coefficients(ogf, args.max_length)
         extra["ogf"] = str(ogf)
         print(f"OGF: {ogf}")
-    _atomic_write(args.out, counts_csv(counts))
-    RunManifest(
-        command="count",
-        inputs={"model": args.model},
-        config={"max_length": args.max_length, "oracle": args.oracle},
-        duration_s=time.monotonic() - started,
-        extra=extra,
-    ).write(args.out)
-    return EXIT_OK
+    return _Output(
+        args.out,
+        counts_csv(counts),
+        "count",
+        {"model": args.model},
+        {"max_length": args.max_length, "oracle": args.oracle},
+        extra,
+    )
 
 
 def _baseline_rows(args, reference, inferred):
+    """The CSV rows of one baseline method and its extra manifest keys."""
     cfg = RandomWalkConfig(
         termination_probability=args.pa,
         target_trace_count=args.target_traces,
@@ -314,7 +309,6 @@ def _baseline_rows(args, reference, inferred):
         time_limit_s=args.time_limit,
         seed=args.seed,
     )
-    header = "n,precision_eq,recall_eq,precision_le,recall_le"
     und = "undefined"
     digits = args.digits
     if args.method == "trace-sim":
@@ -324,16 +318,14 @@ def _baseline_rows(args, reference, inferred):
             max((len(t) for t in res.e_recall.traces), default=0),
         )
         row = f"{n},{und},{und},{format_value(res.precision, digits)},{format_value(res.recall, digits)}"
-        return header + "\n" + row + "\n", {"traces_precision": res.e_precision.total, "traces_recall": res.e_recall.total}
+        return [row], {"traces_precision": res.e_precision.total, "traces_recall": res.e_recall.total}
     if args.method == "trace-sim-conditioned":
         rows = trace_similarity_conditioned(reference, inferred, cfg)
-        lines = [header]
-        for row in rows:
-            lines.append(
-                f"{row.n},{format_value(row.precision, digits)},"
-                f"{format_value(row.recall, digits)},{und},{und}"
-            )
-        return "\n".join(lines) + "\n", {}
+        return [
+            f"{row.n},{format_value(row.precision, digits)},"
+            f"{format_value(row.recall, digits)},{und},{und}"
+            for row in rows
+        ], {}
     if args.method == "mbt":
         if args.m_bound is None:
             raise _UsageError("mbt needs --m-bound")
@@ -345,38 +337,34 @@ def _baseline_rows(args, reference, inferred):
         precision, recall = mbt_assessment(
             reference, inferred, WMethodConfig(m=args.m_bound)
         )
-        row = f"0,{und},{und},{format_value(precision, digits)},{format_value(recall, digits)}"
-        return header + "\n" + row + "\n", {}
-    if args.method == "sigma-sample":
-        if args.length is None:
-            raise _UsageError("sigma-sample needs --length")
-        value = sigma_sampling_assessment(
-            reference,
-            inferred,
-            args.length,
-            args.samples,
-            args.metric,
-            args.seed,
-            time_limit_s=args.time_limit,
-        )
-        cell = format_value(value, digits)
-        if args.metric == "precision":
-            row = f"{args.length},{cell},{und},{und},{und}"
-        else:
-            row = f"{args.length},{und},{cell},{und},{und}"
-        return header + "\n" + row + "\n", {}
-    raise _UsageError(f"unknown method {args.method!r}")
+        return [f"0,{und},{und},{format_value(precision, digits)},{format_value(recall, digits)}"], {}
+    # sigma-sample, the last of the parser's choices
+    if args.length is None:
+        raise _UsageError("sigma-sample needs --length")
+    value = sigma_sampling_assessment(
+        reference,
+        inferred,
+        args.length,
+        args.samples,
+        args.metric,
+        args.seed,
+        time_limit_s=args.time_limit,
+    )
+    cell = format_value(value, digits)
+    if args.metric == "precision":
+        return [f"{args.length},{cell},{und},{und},{und}"], {}
+    return [f"{args.length},{und},{cell},{und},{und}"], {}
 
 
 def _cmd_baseline(args):
-    started = time.monotonic()
     reference, inferred = _load_pair(args.reference, args.inferred)
-    csv, extra = _baseline_rows(args, reference, inferred)
-    _atomic_write(args.out, csv)
-    RunManifest(
-        command=f"baseline:{args.method}",
-        inputs={"reference": args.reference, "inferred": args.inferred},
-        config={
+    rows, extra = _baseline_rows(args, reference, inferred)
+    return _Output(
+        args.out,
+        "\n".join([CSV_HEADER, *rows]) + "\n",
+        f"baseline:{args.method}",
+        {"reference": args.reference, "inferred": args.inferred},
+        {
             "pa": args.pa,
             "seed": args.seed,
             "target_traces": args.target_traces,
@@ -388,14 +376,11 @@ def _cmd_baseline(args):
             "metric": args.metric,
             "digits": args.digits,
         },
-        duration_s=time.monotonic() - started,
-        extra=extra,
-    ).write(args.out)
-    return EXIT_OK
+        extra,
+    )
 
 
 def _cmd_infer(args):
-    started = time.monotonic()
     text = _read(args.traces)
     if args.alphabet:
         symbols = tuple(args.alphabet.split())
@@ -407,24 +392,22 @@ def _cmd_infer(args):
         )
         if not symbols:
             raise ModelParseError("trace file holds no symbols; pass --alphabet")
-    from .automata import Alphabet
-
     alpha = Alphabet(symbols)
     traces = parse_traces(text, alpha)
+    if not traces:
+        raise ModelParseError("trace file holds no traces")
     model = k_tails(TrainingSet(tuple(traces), alpha), InferenceConfig(k=args.k))
-    _atomic_write(args.out_model, serialize_dfa(model))
-    RunManifest(
-        command="infer",
-        inputs={"traces": args.traces},
-        config={"k": args.k, "alphabet": list(symbols)},
-        duration_s=time.monotonic() - started,
-        extra={"states": model.state_count},
-    ).write(args.out_model)
-    return EXIT_OK
+    return _Output(
+        args.out_model,
+        serialize_dfa(model),
+        "infer",
+        {"traces": args.traces},
+        {"k": args.k, "alphabet": list(symbols)},
+        {"states": model.state_count},
+    )
 
 
 def _cmd_gen_traces(args):
-    started = time.monotonic()
     model = _load_model(args.model)
     cfg = RandomWalkConfig(
         termination_probability=args.pa,
@@ -434,24 +417,22 @@ def _cmd_gen_traces(args):
     ts = generate_training_set(
         model, cfg, min_traces=args.min_traces, min_state_visits=args.min_state_visits
     )
-    _atomic_write(args.out, format_traces(ts.traces, model.alphabet))
-    RunManifest(
-        command="gen-traces",
-        inputs={"model": args.model},
-        config={
+    return _Output(
+        args.out,
+        format_traces(ts.traces, model.alphabet),
+        "gen-traces",
+        {"model": args.model},
+        {
             "pa": args.pa,
             "seed": args.seed,
             "min_traces": args.min_traces,
             "min_state_visits": args.min_state_visits,
         },
-        duration_s=time.monotonic() - started,
-        extra={"traces": len(ts.traces)},
-    ).write(args.out)
-    return EXIT_OK
+        {"traces": len(ts.traces)},
+    )
 
 
 def _cmd_report(args):
-    started = time.monotonic()
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     series = []
     for path in args.csvs:
@@ -460,14 +441,13 @@ def _cmd_report(args):
         for column in columns:
             name = f"{stem}:{column}" if len(columns) > 1 else stem
             series.append(series_from_csv(name, text, column))
-    _atomic_write(args.out, render_chart(series, title=args.title))
-    RunManifest(
-        command="report",
-        inputs={"csvs": list(args.csvs)},
-        config={"columns": columns, "title": args.title},
-        duration_s=time.monotonic() - started,
-    ).write(args.out)
-    return EXIT_OK
+    return _Output(
+        args.out,
+        render_chart(series, title=args.title),
+        "report",
+        {"csvs": list(args.csvs)},
+        {"columns": columns, "title": args.title},
+    )
 
 
 _COMMANDS = {
@@ -483,25 +463,23 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ModelParseError, AlphabetMismatchError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (SizeGuardError, UnsuitableModelError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        started = time.monotonic()
+        out = _COMMANDS[args.command](args)
+        _atomic_write(out.path, out.text)
+        manifest = {
+            "command": out.command,
+            "tool_version": __version__,
+            "inputs": out.inputs,
+            "config": out.config,
+            "duration_s": round(time.monotonic() - started, 3),
+            **out.extra,
+        }
+        _atomic_write(out.path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+        return 0
     except LangcardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+        if exc.exit_code:
+            print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,14 @@
 
 
 class LangcardError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    The command line reports an error as ``label: message`` on stderr and
+    exits with ``exit_code``; subclasses set both.
+    """
+
+    exit_code = 2
+    label = "error"
 
 
 class ModelParseError(LangcardError):
@@ -10,6 +17,9 @@ class ModelParseError(LangcardError):
 
     Carries the 1-based line number when the offending line is known.
     """
+
+    exit_code = 2
+    label = "input error"
 
     def __init__(self, message, line=None):
         self.line = line
@@ -20,6 +30,9 @@ class ModelParseError(LangcardError):
 
 class AlphabetMismatchError(LangcardError):
     """Two automata do not share the same ordered alphabet."""
+
+    exit_code = 2
+    label = "input error"
 
 
 class DivergentStarError(LangcardError):
@@ -37,9 +50,15 @@ class NonIntegerCoefficientError(LangcardError):
 class ResourceLimitError(LangcardError):
     """A configured work budget (degree, time, restarts, steps) was exceeded."""
 
+    exit_code = 3
+    label = "resource limit"
+
 
 class SizeGuardError(LangcardError):
     """A method refused to run because its output would be too large."""
+
+    exit_code = 4
+    label = "refused"
 
     def __init__(self, message, estimate=None):
         self.estimate = estimate
@@ -48,8 +67,12 @@ class SizeGuardError(LangcardError):
 
 class UnsuitableModelError(LangcardError, ValueError):
     """A method cannot run on the given model: an empty language, no trace
-    of the requested length, or states that cannot be reached."""
+    of the requested length, states that cannot be reached, or states that
+    cannot be told apart."""
+
+    exit_code = 4
+    label = "refused"
 
 
-class IndistinguishableStatesError(LangcardError):
+class IndistinguishableStatesError(UnsuitableModelError):
     """A characterization set was requested for a non-minimal automaton."""

@@ -8,10 +8,8 @@ denominator's lowest-order nonzero coefficient is positive.  That canonical
 form makes structural equality coincide with mathematical equality, which the
 counting layer relies on when checking order invariance.
 
-Multiplication uses Kronecker substitution (packing coefficients into one big
-integer) above a small size threshold, and GCDs are computed modulo word-size
-primes with CRT reconstruction and a trial-division check, so the result is
-provably the true GCD.
+GCDs are computed modulo word-size primes with CRT reconstruction and a
+trial-division check, so the result is provably the true GCD.
 """
 
 from __future__ import annotations
@@ -21,25 +19,9 @@ from fractions import Fraction
 
 from .errors import DivergentStarError
 
-# Primes just below 2**31 (products stay single-word); extended on demand.
-_PRIMES = [
-    2147483647,
-    2147483629,
-    2147483587,
-    2147483579,
-    2147483563,
-    2147483549,
-    2147483543,
-    2147483497,
-    2147483489,
-    2147483477,
-    2147483423,
-    2147483399,
-    2147483353,
-    2147483323,
-    2147483269,
-    2147483249,
-]
+# Primes just below 2**31 (products stay single-word), largest first; the
+# list grows on demand.
+_PRIMES = [2**31 - 1]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -101,10 +83,6 @@ def _crt_lift(residues, modulus, new, p):
     return combined, modulus, [r - modulus if r > half else r for r in combined]
 
 
-# Kronecker packing pays off once schoolbook would do this many int products.
-_KRONECKER_CUTOFF = 256
-
-
 def _trim(coeffs):
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
@@ -118,29 +96,6 @@ def _school_mul(a, b):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return out
-
-
-def _kronecker_mul(a, b):
-    # Pack both factors into integers at a power-of-two point large enough
-    # that the product's coefficients fit in one balanced digit each.
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
-    bound = max_a * max_b * min(len(a), len(b))
-    bits = bound.bit_length() + 2
-    pa = sum(c << (bits * i) for i, c in enumerate(a))
-    pb = sum(c << (bits * i) for i, c in enumerate(b))
-    prod = pa * pb
-    base = 1 << bits
-    half = base >> 1
-    mask = base - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        digit = prod & mask
-        if digit >= half:
-            digit -= base
-        out.append(digit)
-        prod = (prod - digit) >> bits
     return out
 
 
@@ -202,20 +157,12 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO_POLY
-        if len(a) * len(b) <= _KRONECKER_CUTOFF:
-            return Polynomial(_school_mul(a, b))
-        return Polynomial(_kronecker_mul(a, b))
+        return Polynomial(_school_mul(a, b))
 
     def scale(self, k):
         if k == 0:
             return ZERO_POLY
         return Polynomial(tuple(c * k for c in self.coeffs))
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def content(self):
         """GCD of all coefficients (nonnegative; 0 for the zero polynomial)."""

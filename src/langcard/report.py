@@ -7,6 +7,8 @@ the polyline into gaps instead of being interpolated or zeroed.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 from .errors import ModelParseError
@@ -19,33 +21,54 @@ class Series:
     points: list  # (n, value string or None)
 
 
+_COLUMNS = CSV_HEADER.split(",")
+# code points XML 1.0 does not allow in a document, even escaped
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def parse_assessment_csv(text) -> dict[str, list]:
-    """Columns of a metrics-schema CSV, keyed by column name."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
+def _data_rows(text):
+    """(line number, cells) of each data row of a metrics-schema CSV."""
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not numbered or numbered[0][1].strip() != CSV_HEADER:
         raise ModelParseError(f"expected header {CSV_HEADER!r}")
-    columns = CSV_HEADER.split(",")
-    out = {c: [] for c in columns}
-    for lineno, line in enumerate(lines[1:], start=2):
+    rows = []
+    for lineno, line in numbered[1:]:
         cells = line.split(",")
-        if len(cells) != len(columns):
+        if len(cells) != len(_COLUMNS):
             raise ModelParseError("wrong number of columns", lineno)
-        for c, cell in zip(columns, cells):
-            out[c].append(cell)
-    return out
+        rows.append((lineno, cells))
+    return rows
 
 
 def series_from_csv(name, text, column) -> Series:
-    data = parse_assessment_csv(text)
-    if column not in data or column == "n":
+    rows = _data_rows(text)
+    if column not in _COLUMNS or column == "n":
         raise ModelParseError(f"no metric column {column!r}")
+    index = _COLUMNS.index(column)
     points = []
-    for n, cell in zip(data["n"], data[column]):
-        points.append((int(n), None if cell == "undefined" else cell))
+    for lineno, cells in rows:
+        n, cell = cells[0], cells[index]
+        try:
+            n = int(n)
+            if cell != "undefined" and not math.isfinite(float(cell)):
+                raise ValueError
+        except ValueError:
+            raise ModelParseError(
+                f"n must be an integer and {column} a finite number or 'undefined'", lineno
+            ) from None
+        points.append((n, None if cell == "undefined" else cell))
     return Series(name=name, points=points)
+
+
+def _xml_text(text):
+    """``text`` as SVG character data: markup escaped, and code points XML
+    cannot hold (control characters, lone surrogates from undecodable file
+    names) replaced by U+FFFD."""
+    # by hand: xml.sax.saxutils.escape would import urllib.request, http and
+    # ssl, about 6 MB of resident memory for every command
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML.sub("\ufffd", text)
 
 
 def render_chart(series_list, width=720, height=420, title="") -> str:
@@ -67,7 +90,7 @@ def render_chart(series_list, width=720, height=420, title="") -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">{_xml_text(title)}</text>',
     ]
     # axes and y gridlines at 0, 0.5, 1
     parts.append(
@@ -109,7 +132,7 @@ def render_chart(series_list, width=720, height=420, title="") -> str:
                 )
         parts.append(
             f'<text x="{width - margin}" y="{margin + 14 * idx}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{series.name}</text>'
+            f'font-size="11" fill="{color}">{_xml_text(series.name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

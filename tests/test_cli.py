@@ -1,9 +1,12 @@
 import json
+from xml.etree import ElementTree
 
 import pytest
 
+from langcard import cli
 from langcard.automata import serialize_dfa
 from langcard.cli import main
+from langcard.metrics import confusion_counts
 from helpers import all_accepting, binary_tree, empty_language, signature_models
 
 
@@ -292,6 +295,16 @@ def test_unwritable_output_exits_with_output_code(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+def test_unencodable_output_exits_with_output_code(tmp_path):
+    traces = tmp_path / "t.traces"
+    traces.write_text("a b\n")
+    out = tmp_path / "m.dfa"
+    # an argv byte that is not UTF-8 reaches Python as a lone surrogate
+    assert run("infer", str(traces), "--k", "1", "--alphabet", "a b \udcff",
+               "--out-model", str(out)) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.traces"]
+
+
 def test_count_budgets_the_degree_not_the_states_of_an_unminimized_model(tmp_path, monkeypatch):
     model = tmp_path / "tree.dfa"
     model.write_text(serialize_dfa(binary_tree(7)))  # 256 states, OGF degree 7
@@ -371,6 +384,10 @@ UNREACHABLE = (
     "alphabet: a b\nstates: 3\ninitial: 0\naccepting: 1\n"
     "0 a 1\n0 b 0\n1 a 1\n1 b 0\n2 a 1\n2 b 2\n"  # nothing leads to state 2
 )
+NON_MINIMAL = (
+    "alphabet: a b\nstates: 3\ninitial: 0\naccepting: 1 2\n"
+    "0 a 1\n0 b 0\n1 a 2\n1 b 0\n2 a 1\n2 b 0\n"  # states 1 and 2 are equivalent
+)
 
 
 @pytest.mark.parametrize(
@@ -380,9 +397,11 @@ UNREACHABLE = (
         (None, ("gen-traces", "M")),
         (None, ("baseline", "trace-sim", "M", "M")),
         (UNREACHABLE, ("baseline", "mbt", "M", "M", "--m-bound", "3")),
+        (NON_MINIMAL, ("baseline", "mbt", "M", "M", "--m-bound", "3")),
     ],
     ids=["sigma-sample no trace of the length", "gen-traces empty language",
-         "trace-sim empty language", "mbt unreachable states"],
+         "trace-sim empty language", "mbt unreachable states",
+         "mbt non-minimal reference"],
 )
 def test_methods_that_cannot_run_on_the_model_exit_refused(tmp_path, capsys, model, argv):
     path = tmp_path / "m.dfa"
@@ -400,3 +419,99 @@ def test_report_has_no_format_option(tmp_path):
     out = tmp_path / "chart.svg"
     assert run("report", str(csv), "--format", "svg", "--out", str(out)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("assess", "--help")], ids=" ".join)
+def test_version_and_help_return_zero(capsys, argv):
+    assert run(*argv) == 0
+    out, err = capsys.readouterr()
+    assert out and not err
+
+
+def test_infer_rejects_a_repeated_alphabet_symbol(tmp_path):
+    traces = tmp_path / "t.traces"
+    traces.write_text("a b\n")
+    out = tmp_path / "m.dfa"
+    assert run("infer", str(traces), "--k", "1", "--alphabet", "a b a",
+               "--out-model", str(out)) == 1
+    assert not out.exists()
+
+
+def test_infer_on_a_trace_file_without_traces_is_an_input_error(tmp_path, capsys):
+    traces = tmp_path / "t.traces"
+    traces.write_text("# a comment, no trace\n")
+    out = tmp_path / "m.dfa"
+    assert run("infer", str(traces), "--k", "1", "--alphabet", "a b",
+               "--out-model", str(out)) == 2
+    assert capsys.readouterr().err == "input error: trace file holds no traces\n"
+    assert not out.exists()
+
+
+def test_undecodable_input_is_an_input_error(tmp_path):
+    model = tmp_path / "m.dfa"
+    model.write_bytes(b"alphabet: a\xff\n")
+    assert run("count", str(model), "--out", str(tmp_path / "o.csv")) == 2
+
+
+@pytest.mark.parametrize(
+    "row", ["0,abc,1,1,1", "0,nan,1,1,1", "0,-inf,1,1,1", "0.5,1,1,1,1", "x,undefined,1,1,1"],
+    ids=["value not a number", "value nan", "value infinite", "n not an integer",
+         "n not a number"],
+)
+def test_report_rejects_malformed_cells_with_their_line(tmp_path, capsys, row):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(f"n,precision_eq,recall_eq,precision_le,recall_le\n\n{row}\n")
+    out = tmp_path / "chart.svg"
+    assert run("report", str(csv), "--columns", "precision_eq", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("input error: line 3: ")
+    assert not out.exists()
+
+
+def test_report_svg_is_well_formed_with_markup_in_its_text(tmp_path):
+    csv = tmp_path / "R&D <1>.csv"
+    csv.write_text("n,precision_eq,recall_eq,precision_le,recall_le\n0,1.0,0.5,1.0,1.0\n")
+    out = tmp_path / "chart.svg"
+    assert run("report", str(csv), "--title", "R & H <v2>", "--out", str(out)) == 0
+    root = ElementTree.parse(out).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "R & H <v2>" in texts
+    assert "R&D <1>:precision_eq" in texts and "R&D <1>:recall_eq" in texts
+
+
+@pytest.mark.parametrize(
+    "mode, max_length, length_range, n_max",
+    [
+        ("single", "10", "3..5", 5),
+        ("cumulative", "4", "2..8", 4),
+        ("both", "4", "2..8", 8),
+        ("both", "10", "3..5", 10),
+    ],
+)
+def test_assess_counts_only_as_far_as_its_mode_writes(
+    tmp_path, signature_files, monkeypatch, mode, max_length, length_range, n_max
+):
+    r_path, h_path = signature_files
+    counted = []
+
+    def recording(reference, inferred, n, budget=None):
+        counted.append(n)
+        return confusion_counts(reference, inferred, n, budget)
+
+    monkeypatch.setattr(cli, "confusion_counts", recording)
+    out = tmp_path / "o.csv"
+    assert run("assess", r_path, h_path, "--max-length", max_length, "--mode", mode,
+               "--range", length_range, "--out", str(out)) == 0
+    assert counted == [n_max]
+    manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+    assert manifest["config"]["range"] == [int(b) for b in length_range.split("..")]
+
+
+def test_assess_cumulative_writes_the_same_csv_with_or_without_a_range(
+    tmp_path, signature_files
+):
+    r_path, h_path = signature_files
+    plain, ranged = tmp_path / "plain.csv", tmp_path / "ranged.csv"
+    common = ("assess", r_path, h_path, "--max-length", "4", "--mode", "cumulative")
+    assert run(*common, "--out", str(plain)) == 0
+    assert run(*common, "--range", "2..30", "--out", str(ranged)) == 0
+    assert ranged.read_bytes() == plain.read_bytes()
