@@ -15,6 +15,7 @@ from .automata import (
     alphabet,
     build_dfa,
     confusion_automata,
+    confusion_product,
     format_traces,
     parse_dfa,
     parse_traces,
@@ -37,6 +38,7 @@ from .counting import (
     approx_star_height,
     coefficients,
     compute_ogf,
+    count_by_class,
     count_dp,
     digraph_construction,
     elimination_ogf,
@@ -85,6 +87,8 @@ __all__ = [
     "compute_ogf",
     "confusion_automata",
     "confusion_counts",
+    "confusion_product",
+    "count_by_class",
     "count_dp",
     "cumulative_assessment",
     "digraph_construction",

@@ -14,9 +14,13 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AlphabetMismatchError, ModelParseError
+from .errors import AlphabetMismatchError, ModelParseError, SizeGuardError
 
 Trace = tuple[int, ...]
+
+# the most states a model file may declare; parse_dfa refuses a larger
+# ``states:`` header before it allocates a row per state
+MAX_STATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -310,22 +314,34 @@ def subset_construction(alpha: Alphabet, start, step, is_accepting) -> Dfa:
     return Dfa(alpha, tuple(rows), 0, accepting)
 
 
+def confusion_product(reference, inferred):
+    """The reachable product R x H of ``reference`` and ``inferred`` and the
+    classes of its states.
+
+    Returns the product as a ``Dfa`` accepting the traces of either model,
+    and the partition of its accepting states into the states in both models
+    (true positives), only in ``inferred`` (false positives) and only in
+    ``reference`` (false negatives); the other states are in neither."""
+    rows, pairs = _product_table(reference, inferred)
+    tp, fp, fn = set(), set(), set()
+    for i, (qr, qh) in enumerate(pairs):
+        if qh in inferred.accepting:
+            (tp if qr in reference.accepting else fp).add(i)
+        elif qr in reference.accepting:
+            fn.add(i)
+    classes = (frozenset(tp), frozenset(fp), frozenset(fn))
+    return Dfa(reference.alphabet, rows, 0, frozenset().union(*classes)), classes
+
+
 def confusion_automata(reference, inferred):
     """Minimized acceptors for true-positive, false-positive and
-    false-negative traces of ``inferred`` against ``reference``.
-
-    All three are the one product automaton R x H with different accepting
-    sets, so the product is built once and minimized three times."""
-    rows, pairs = _product_table(reference, inferred)
-
-    def minimized(in_r, in_h):
-        acc = frozenset(
-            i for i, (qr, qh) in enumerate(pairs)
-            if (qr in reference.accepting) == in_r and (qh in inferred.accepting) == in_h
-        )
-        return Dfa(reference.alphabet, rows, 0, acc).minimize()
-
-    return minimized(True, True), minimized(False, True), minimized(True, False)
+    false-negative traces of ``inferred`` against ``reference``: the one
+    product of ``confusion_product``, accepting each class in turn."""
+    product, classes = confusion_product(reference, inferred)
+    return tuple(
+        Dfa(product.alphabet, product.transitions, 0, members).minimize()
+        for members in classes
+    )
 
 
 def build_dfa(symbols, n_states, initial, accepting, edges) -> Dfa:
@@ -426,8 +442,11 @@ def _parse_headers(header):
         raise ModelParseError("duplicate symbol in alphabet", lineno)
     alpha = Alphabet(tuple(tokens))
     tokens, lineno = header["states"]
-    if len(tokens) != 1 or not tokens[0].isdigit():
+    if len(tokens) != 1 or not tokens[0].isdecimal():
         raise ModelParseError("states header takes one number", lineno)
+    # compared as text first: int() refuses numbers of over 4300 digits
+    if len(tokens[0].lstrip("0")) > len(str(MAX_STATES)) or int(tokens[0]) > MAX_STATES:
+        raise SizeGuardError(f"line {lineno}: more than {MAX_STATES} states")
     n_states = int(tokens[0])
     if n_states < 1:
         raise ModelParseError("need at least one state", lineno)

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Each command returns its result text and the record of its run; ``main``
-alone writes the result file atomically together with a JSON manifest holding
-the full configuration, so a run can be reproduced exactly (the manifest's
-duration field is the only part that varies between runs).
+alone writes the result file together with a JSON manifest holding the full
+configuration, both or neither, so a run can be reproduced exactly (the
+manifest's duration field is the only part that varies between runs).
 
 ``main`` is also the one error boundary: every failure is a ``LangcardError``
 whose class carries the exit code and the stderr label.  Exit codes: 0
@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -89,16 +90,27 @@ class _Output(NamedTuple):
     extra: dict = {}
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
+def _write_all(files):
+    """Write every ``(path, text)`` pair, or leave none of the paths behind.
+
+    Each text goes to a temporary name first; only when all of them are
+    written are they renamed into place, and a failure removes every file
+    written so far."""
+    written = []
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            tmp = f"{path}.tmp.{os.getpid()}"
+            written.append(tmp)
+            with open(tmp, "w") as fh:
+                fh.write(text)
+        for index, (path, _) in enumerate(files):
+            os.replace(written[index], path)
+            written[index] = path
     # UnicodeEncodeError: text taken from undecodable command-line bytes
     except (OSError, UnicodeEncodeError) as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for name in written:
+            with contextlib.suppress(OSError):
+                os.remove(name)
         reason = exc.reason if isinstance(exc, UnicodeEncodeError) else exc.strerror
         raise _OutputError(f"cannot write {path}: {reason}") from None
 
@@ -175,6 +187,7 @@ def _checked(convert, accept, expected):
 _nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _probability = _checked(float, lambda v: 0 < v <= 1, "a probability in (0, 1]")
+_seconds = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number of seconds")
 _symbols = _checked(
     str, lambda v: len(set(v.split())) == len(v.split()), "distinct space-separated symbols"
 )
@@ -211,7 +224,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--target-traces", type=_nonnegative_int, default=100_000)
     p.add_argument("--min-coverage", type=_nonnegative_int, default=10)
-    p.add_argument("--time-limit", type=float, default=1800.0)
+    p.add_argument("--time-limit", type=_seconds, default=1800.0)
     p.add_argument("--m-bound", type=_nonnegative_int, default=None, help="state bound for mbt")
     p.add_argument("--length", type=_nonnegative_int, default=None, help="trace length for sigma-sample")
     p.add_argument("--samples", type=_positive_int, default=1000, help="accepted samples for sigma-sample")
@@ -231,7 +244,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--min-traces", type=_nonnegative_int, default=100)
     p.add_argument("--min-state-visits", type=_nonnegative_int, default=4)
-    p.add_argument("--time-limit", type=float, default=1800.0)
+    p.add_argument("--time-limit", type=_seconds, default=1800.0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="render assessment CSVs as an SVG chart")
@@ -284,7 +297,7 @@ def _cmd_count(args):
     model = _load_model(args.model)
     extra = {}
     if args.oracle == "dp":
-        counts = count_dp(model, args.max_length)
+        counts = count_dp(model, args.max_length, _budget_from_env())
     else:
         ogf = compute_ogf(model, _budget_from_env())
         counts = coefficients(ogf, args.max_length)
@@ -465,7 +478,6 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
         started = time.monotonic()
         out = _COMMANDS[args.command](args)
-        _atomic_write(out.path, out.text)
         manifest = {
             "command": out.command,
             "tool_version": __version__,
@@ -474,7 +486,8 @@ def main(argv=None) -> int:
             "duration_s": round(time.monotonic() - started, 3),
             **out.extra,
         }
-        _atomic_write(out.path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+        manifest_text = json.dumps(manifest, indent=2) + "\n"
+        _write_all([(out.path, out.text), (out.path + ".manifest.json", manifest_text)])
         return 0
     except LangcardError as exc:
         if exc.exit_code:

@@ -15,7 +15,18 @@ CRT.  A candidate D of degree <= q, with N = (D * a) mod z^q, is accepted
 only after checking in integers that coefficients q..2q+1 of D * a vanish.
 That proves N/D is the OGF: with the true OGF N*/D*, the polynomial
 N * D* - N* * D has degree < 2q and is divisible by z^(2q), so it is zero.
-An unlucky prime can only delay the answer, never change it.
+An unlucky prime can only delay the answer, never change it.  The proof
+needs only an upper bound on q, which is what lets several languages share
+one automaton.
+
+``count_by_class`` counts several languages at once: the traces ending in
+each of some disjoint classes of accepting states of one DFA, such as the
+true-positive, false-positive and false-negative states of the product of a
+reference and an inferred model.  One DP over the Q live states of that DFA
+sums its frontier by class at every step.  Each class's language has at most
+Q live states there, so Q stands in for q in the proof above: up to length
+2Q + 1 the DP terms are the answer, and past it each sequence is extended by
+the recurrence proved from its first 2Q + 2 terms.  Nothing is minimized.
 
 ``elimination_ogf``, the reference engine, is the construction of the
 paper: node elimination on a digraph whose edges carry rational functions.
@@ -32,10 +43,10 @@ Coefficients come out of the rational function through the linear recurrence
 
     a_n = (b_n - sum_{j=1..n} c_j a_{n-j}) / c_0
 
-with b and c the numerator and denominator coefficients.  ``count_dp``, a
-sparse push DP over the transition table, is the independent oracle: the
-test suite checks both engines against it, and each engine against the
-other.
+with b and c the numerator and denominator coefficients.  ``count_dp`` is
+the DP alone, the sparse push over the transition table that every engine
+reads its terms from.  The test suite checks the engines against each other
+and against counts taken by enumerating traces.
 """
 
 from __future__ import annotations
@@ -188,6 +199,45 @@ def compute_ogf(d, budget: WorkBudget | None = None) -> RationalFunction:
     degree of the result is checked against ``budget.max_degree``.
     """
     budget = budget or DEFAULT_BUDGET
+    check = _deadline(budget)
+    q = _live_count(d)
+    (terms,) = _dp_terms(d, (d.accepting,), 2 * q + 1, check("counting terms"))
+    return RationalFunction(*_solve(terms, q, budget, check))
+
+
+def count_by_class(
+    d, classes, n_max, budget: WorkBudget | None = None
+) -> list[CardinalitySequence]:
+    """Accepted-trace counts per length up to n_max, one sequence per class.
+
+    ``classes`` are disjoint sets of states that together make up
+    ``d.accepting``; a trace counts toward the class of the state it ends
+    in.  With Q the number of live states of d, the DP alone answers up to
+    length 2Q + 1; past it, each sequence is extended by its recurrence,
+    solved and proved from its first 2Q + 2 terms.  The deadline is checked
+    on every step of the DP, of Berlekamp-Massey and of the exact check.
+    """
+    budget = budget or DEFAULT_BUDGET
+    check = _deadline(budget)
+    q = _live_count(d)
+    top = 2 * q + 1
+    seqs = _dp_terms(d, classes, min(n_max, top), check("counting terms"))
+    if n_max > top:
+        for terms in seqs:
+            _, den = _solve(terms, q, budget, check)
+            # c_0 = 1 and deg N < q, so a_n = -sum_{j>=1} c_j a_{n-j} for n >= q
+            taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
+            for n in range(top + 1, n_max + 1):
+                a = 0
+                for j, c in taps:
+                    a -= c * terms[n - j]
+                terms.append(a)
+    return seqs
+
+
+def _deadline(budget):
+    """The deadline of one computation under ``budget``, started now: a
+    function from a stage name to the check that raises once it has passed."""
     deadline = time.monotonic() + budget.time_limit_s
 
     def check_deadline(stage):
@@ -200,9 +250,25 @@ def compute_ogf(d, budget: WorkBudget | None = None) -> RationalFunction:
 
         return check
 
+    return check_deadline
+
+
+def _live_count(d):
     dead = d.error_states
-    q = sum(1 for s in d.reachable_states() if s not in dead)
-    terms = _dp_terms(d, 2 * q + 1, check_deadline("counting terms"))
+    return sum(1 for s in d.reachable_states() if s not in dead)
+
+
+def _solve(terms, q, budget, check_deadline):
+    """The recurrence of a count sequence: polynomials N and D with
+    D(0) = 1, proved to satisfy N/D = the series of ``terms`` =
+    a_0..a_{2q+1}, for a language of at most q live states.
+
+    Berlekamp-Massey modulo word-size primes gives the connection
+    polynomial, lifted to the integers by CRT.  A candidate D of degree <= q
+    with N = (D * a) mod z^q is returned only once coefficients q..2q+1 of
+    D * a are checked to vanish in integers, and only if its degree is
+    within ``budget.max_degree``.
+    """
     rev = terms[::-1]
     top = 2 * q + 1
 
@@ -226,25 +292,24 @@ def compute_ogf(d, budget: WorkBudget | None = None) -> RationalFunction:
             residues, modulus, previous = None, 1, None
         c = c[: length + 1] + [0] * (length + 1 - len(c))
         residues, modulus, sym = _crt_lift(residues, modulus, c, p)
-        cand = Polynomial(sym)
         # check once the lift stops changing (always on round one); the
         # check makes a wrong candidate impossible, just wasteful
-        if previous is None or cand == previous:
-            den = cand.coeffs
+        if previous is None or sym == previous:
             for n in range(q, top + 1):
                 check_exact()
-                if product_coefficient(den, n):
+                if product_coefficient(sym, n):
                     break
             else:
-                result = RationalFunction(
-                    Polynomial([product_coefficient(den, n) for n in range(q)]), cand
-                )
-                if result.degree > budget.max_degree:
+                num = Polynomial([product_coefficient(sym, n) for n in range(q)])
+                den = Polynomial(sym)
+                degree = max(num.degree, den.degree)
+                # the zero series has no degree
+                if num and degree > budget.max_degree:
                     raise ResourceLimitError(
-                        f"degree {result.degree} exceeded budget {budget.max_degree}"
+                        f"degree {degree} exceeded budget {budget.max_degree}"
                     )
-                return result
-        previous = cand
+                return num, den
+        previous = sym
 
 
 def elimination_ogf(d, budget: WorkBudget | None = None, order=None) -> RationalFunction:
@@ -360,20 +425,27 @@ def coefficients(f: RationalFunction, n_max: int) -> CardinalitySequence:
     return out[d:]
 
 
-def count_dp(d, n_max: int) -> CardinalitySequence:
+def count_dp(d, n_max: int, budget: WorkBudget | None = None) -> CardinalitySequence:
     """Accepted-trace counts per length by pushing path counts forward.
 
     Only live states carry a count: error states are dropped, so the
-    frontier stays as small as the automaton allows.  Independent of the
-    generating-function machinery; used as the cross-check oracle.
+    frontier stays as small as the automaton allows.  The deadline is checked
+    before every step.
     """
-    return _dp_terms(d, n_max, _unbounded)
+    check = _deadline(budget or DEFAULT_BUDGET)
+    (counts,) = _dp_terms(d, (d.accepting,), n_max, check("counting terms"))
+    return counts
 
 
-def _dp_terms(d, n_max, check):
-    # count_dp, calling ``check`` before every step; the term source of
-    # the Berlekamp-Massey engine
+def _dp_terms(d, classes, n_max, check):
+    """Per class (disjoint sets of states making up ``d.accepting``), the
+    number of traces of each length 0..n_max that end in it: one sparse
+    push DP over the live states, calling ``check`` before every step."""
     dead = d.error_states
+    cls = [len(classes)] * d.state_count  # the slot of the states in no class
+    for i, members in enumerate(classes):
+        for q in members:
+            cls[q] = i
     moves = []
     for row in d.transitions:
         bundle = {}
@@ -381,19 +453,20 @@ def _dp_terms(d, n_max, check):
             if t not in dead:
                 bundle[t] = bundle.get(t, 0) + 1
         moves.append(tuple(bundle.items()))
-    accepting = d.accepting
+    seqs = [[0] * (n_max + 1) for _ in range(len(classes) + 1)]
     frontier = {} if d.initial in dead else {d.initial: 1}
-    out = [sum(v for q, v in frontier.items() if q in accepting)]
-    for _ in range(n_max):
+    for n in range(n_max):
         check()
         nxt = {}
         get = nxt.get
         for q, v in frontier.items():
+            seqs[cls[q]][n] += v
             for t, mult in moves[q]:
                 nxt[t] = get(t, 0) + v * mult
         frontier = nxt
-        out.append(sum(v for q, v in frontier.items() if q in accepting))
-    return out
+    for q, v in frontier.items():
+        seqs[cls[q]][n_max] += v
+    return seqs[:-1]
 
 
 def approx_star_height(d) -> int:

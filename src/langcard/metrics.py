@@ -1,5 +1,14 @@
 """Accuracy measures computed from exact confusion-language counts.
 
+The counts come from one pass over the product R x H of the reference and
+the inferred model: each product state is in both models, only in H, only in
+R or in neither, and one DP sums the traces ending in the first three
+classes, giving tp, fp and fn together without minimizing anything.  With Q
+the number of product states from which an accepting one is reachable, the
+DP alone answers up to length 2Q + 1; past that, each sequence continues by
+the linear recurrence proved exact from its first 2Q + 2 terms (see
+``counting``).
+
 Precision and recall are exact rationals.  A 0/0 quotient is reported as the
 explicit undefined marker ``None`` rather than silently coerced to 0 or 1;
 CSV output writes the literal ``undefined`` for it.  Assessment rows are
@@ -16,8 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 
-from .automata import confusion_automata
-from .counting import coefficients, compute_ogf
+from .automata import confusion_product
+from .counting import coefficients, compute_ogf, count_by_class
 
 
 @dataclass(frozen=True)
@@ -115,13 +124,12 @@ class AssessmentResult:
 
 
 def confusion_counts(reference, inferred, n_max, budget=None) -> ConfusionCounts:
-    """Exact tp/fp/fn sequences up to n_max via the confusion automata."""
-    a_tp, a_fp, a_fn = confusion_automata(reference, inferred)
+    """Exact tp/fp/fn sequences up to n_max, counted together in one pass
+    over the product R x H (``counting.count_by_class``)."""
+    product, classes = confusion_product(reference, inferred)
+    tp, fp, fn = count_by_class(product, classes, n_max, budget)
     return ConfusionCounts(
-        tp=tuple(coefficients(compute_ogf(a_tp, budget), n_max)),
-        fp=tuple(coefficients(compute_ogf(a_fp, budget), n_max)),
-        fn=tuple(coefficients(compute_ogf(a_fn, budget), n_max)),
-        alphabet_size=len(reference.alphabet),
+        tp=tuple(tp), fp=tuple(fp), fn=tuple(fn), alphabet_size=len(reference.alphabet)
     )
 
 

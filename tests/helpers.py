@@ -10,7 +10,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from langcard import Alphabet, Dfa
+from langcard import Alphabet, Dfa, coefficients, compute_ogf, confusion_automata
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
 
 SYMS = ("a", "b", "c", "d")
@@ -189,6 +189,15 @@ def fraction_rows_csv(counts, digits=6, mode="both", lo=0, hi=None, max_length=N
         cells = per.get(n, (None, None)) + cum.get(n, (None, None))
         lines.append(",".join([str(n)] + [render(v) for v in cells]))
     return "\n".join(lines) + "\n"
+
+
+def minimized_confusion_counts(reference, inferred, n_max):
+    """tp/fp/fn sequences the way ``confusion_counts`` once took them: three
+    minimized confusion automata, the generating function of each, and its
+    coefficients.  Oracle for the one-pass count over the product."""
+    return tuple(
+        tuple(coefficients(compute_ogf(m), n_max)) for m in confusion_automata(reference, inferred)
+    )
 
 
 def seeded(seed):

@@ -12,8 +12,10 @@ from langcard import (
     parse_traces,
     serialize_dfa,
 )
+from langcard import automata
+from langcard.automata import MAX_STATES
 from langcard.counting import count_dp
-from langcard.errors import AlphabetMismatchError, ModelParseError
+from langcard.errors import AlphabetMismatchError, ModelParseError, SizeGuardError
 
 from helpers import (
     SYMS,
@@ -64,6 +66,23 @@ def test_parse_duplicate_symbol():
 def test_parse_missing_initial():
     with pytest.raises(ModelParseError, match="initial"):
         parse_dfa("alphabet: a\nstates: 1\naccepting: 0\n")
+
+
+@pytest.mark.parametrize("states", [str(MAX_STATES + 1), "9" * 5000])
+def test_parse_refuses_a_states_header_over_the_cap_before_building(monkeypatch, states):
+    built = []
+    monkeypatch.setattr(automata, "build_dfa", lambda *args: built.append(args))
+    with pytest.raises(SizeGuardError, match=f"line 2: more than {MAX_STATES} states"):
+        parse_dfa(f"alphabet: a\nstates: {states}\ninitial: 0\n0 a 0\n")
+    assert built == []
+    parse_dfa(f"alphabet: a\nstates: {MAX_STATES}\ninitial: 0\n")
+    assert len(built) == 1
+
+
+def test_parse_states_header_takes_decimal_digits_only():
+    # "²" is a digit to str.isdigit, but int() refuses it
+    with pytest.raises(ModelParseError, match="states header takes one number"):
+        parse_dfa("alphabet: a\nstates: ²\ninitial: 0\n")
 
 
 def test_parse_unknown_symbol_with_line_number():

@@ -1,11 +1,14 @@
+import errno
 import json
+import os
+from types import SimpleNamespace
 from xml.etree import ElementTree
 
 import pytest
 
-from langcard import cli
-from langcard.automata import serialize_dfa
-from langcard.cli import main
+from langcard import cli, counting
+from langcard.automata import MAX_STATES, serialize_dfa
+from langcard.cli import BUDGET_ENV, main
 from langcard.metrics import confusion_counts
 from helpers import all_accepting, binary_tree, empty_language, signature_models
 
@@ -515,3 +518,91 @@ def test_assess_cumulative_writes_the_same_csv_with_or_without_a_range(
     assert run(*common, "--out", str(plain)) == 0
     assert run(*common, "--range", "2..30", "--out", str(ranged)) == 0
     assert ranged.read_bytes() == plain.read_bytes()
+
+
+def test_a_result_is_never_left_without_its_manifest(tmp_path, capsys):
+    model = tmp_path / "two.dfa"
+    model.write_text(TWO_STATES)
+    # the result's temporary name fits the 255-byte limit, the manifest's not
+    out = tmp_path / ("x" * 240)
+    assert run("count", str(model), "--out", str(out)) == 5
+    assert "output error: cannot write" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["two.dfa"]
+
+
+def test_a_manifest_that_cannot_be_renamed_takes_its_result_with_it(tmp_path, monkeypatch):
+    model = tmp_path / "two.dfa"
+    model.write_text(TWO_STATES)
+    replace = os.replace
+
+    def failing(src, dst):
+        if dst.endswith(".manifest.json"):
+            raise OSError(errno.EACCES, "Permission denied")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    assert run("count", str(model), "--out", str(tmp_path / "o.csv")) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["two.dfa"]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["baseline", "gen-traces"])
+def test_time_limit_must_be_positive_and_finite(tmp_path, signature_files, command, value):
+    r_path, h_path = signature_files
+    out = tmp_path / "o.txt"
+    if command == "baseline":
+        argv = ["baseline", "trace-sim", r_path, h_path, "--target-traces", "5000"]
+    else:
+        argv = ["gen-traces", r_path]
+    assert run(*argv, "--time-limit", value, "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_count_dp_oracle_keeps_the_work_budget(tmp_path, monkeypatch, capsys):
+    model = tmp_path / "two.dfa"
+    model.write_text(TWO_STATES)
+    out = tmp_path / "o.csv"
+    monkeypatch.setenv(BUDGET_ENV, "0.0")
+    assert run("count", str(model), "--oracle", "dp", "--max-length", "5", "--out", str(out)) == 3
+    assert "resource limit: counting terms" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("states", [str(MAX_STATES + 1), "9" * 5000])
+def test_a_states_header_over_the_cap_is_refused(tmp_path, capsys, states):
+    model = tmp_path / "huge.dfa"
+    model.write_text(f"alphabet: a\nstates: {states}\ninitial: 0\n")
+    out = tmp_path / "o.csv"
+    assert run("count", str(model), "--out", str(out)) == 4
+    assert f"refused: line 2: more than {MAX_STATES} states" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["counting terms", "berlekamp-massey", "exact check"])
+def test_assess_past_its_deadline_in_any_counting_stage_exits_3(
+    tmp_path, signature_files, monkeypatch, capsys, stage
+):
+    r_path, h_path = signature_files
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    # the clock reads 0 when the deadline is set, and jumps past it once the
+    # pass reaches ``stage``: at once for the DP, on entering Berlekamp-Massey,
+    # or on leaving it for the exact check that follows
+    readings, late = [], [stage == "counting terms"]
+    solve = counting._berlekamp_massey_mod
+
+    def berlekamp_massey(*args):
+        late[0] = late[0] or stage == "berlekamp-massey"
+        result = solve(*args)
+        late[0] = late[0] or stage == "exact check"
+        return result
+
+    def monotonic():
+        readings.append(None)
+        return 1e9 if late[0] and len(readings) > 1 else 0.0
+
+    monkeypatch.setattr(counting, "_berlekamp_massey_mod", berlekamp_massey)
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    out = tmp_path / "o.csv"
+    assert run("assess", r_path, h_path, "--max-length", "60", "--out", str(out)) == 3
+    assert f"resource limit: {stage}: " in capsys.readouterr().err
+    assert not out.exists()

@@ -3,8 +3,10 @@ malformed and missing options, over small model, trace and CSV files with
 junk lines mixed in, ends in a documented exit code and never raises.
 
 Every example stays cheap: at most 20 states in any ``states:`` header,
-lengths of at most 40, at most 50 traces or samples, and a one-second time
-limit wherever a command takes one.
+lengths of at most 40, at most 50 traces or samples, and a time limit of one
+second wherever a command takes one, or else one that must be refused
+(negative, zero, ``nan`` or ``inf``).  Among the output names are one
+whose manifest's temporary name is too long and one too long for any file.
 """
 
 import os
@@ -50,6 +52,7 @@ def ints(lo, hi):
 
 
 BAD_NUMBER = ints(-5, -1) | st.sampled_from(["", "x", "1.5", "1e3", "nan", "--", "0x10", "2"])
+BAD_SECONDS = st.sampled_from(["-1", "-0.5", "0", "nan", "inf", "x"])
 
 
 def option(valid, invalid=BAD_NUMBER):
@@ -101,7 +104,7 @@ COMMANDS = {
         {
             "--target-traces": option(ints(0, 50)),
             "--samples": option(ints(1, 50)),
-            "--time-limit": st.just("1"),
+            "--time-limit": option(st.just("1"), BAD_SECONDS),
         },
         "--out",
     ),
@@ -118,7 +121,7 @@ COMMANDS = {
             "--seed": option(ints(0, 99)),
             "--min-state-visits": option(ints(0, 50)),
         },
-        {"--min-traces": option(ints(0, 50)), "--time-limit": st.just("1")},
+        {"--min-traces": option(ints(0, 50)), "--time-limit": option(st.just("1"), BAD_SECONDS)},
         "--out",
     ),
     "report": (
@@ -165,7 +168,11 @@ def test_any_command_line_ends_in_a_documented_exit_code(data):
                 argv += [flag, draw(value)]
         for flag, value in always.items():
             argv += [flag, draw(value)]
-        out = draw(st.sampled_from(["out.txt"] * 4 + [os.path.join("missing", "out.txt"), None]))
+        # 240 characters: the manifest's temporary name passes the 255-byte
+        # limit, the result's does not; 300: neither fits
+        out = draw(st.sampled_from(
+            ["out.txt"] * 4 + [os.path.join("missing", "out.txt"), "x" * 240, "x" * 300, None]
+        ))
         if out is not None:
             out = os.path.join(directory, out)
             argv += [out_flag, out]

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langcard import confusion_automata
-from langcard.counting import count_dp
+from langcard import Alphabet, Dfa, confusion_automata, confusion_product, counting
+from langcard.counting import coefficients, count_dp, elimination_ogf
 from langcard.metrics import (
     AssessmentRow,
     ConfusionCounts,
@@ -23,6 +24,7 @@ from langcard.regexes import EPSILON, seq, sym, to_dfa
 from helpers import (
     all_accepting,
     fraction_rows_csv,
+    minimized_confusion_counts,
     random_dfa,
     seeded,
     signature_models,
@@ -92,6 +94,105 @@ def test_confusion_counts_partition_against_models():
         for n in range(16):
             assert c.tp[n] + c.fp[n] == h_counts[n]
             assert c.tp[n] + c.fn[n] == r_counts[n]
+
+
+@st.composite
+def model_pairs(draw):
+    """Two random complete DFAs over one alphabet of 1-4 symbols, 1-9 states
+    each."""
+    n_sym = draw(st.integers(1, 4))
+    rng = seeded(draw(st.integers(0, 2**32)))
+    r = random_dfa(rng, draw(st.integers(1, 9)), n_sym, draw(st.sampled_from([0.1, 0.4, 0.8])))
+    h = random_dfa(rng, draw(st.integers(1, 9)), n_sym, draw(st.sampled_from([0.1, 0.4, 0.8])))
+    return r, h
+
+
+def live_product_states(r, h):
+    product, _ = confusion_product(r, h)
+    return product.state_count - len(product.error_states)
+
+
+@given(model_pairs(), st.sampled_from([0, 1, 5, 30, 200]))
+@settings(max_examples=150, deadline=None)
+def test_one_pass_counts_equal_the_minimized_automata_path(pair, n_max):
+    r, h = pair
+    c = confusion_counts(r, h, n_max)
+    assert (c.tp, c.fp, c.fn) == minimized_confusion_counts(r, h, n_max)
+
+
+def test_one_pass_counts_agree_with_the_dp_and_node_elimination():
+    rng = seeded(42)
+    for _ in range(30):
+        n_sym = rng.randrange(1, 4)
+        r = random_dfa(rng, rng.randrange(1, 7), n_sym)
+        h = random_dfa(rng, rng.randrange(1, 7), n_sym)
+        c = confusion_counts(r, h, 80)
+        for counts, m in zip((c.tp, c.fp, c.fn), confusion_automata(r, h)):
+            assert list(counts) == count_dp(m, 80) == coefficients(elimination_ogf(m), 80)
+
+
+def test_one_pass_counts_keep_the_partition_identities_past_the_dp():
+    rng = seeded(43)
+    for _ in range(30):
+        n_sym = rng.randrange(1, 4)
+        r = random_dfa(rng, rng.randrange(1, 7), n_sym)
+        h = random_dfa(rng, rng.randrange(1, 7), n_sym)
+        n_max = 2 * live_product_states(r, h) + 30
+        c = confusion_counts(r, h, n_max)
+        r_counts, h_counts = count_dp(r, n_max), count_dp(h, n_max)
+        neither = count_dp(r.complement().intersect(h.complement()), n_max)
+        for n in range(n_max + 1):
+            assert c.tp[n] + c.fp[n] == h_counts[n]
+            assert c.tp[n] + c.fn[n] == r_counts[n]
+            assert c.tp[n] + c.fp[n] + c.fn[n] + neither[n] == n_sym**n
+
+
+def _counting_solves(monkeypatch):
+    solved = []
+    solve = counting._solve
+
+    def recording(*args):
+        solved.append(args[1])
+        return solve(*args)
+
+    monkeypatch.setattr(counting, "_solve", recording)
+    return solved
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_counts_agree_on_both_sides_of_the_branch_point(monkeypatch, k):
+    # R accepts every word over {a, b} and H those whose length is a multiple
+    # of k: the product is H's k-cycle with every state live, so Q = k
+    r = all_accepting(2)
+    h = Dfa(Alphabet(("a", "b")), tuple(((q + 1) % k,) * 2 for q in range(k)), 0, frozenset([0]))
+    assert live_product_states(r, h) == k
+    solved = _counting_solves(monkeypatch)
+    dp_only = confusion_counts(r, h, 2 * k + 1)
+    assert solved == []
+    recurrence = confusion_counts(r, h, 2 * k + 2)
+    assert solved == [k] * 3
+    tp = tuple(2**n if n % k == 0 else 0 for n in range(2 * k + 3))
+    fn = tuple(2**n - t for n, t in enumerate(tp))
+    assert (recurrence.tp, recurrence.fp, recurrence.fn) == (tp, (0,) * (2 * k + 3), fn)
+    assert (dp_only.tp, dp_only.fp, dp_only.fn) == tuple(
+        seq[:-1] for seq in (recurrence.tp, recurrence.fp, recurrence.fn)
+    )
+
+
+def test_random_counts_agree_on_both_sides_of_the_branch_point(monkeypatch):
+    rng = seeded(44)
+    solved = _counting_solves(monkeypatch)
+    for _ in range(30):
+        n_sym = rng.randrange(1, 4)
+        r = random_dfa(rng, rng.randrange(1, 7), n_sym)
+        h = random_dfa(rng, rng.randrange(1, 7), n_sym)
+        q = live_product_states(r, h)
+        dp_only = confusion_counts(r, h, 2 * q + 1)
+        recurrence = confusion_counts(r, h, 2 * q + 2)
+        expected = [count_dp(m, 2 * q + 2) for m in confusion_automata(r, h)]
+        assert [list(s) for s in (recurrence.tp, recurrence.fp, recurrence.fn)] == expected
+        assert [list(s) for s in (dp_only.tp, dp_only.fp, dp_only.fn)] == [e[:-1] for e in expected]
+    assert len(solved) == 90
 
 
 def test_single_length_signature_precision():
