@@ -9,6 +9,22 @@ All randomness flows from explicit seeds through ``random.Random`` (Mersenne
 Twister), so identical configurations reproduce identical evaluation sets
 bit for bit.  Walk streams for different purposes derive independent
 generators from (seed, stream id).
+
+Every method runs on precomputed integer tables: walks on per-state choice
+lists, the W-method and sampling on the reachable product R x H, whose state
+classes (``automata.confusion_product``) say which model accepts a trace.
+
+Sampling draws a trace's symbols in bulk, yet consumes the generator exactly
+as one ``int(rng.random() * sigma)`` per symbol would.  CPython builds each
+``random()`` from two 32-bit Mersenne Twister words a and b as
+``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, and ``getrandbits(64 * L)``
+returns the same 2L words, the first word in the lowest bits.  In its
+little-endian bytes, byte 8i+3 is then the top byte of the i-th call's
+``a``, and for most top bytes that byte alone fixes the symbol, read off a
+256-entry table.  A top byte whose range of ``random()`` values straddles a
+symbol boundary (2 of the 256 at sigma = 3) takes the symbol from CPython's
+own float expression over both words.  Past 256 symbols every top byte
+straddles one, so those alphabets call ``random()`` per symbol.
 """
 
 from __future__ import annotations
@@ -20,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .automata import confusion_product
 from .counting import count_dp
 from .errors import (
     IndistinguishableStatesError,
@@ -90,34 +107,32 @@ def derive_rng(seed, stream) -> random.Random:
 
 
 class _WalkTables:
-    """Per-state successor lists with error-state pruning applied once."""
+    """Per-state walk choices with error-state pruning applied once.
+
+    A choice is ``(symbol, step, target)``, where the step id
+    ``state * sigma + symbol`` indexes per-transition counters; acceptance
+    and deadness are lists of bools over the states."""
 
     def __init__(self, d, exclude_error):
         errors = d.error_states
         if d.initial in errors:
             raise UnsuitableModelError("random walk needs a model with a nonempty language")
-        self.accepting = d.accepting
+        sigma = len(d.alphabet)
         self.initial = d.initial
-        self.choices = []
-        for q, row in enumerate(d.transitions):
-            options = [(s, t) for s, t in enumerate(row)]
-            if exclude_error:
-                live = [(s, t) for s, t in options if t not in errors]
-                self.choices.append(live)
-            else:
-                self.choices.append(options)
-        self.errors = errors
+        self.accepting = [q in d.accepting for q in range(d.state_count)]
+        self.dead = [q in errors for q in range(d.state_count)]
+        self.choices = [
+            [(s, q * sigma + s, t) for s, t in enumerate(row) if not (exclude_error and t in errors)]
+            for q, row in enumerate(d.transitions)
+        ]
 
 
-def _walk(tables, cfg, rng, track_steps=True):
-    """One accepted trace; returns (trace, visited transition list).
-
-    ``track_steps`` can be dropped by callers that do not need transition
-    coverage; the walk itself is identical either way.
-    """
+def _walk(tables, cfg, rng, track_steps):
+    """One accepted trace and the step ids it took (``None`` without
+    ``track_steps``); the walk itself is identical either way."""
     pa = cfg.termination_probability
     accepting = tables.accepting
-    errors = tables.errors
+    dead = tables.dead
     choices = tables.choices
     rand = rng.random
     max_steps = cfg.max_steps_per_trace
@@ -128,33 +143,28 @@ def _walk(tables, cfg, rng, track_steps=True):
         state = tables.initial
         trace = []
         steps = [] if track_steps else None
-        ok = True
         while True:
             if len(trace) > max_steps:
                 raise ResourceLimitError("random walk exceeded the step limit")
-            if state in accepting and rand() < pa:
+            if accepting[state] and rand() < pa:
                 return tuple(trace), steps
             options = choices[state]
             if not options:
-                ok = False  # nothing live to follow: discard and restart
-                break
-            s, nxt = options[int(rand() * len(options))]
-            if nxt in errors:
-                ok = False  # literal mode stepped into an error state
-                break
+                break  # nothing live to follow: discard and restart
+            s, step, nxt = options[int(rand() * len(options))]
+            if dead[nxt]:
+                break  # literal mode stepped into an error state
             trace.append(s)
             if track_steps:
-                steps.append((state, s))
+                steps.append(step)
             state = nxt
-        if not ok:
-            restarts += 1
-            continue
+        restarts += 1
 
 
 def random_walk_trace(d, cfg: RandomWalkConfig, rng: random.Random):
     """A single random-walk trace; always accepted by ``d``."""
     tables = _WalkTables(d, cfg.exclude_error_transitions)
-    trace, _ = _walk(tables, cfg, rng)
+    trace, _ = _walk(tables, cfg, rng, track_steps=False)
     return trace
 
 
@@ -172,26 +182,25 @@ def _coverable_transitions(d):
 
 def _generate_multiset(d, cfg, rng):
     tables = _WalkTables(d, cfg.exclude_error_transitions)
-    need_coverage = cfg.min_transition_coverage > 0
-    targets = _coverable_transitions(d) if need_coverage else set()
-    coverage = Counter()
+    need = cfg.min_transition_coverage
+    # every step of an accepted walk is a coverable transition, so a count of
+    # those still short of ``need`` tells when all of them are covered
+    uncovered = len(_coverable_transitions(d)) if need > 0 else 0
+    coverage = [0] * (d.state_count * len(d.alphabet))
     multiset = EvaluationMultiset()
+    traces = multiset.traces
     deadline = time.monotonic() + cfg.time_limit_s
-
-    def covered():
-        if not need_coverage:
-            return True
-        return all(coverage[t] >= cfg.min_transition_coverage for t in targets)
-
     generated = 0
     while True:
-        trace, steps = _walk(tables, cfg, rng, track_steps=need_coverage)
-        multiset.add(trace)
+        trace, steps = _walk(tables, cfg, rng, track_steps=uncovered > 0)
+        traces[trace] += 1
         generated += 1
-        if need_coverage:
+        if steps:
             for step in steps:
                 coverage[step] += 1
-        if generated >= cfg.target_trace_count and covered():
+                if coverage[step] == need:
+                    uncovered -= 1
+        if generated >= cfg.target_trace_count and not uncovered:
             break
         if generated % 256 == 0 and time.monotonic() > deadline:
             break
@@ -206,16 +215,31 @@ class TraceSimilarityResult:
     e_recall: EvaluationMultiset
 
 
+def _judged_by_length(multiset, judge):
+    """Per trace length: (traces that ``judge`` accepts, traces), judging
+    each distinct trace once."""
+    per_len = {}
+    for t, c in multiset.traces.items():
+        hits, total = per_len.get(len(t), (0, 0))
+        per_len[len(t)] = (hits + (c if judge.accepts(t) else 0), total + c)
+    return per_len
+
+
+def _walked_and_judged(reference, inferred, cfg):
+    """The walk multisets on ``inferred`` and on ``reference``, each judged
+    by the other model, length by length."""
+    e_prec = _generate_multiset(inferred, cfg, derive_rng(cfg.seed, 0))
+    e_rec = _generate_multiset(reference, cfg, derive_rng(cfg.seed, 1))
+    return e_prec, e_rec, _judged_by_length(e_prec, reference), _judged_by_length(e_rec, inferred)
+
+
 def trace_similarity(reference, inferred, cfg: RandomWalkConfig) -> TraceSimilarityResult:
     """Classic statistical assessment: precision is the fraction of traces
     walked on the inferred model that the reference accepts; recall swaps the
     roles."""
-    e_prec = _generate_multiset(inferred, cfg, derive_rng(cfg.seed, 0))
-    e_rec = _generate_multiset(reference, cfg, derive_rng(cfg.seed, 1))
-    hits = sum(c for t, c in e_prec.traces.items() if reference.accepts(t))
-    precision = Fraction(hits, e_prec.total)
-    hits = sum(c for t, c in e_rec.traces.items() if inferred.accepts(t))
-    recall = Fraction(hits, e_rec.total)
+    e_prec, e_rec, p_part, r_part = _walked_and_judged(reference, inferred, cfg)
+    precision = Fraction(sum(hits for hits, _ in p_part.values()), e_prec.total)
+    recall = Fraction(sum(hits for hits, _ in r_part.values()), e_rec.total)
     return TraceSimilarityResult(precision, recall, e_prec, e_rec)
 
 
@@ -234,17 +258,7 @@ def trace_similarity_conditioned(reference, inferred, cfg) -> list[ConditionedRo
     Lengths never sampled get the undefined marker, mirroring the gaps such
     plots show in practice.
     """
-    result = trace_similarity(reference, inferred, cfg)
-
-    def partition(multiset, judge):
-        per_len = {}
-        for t, c in multiset.traces.items():
-            hits, total = per_len.get(len(t), (0, 0))
-            per_len[len(t)] = (hits + (c if judge.accepts(t) else 0), total + c)
-        return per_len
-
-    p_part = partition(result.e_precision, reference)
-    r_part = partition(result.e_recall, inferred)
+    _, _, p_part, r_part = _walked_and_judged(reference, inferred, cfg)
     rows = []
     for n in range(max(itertools.chain(p_part, r_part), default=-1) + 1):
         p_hits, p_total = p_part.get(n, (0, 0))
@@ -318,9 +332,11 @@ def characterization_set(d) -> list[tuple[int, ...]]:
     return sorted(set(witness.values()), key=lambda t: (len(t), t))
 
 
-def w_method_test_set(d, cfg: WMethodConfig) -> EvaluationMultiset:
-    """The conformance test set C (eps|Sigma|...|Sigma^{k+1}) D with
-    k = m - |Q|, duplicates removed."""
+def _w_method_tests(d, cfg: WMethodConfig):
+    """The W-method test set C (eps|Sigma|...|Sigma^{k+1}) D of ``d`` with
+    k = m - |Q|, duplicates removed: a list of each cover+middle prefix with
+    the distinguishing suffixes that extend it to a test not listed before,
+    in the order the set lists its tests."""
     if cfg.m < d.state_count:
         raise ValueError("state bound m must be at least the reference size")
     k = cfg.m - d.state_count
@@ -340,32 +356,50 @@ def w_method_test_set(d, cfg: WMethodConfig) -> EvaluationMultiset:
         for i in range(k + 2)
         for m in itertools.product(range(sigma), repeat=i)
     ]
-    result = EvaluationMultiset()
+    tests = []
     seen = set()
     for c in cover:
         for mid in middles:
             prefix = c + mid
+            suffixes = []
             for w in dist:
                 t = prefix + w
                 if t not in seen:
                     seen.add(t)
-                    result.add(t)
+                    suffixes.append(w)
+            tests.append((prefix, suffixes))
+    return tests
+
+
+def w_method_test_set(d, cfg: WMethodConfig) -> EvaluationMultiset:
+    """The conformance test set C (eps|Sigma|...|Sigma^{k+1}) D with
+    k = m - |Q|, duplicates removed."""
+    result = EvaluationMultiset()
+    for prefix, suffixes in _w_method_tests(d, cfg):
+        for w in suffixes:
+            result.add(prefix + w)
     return result
 
 
 def mbt_assessment(reference, inferred, cfg: WMethodConfig):
-    """Precision and recall over the W-method test set of the reference."""
-    tests = w_method_test_set(reference, cfg)
-    tp = fp = fn = 0
-    for t, c in tests.traces.items():
-        in_r = reference.accepts(t)
-        in_h = inferred.accepts(t)
-        if in_r and in_h:
-            tp += c
-        elif in_h:
-            fp += c
-        elif in_r:
-            fn += c
+    """Precision and recall over the W-method test set of the reference.
+
+    Each test is classified by the state of R x H it reaches: its prefix is
+    run once on the product table, and each suffix from there."""
+    tests = _w_method_tests(reference, cfg)
+    product, classes = confusion_product(reference, inferred)
+    rows = product.transitions
+    reached = [0] * product.state_count
+    for prefix, suffixes in tests:
+        q = 0
+        for s in prefix:
+            q = rows[q][s]
+        for w in suffixes:
+            p = q
+            for s in w:
+                p = rows[p][s]
+            reached[p] += 1
+    tp, fp, fn = (sum(reached[q] for q in members) for members in classes)
     precision = Fraction(tp, tp + fp) if tp + fp else None
     recall = Fraction(tp, tp + fn) if tp + fn else None
     return precision, recall
@@ -373,6 +407,48 @@ def mbt_assessment(reference, inferred, cfg: WMethodConfig):
 
 # ---------------------------------------------------------------------------
 # Model-independent sampling of the symbol space
+
+_SPLIT = 255  # table mark of a top byte that straddles a symbol boundary
+
+
+def _symbol_draws(sigma):
+    """``draw(rng, length)``: the symbols ``int(rng.random() * sigma)`` of
+    ``length`` successive calls, as a sequence of ints, leaving ``rng`` where
+    those calls would (see the module docstring)."""
+    if sigma > 256:
+
+        def draw_each(rng, length):
+            rand = rng.random
+            return [int(rand() * sigma) for _ in range(length)]
+
+        return draw_each
+    # the random() values whose first word has top byte v lie in
+    # [v / 256, (v + 1) / 256 - 2**-53]; float products are monotone, so
+    # equal symbols at both ends fix the symbol of every value between
+    table = bytearray()
+    for v in range(256):
+        low = int(v / 256 * sigma)
+        high = int(((v + 1 << 45) - 1) / 2**53 * sigma)
+        table.append(low if low == high else _SPLIT)
+    table = bytes(table)
+    # at sigma = 256 no top byte straddles a boundary and 255 is a symbol
+    split = sigma < 256 and _SPLIT in table
+
+    def draw(rng, length):
+        raw = rng.getrandbits(64 * length).to_bytes(8 * length, "little")
+        symbols = raw[3::8].translate(table)
+        if not split or _SPLIT not in symbols:
+            return symbols
+        symbols = bytearray(symbols)
+        i = symbols.find(_SPLIT)
+        while i >= 0:
+            a = int.from_bytes(raw[8 * i : 8 * i + 4], "little") >> 5
+            b = int.from_bytes(raw[8 * i + 4 : 8 * i + 8], "little") >> 6
+            symbols[i] = int((a * 67108864.0 + b) * (1.0 / 9007199254740992.0) * sigma)
+            i = symbols.find(_SPLIT, i + 1)
+        return symbols
+
+    return draw
 
 
 def sigma_sampling_assessment(
@@ -396,10 +472,11 @@ def sigma_sampling_assessment(
     conditioning = inferred if metric == "precision" else reference
     if count_dp(conditioning, length)[length] == 0:
         raise UnsuitableModelError(f"conditioning language has no trace of length {length}")
+    product, (tp, fp, fn) = confusion_product(reference, inferred)
+    counted = tp | (fp if metric == "precision" else fn)
+    rows = product.transitions
+    draw = _symbol_draws(len(reference.alphabet))
     rng = random.Random(seed)
-    sigma = len(reference.alphabet)
-    r_rows = reference.transitions
-    h_rows = inferred.transitions
     true_positives = 0
     accepted = 0
     deadline = time.monotonic() + time_limit_s
@@ -408,19 +485,11 @@ def sigma_sampling_assessment(
         checks += 1
         if checks % 4096 == 0 and time.monotonic() > deadline:
             raise ResourceLimitError("sampling hit the time limit")
-        qr = reference.initial
-        qh = inferred.initial
-        for _ in range(length):
-            s = int(rng.random() * sigma)
-            qr = r_rows[qr][s]
-            qh = h_rows[qh][s]
-        in_r = qr in reference.accepting
-        in_h = qh in inferred.accepting
-        if metric == "precision":
-            if in_h:
-                accepted += 1
-        elif in_r:
+        q = 0
+        for s in draw(rng, length):
+            q = rows[q][s]
+        if q in counted:
             accepted += 1
-        if in_r and in_h:
-            true_positives += 1
+            if q in tp:
+                true_positives += 1
     return Fraction(true_positives, accepted)

@@ -153,6 +153,12 @@ def _budget_from_env():
         raise _UsageError(
             f"{BUDGET_ENV} must look like 'SECONDS' or 'SECONDS:MAXDEGREE'"
         ) from None
+    # nan and inf seconds would switch the deadline off; zero is a deadline
+    # already passed
+    if not 0 <= budget.time_limit_s < math.inf or budget.max_degree < 0:
+        raise _UsageError(
+            f"{BUDGET_ENV} needs finite seconds >= 0 and a maximum degree >= 0, got {raw!r}"
+        )
     return budget
 
 

@@ -127,19 +127,25 @@ def generate_training_set(
     visitable state was visited ``min_state_visits`` times."""
     tables = _WalkTables(reference, cfg.exclude_error_transitions)
     rng = derive_rng(cfg.seed, 2)
-    visitable = set(reference.reachable_states()) - reference.error_states
-    visits = {q: 0 for q in visitable}
+    target = [t for row in reference.transitions for t in row]  # step id -> state
+    visits = [0] * reference.state_count
+    # the initial state and every step's target are visitable, so a count of
+    # the visitable states still short of ``min_state_visits`` tells when
+    # all of them are visited often enough
+    short = 0
+    if min_state_visits > 0:
+        short = len(set(reference.reachable_states()) - reference.error_states)
     traces = []
     deadline = time.monotonic() + cfg.time_limit_s
     while True:
-        trace, steps = _walk(tables, cfg, rng)
+        trace, steps = _walk(tables, cfg, rng, track_steps=short > 0)
         traces.append(trace)
-        visits[reference.initial] += 1
-        for q, s in steps:
-            visits[reference.transitions[q][s]] += 1
-        if len(traces) >= min_traces and all(
-            v >= min_state_visits for v in visits.values()
-        ):
+        if short:
+            for q in [reference.initial] + [target[step] for step in steps]:
+                visits[q] += 1
+                if visits[q] == min_state_visits:
+                    short -= 1
+        if len(traces) >= min_traces and not short:
             break
         if time.monotonic() > deadline:
             raise ResourceLimitError(

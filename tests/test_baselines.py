@@ -1,9 +1,15 @@
 import math
+import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from langcard import Alphabet, Dfa
+from langcard import Alphabet, Dfa, baselines
 from langcard.baselines import (
+    _symbol_draws,
     RandomWalkConfig,
     WMethodConfig,
     characterization_set,
@@ -17,7 +23,8 @@ from langcard.baselines import (
     w_method_test_set,
 )
 from langcard.counting import count_dp
-from langcard.errors import IndistinguishableStatesError, SizeGuardError
+from langcard.errors import IndistinguishableStatesError, ResourceLimitError, SizeGuardError
+from langcard.inference import generate_training_set
 from langcard.metrics import confusion_counts, single_length_assessment
 from langcard.regexes import EPSILON, alt, seq, star, sym, to_dfa
 
@@ -343,3 +350,253 @@ def test_sigma_sampling_agrees_with_exact_single_length():
         checked += 1
         sampled = sigma_sampling_assessment(r, h, length, 1000, "precision", seed=100 + checked)
         assert abs(float(sampled) - float(exact)) <= 0.0408
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs.  Every value below was computed by the per-call baseline
+# code (one ``random()`` per walk choice and per sampled symbol, ``accepts``
+# on each trace of a model pair).  The table-driven code must reproduce each
+# one exactly, which it can only do by consuming every random stream the
+# same way.
+
+
+def _pinned_model(rng, n, alpha):
+    """A minimal ``n``-state model whose last state is a rejecting sink, so
+    that literal walks restart."""
+    while True:
+        rows = tuple(tuple(rng.randrange(n) for _ in alpha.symbols) for _ in range(n - 1))
+        rows += (tuple(n - 1 for _ in alpha.symbols),)
+        d = Dfa(alpha, rows, 0, frozenset(q for q in range(n - 1) if rng.random() < 0.5))
+        if d.minimize().state_count == n:
+            return d
+
+
+def _pinned_pairs():
+    rng = seeded(96)
+    pairs = []
+    for sigma, n_ref, n_inf in ((2, 5, 5), (3, 5, 4), (5, 4, 4)):
+        alpha = Alphabet(tuple("abcde"[:sigma]))
+        pairs.append((_pinned_model(rng, n_ref, alpha), _pinned_model(rng, n_inf, alpha)))
+    return pairs
+
+
+def _pinned_cfg(exclude, seed=7):
+    return cfg(
+        target_trace_count=40, min_transition_coverage=2, exclude_error_transitions=exclude, seed=seed
+    )
+
+
+def _wide_pair():
+    """Over 300 symbols: a 3-state reference and the one-state model of all
+    traces."""
+    alpha = Alphabet(tuple(f"s{i}" for i in range(300)))
+    rows = tuple(tuple((q + 1 + s % 3) % 3 for s in range(300)) for q in range(3))
+    top = Dfa(alpha, (tuple(0 for _ in range(300)),), 0, frozenset([0]))
+    return Dfa(alpha, rows, 0, frozenset([0])), top
+
+
+F = Fraction
+# keyed by exclude_error_transitions: per pair (precision, recall, walked
+# traces on the inferred and on the reference model); (row count, the rows
+# with samples) of the third pair; per pair the traces of a training set
+PINNED_TRACE_SIM = {
+    True: [
+        (F(27, 40), F(9, 20), 40, 40), (F(3, 20), F(7, 40), 40, 40),
+        (F(13, 40), F(13, 63), 40, 63),
+    ],
+    False: [
+        (F(31, 40), F(1, 2), 40, 40), (F(13, 40), F(11, 40), 40, 40),
+        (F(5, 8), F(17, 70), 40, 70),
+    ],
+}
+PINNED_CONDITIONED = {
+    True: (
+        24,
+        [
+            (0, None, 0, F(0, 1), 22), (1, F(11, 16), 16, F(9, 11), 11),
+            (2, None, 0, F(0, 1), 7), (3, F(1, 4), 4, F(1, 4), 4), (4, F(1, 2), 2, F(1, 8), 8),
+            (5, F(0, 1), 3, F(1, 2), 2), (6, None, 0, F(0, 1), 2), (7, F(0, 1), 2, F(0, 1), 1),
+            (8, F(0, 1), 1, F(1, 2), 2), (9, None, 0, F(0, 1), 2), (11, F(0, 1), 2, None, 0),
+            (12, None, 0, F(0, 1), 1), (13, F(0, 1), 2, None, 0), (14, F(0, 1), 1, F(0, 1), 1),
+            (15, F(0, 1), 2, None, 0), (18, F(0, 1), 1, None, 0), (20, F(0, 1), 1, None, 0),
+            (22, F(0, 1), 1, None, 0), (23, F(0, 1), 2, None, 0),
+        ],
+    ),
+    False: (
+        16,
+        [
+            (0, None, 0, F(0, 1), 34), (1, F(11, 14), 28, F(13, 14), 14),
+            (2, None, 0, F(0, 1), 8), (3, F(1, 2), 6, F(3, 5), 5), (4, None, 0, F(0, 1), 2),
+            (5, F(0, 1), 2, F(1, 1), 1), (6, None, 0, F(0, 1), 2), (7, F(0, 1), 1, F(0, 1), 2),
+            (8, None, 0, F(0, 1), 1), (10, None, 0, F(0, 1), 1), (11, F(0, 1), 2, None, 0),
+            (15, F(0, 1), 1, None, 0),
+        ],
+    ),
+}
+PINNED_MBT = [(F(5, 21), F(5, 17)), (F(1, 6), F(1, 9)), (F(8, 39), F(4, 31))]
+PINNED_W_METHOD = [
+    (), (0,), (0, 0), (0, 0, 0), (1,), (1, 0), (1, 0, 0), (0, 0, 0, 0), (0, 1), (0, 1, 0),
+    (0, 1, 0, 0), (1, 0, 0, 0), (1, 1), (1, 1, 0), (1, 1, 0, 0), (0, 0, 0, 0, 0), (0, 0, 1),
+    (0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (0, 1, 1), (0, 1, 1, 0), (0, 1, 1, 0, 0),
+]
+PINNED_SIGMA = [(F(7, 150), F(7, 150)), (F(1, 75), F(7, 150)), (F(17, 150), F(13, 150))]
+PINNED_SIGMA_WIDE = (F(3, 10), F(26, 75))
+PINNED_TRAINING = {
+    True: [
+        (
+            (1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0), (), (1, 0, 1, 1, 1, 0, 1, 1), (0,),
+            (0, 1, 1, 1, 1, 1, 1, 1, 0),
+        ),
+        ((1, 2, 2, 0, 1), (2, 2, 1), (2,), (1, 2, 2, 0), (2, 2)),
+        (
+            (4, 3, 1, 4, 4, 1, 1, 1, 2), (0, 0, 0, 0), (4, 0, 2, 4, 3, 1, 3, 1, 1, 3), (),
+            (1, 1, 3, 3, 3, 1),
+        ),
+    ],
+    False: [
+        (
+            (), (1,), (), (1, 0, 1, 1, 1, 0, 1, 1), (0,), (1, 1, 1, 0, 1, 1, 0), (), (),
+            (1, 1, 0), (), (1, 0, 0, 1, 0, 1, 0),
+        ),
+        (
+            (0, 2), (2,), (2,), (0, 2, 1, 0, 1), (0, 2, 1, 1), (2, 2), (2,), (2,), (0,), (2,),
+            (0,), (2,), (2,), (0,), (1, 2, 2, 0), (0,), (1, 2),
+        ),
+        (
+            (), (3,), (0, 1, 2), (0,), (1, 0), (), (0,), (4, 2, 1, 2), (), (1,), (0,),
+            (0, 2, 3), (4,), (), (), (0,), (), (1, 2), (3, 1, 0), (0,), (4,), (3, 1), (0,), (),
+            (4,), (), (), (0,), (), (4, 1, 3, 3, 3),
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("exclude", [True, False])
+def test_trace_similarity_is_pinned(exclude):
+    got = []
+    for reference, inferred in _pinned_pairs():
+        res = trace_similarity(reference, inferred, _pinned_cfg(exclude))
+        got.append((res.precision, res.recall, res.e_precision.total, res.e_recall.total))
+    assert got == PINNED_TRACE_SIM[exclude]
+
+
+@pytest.mark.parametrize("exclude", [True, False])
+def test_trace_similarity_conditioned_is_pinned(exclude):
+    reference, inferred = _pinned_pairs()[2]
+    rows = trace_similarity_conditioned(reference, inferred, _pinned_cfg(exclude))
+    sampled = [
+        (r.n, r.precision, r.precision_samples, r.recall, r.recall_samples)
+        for r in rows
+        if r.precision_samples or r.recall_samples
+    ]
+    assert (len(rows), sampled) == PINNED_CONDITIONED[exclude]
+
+
+def test_mbt_and_w_method_are_pinned():
+    pairs = _pinned_pairs()
+    got = [mbt_assessment(r, h, WMethodConfig(m=r.state_count + 1)) for r, h in pairs]
+    assert got == PINNED_MBT
+    reference = pairs[0][0]
+    tests = w_method_test_set(reference, WMethodConfig(m=reference.state_count))
+    assert list(tests.traces.items()) == [(t, 1) for t in PINNED_W_METHOD]
+
+
+def test_sigma_sampling_is_pinned():
+    got = [
+        tuple(sigma_sampling_assessment(r, h, 8, 150, metric, seed=5) for metric in ("precision", "recall"))
+        for r, h in _pinned_pairs()
+    ]
+    assert got == PINNED_SIGMA
+    reference, top = _wide_pair()
+    wide = (
+        sigma_sampling_assessment(reference, top, 9, 150, "precision", seed=5),
+        sigma_sampling_assessment(top, reference, 9, 150, "recall", seed=6),
+    )
+    assert wide == PINNED_SIGMA_WIDE
+
+
+@pytest.mark.parametrize("exclude", [True, False])
+def test_training_set_is_pinned(exclude):
+    got = [
+        generate_training_set(r, _pinned_cfg(exclude, seed=3), min_traces=5, min_state_visits=2).traces
+        for r, _ in _pinned_pairs()
+    ]
+    assert got == PINNED_TRAINING[exclude]
+
+
+@pytest.mark.parametrize("length", [0, 1, 40])
+@pytest.mark.parametrize("sigma", [*range(1, 13), 255, 256, 257, 1000])
+def test_bulk_symbols_are_the_per_call_symbols(sigma, length):
+    draw = _symbol_draws(sigma)
+    bulk, single = random.Random(sigma), random.Random(sigma)
+    # enough traces that at sigma = 3 (2 top bytes in 256 straddle a
+    # boundary) some symbols come from the two-word fallback
+    for _ in range(60):
+        assert list(draw(bulk, length)) == [int(single.random() * sigma) for _ in range(length)]
+        assert bulk.getstate() == single.getstate()
+
+
+# ---------------------------------------------------------------------------
+# Limits
+
+
+def test_sigma_sampling_past_its_deadline_raises(monkeypatch):
+    # the clock reads 0 when the deadline is set and far past it afterwards;
+    # 10,000 samples of the all-accepting model need a check at draw 4096
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1e9
+
+    monkeypatch.setattr(baselines, "time", SimpleNamespace(monotonic=monotonic))
+    top = all_accepting(2)
+    with pytest.raises(ResourceLimitError, match="sampling hit the time limit"):
+        sigma_sampling_assessment(top, top, 3, 10_000, "precision", seed=1, time_limit_s=1.0)
+
+
+def _restarting_model():
+    """Literal walks restart whenever they leave state 0 on ``a``; state 1
+    loops on both symbols and accepts."""
+    return Dfa(Alphabet(AB), ((2, 1), (1, 1), (2, 2)), 0, frozenset([1]))
+
+
+def test_literal_walk_keeps_the_restart_limit():
+    d = _restarting_model()
+    c = cfg(exclude_error_transitions=False, max_restarts_per_trace=0)
+    rng = derive_rng(8, 0)
+    with pytest.raises(ResourceLimitError, match="restart limit"):
+        for _ in range(100):
+            random_walk_trace(d, c, rng)
+
+
+def test_literal_walk_keeps_the_step_limit():
+    d = _restarting_model()
+    c = cfg(exclude_error_transitions=False, termination_probability=0.01, max_steps_per_trace=3)
+    rng = derive_rng(9, 0)
+    with pytest.raises(ResourceLimitError, match="step limit"):
+        for _ in range(100):
+            random_walk_trace(d, c, rng)
+
+
+@st.composite
+def _models(draw, sigma):
+    n = draw(st.integers(1, 8))
+    rows = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(sigma)) for _ in range(n))
+    accepting = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    return Dfa(Alphabet(tuple("abcd"[:sigma])), rows, 0, accepting)
+
+
+@given(st.integers(1, 4).flatmap(lambda sigma: st.tuples(_models(sigma), _models(sigma))), st.integers(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_mbt_classes_from_the_product_equal_per_test_acceptance(models, extra):
+    reference, inferred = models[0].minimize(), models[1]
+    config = WMethodConfig(m=reference.state_count + extra)
+    tp = fp = fn = 0
+    for t in w_method_test_set(reference, config).traces:
+        in_r, in_h = reference.accepts(t), inferred.accepts(t)
+        tp += in_r and in_h
+        fp += in_h and not in_r
+        fn += in_r and not in_h
+    expected = (F(tp, tp + fp) if tp + fp else None, F(tp, tp + fn) if tp + fn else None)
+    assert mbt_assessment(reference, inferred, config) == expected

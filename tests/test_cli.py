@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from langcard import cli, counting
+from langcard import baselines, cli, counting
 from langcard.automata import MAX_STATES, serialize_dfa
 from langcard.cli import BUDGET_ENV, main
 from langcard.metrics import confusion_counts
@@ -605,4 +605,32 @@ def test_assess_past_its_deadline_in_any_counting_stage_exits_3(
     out = tmp_path / "o.csv"
     assert run("assess", r_path, h_path, "--max-length", "60", "--out", str(out)) == 3
     assert f"resource limit: {stage}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "60:-1"])
+def test_work_budget_needs_finite_seconds_and_a_nonnegative_degree(tmp_path, monkeypatch, capsys, value):
+    model = tmp_path / "two.dfa"
+    model.write_text(TWO_STATES)
+    out = tmp_path / "o.csv"
+    monkeypatch.setenv(BUDGET_ENV, value)
+    assert run("count", str(model), "--max-length", "5", "--out", str(out)) == 1
+    assert f"usage error: {BUDGET_ENV} needs finite seconds >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sigma_sample_past_its_deadline_exits_3(tmp_path, monkeypatch, capsys):
+    model = tmp_path / "top.dfa"
+    model.write_text(serialize_dfa(all_accepting(2)))
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1e9
+
+    monkeypatch.setattr(baselines, "time", SimpleNamespace(monotonic=monotonic))
+    out = tmp_path / "o.csv"
+    argv = ["baseline", "sigma-sample", str(model), str(model), "--length", "3", "--samples", "10000"]
+    assert run(*argv, "--time-limit", "1", "--out", str(out)) == 3
+    assert "resource limit: sampling hit the time limit" in capsys.readouterr().err
     assert not out.exists()

@@ -7,6 +7,8 @@ lengths of at most 40, at most 50 traces or samples, and a time limit of one
 second wherever a command takes one, or else one that must be refused
 (negative, zero, ``nan`` or ``inf``).  Among the output names are one
 whose manifest's temporary name is too long and one too long for any file.
+One model file in ten declares more states than the parser's cap instead;
+the parser refuses such a header before it allocates anything.
 """
 
 import os
@@ -16,7 +18,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langcard.automata import serialize_dfa
+from langcard.automata import MAX_STATES, serialize_dfa
 from langcard.cli import BUDGET_ENV, main
 from helpers import all_accepting, empty_language, signature_models
 
@@ -34,6 +36,9 @@ CSVS = [
     "n,precision_eq,recall_eq,precision_le,recall_le\n",
 ]
 FILES = {"model": MODELS, "traces": TRACES, "csv": CSVS}
+
+# ``states:`` headers over the cap, the last too long for int() to parse
+OVER_CAP = st.sampled_from([str(MAX_STATES + 1), "1000000000", "9" * 5000])
 
 # lines that get past a parser's first checks; no states header above 20
 PLAUSIBLE = [
@@ -142,6 +147,9 @@ def draw_file(draw, directory, index, wanted):
     path = os.path.join(directory, f"in{index}.txt")
     if kind != "missing":
         lines = draw(st.sampled_from(FILES[kind])).splitlines()
+        if kind == "model" and draw(st.integers(0, 9)) == 0:
+            states = f"states: {draw(OVER_CAP)}"
+            lines = [states if line.startswith("states:") else line for line in lines]
         for junk in draw(st.lists(JUNK, max_size=3)):
             lines.insert(draw(st.integers(0, len(lines))), junk)
         with open(path, "w") as fh:
