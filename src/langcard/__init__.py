@@ -35,7 +35,6 @@ from .baselines import (
 )
 from .counting import (
     WorkBudget,
-    approx_star_height,
     coefficients,
     compute_ogf,
     count_by_class,
@@ -77,7 +76,6 @@ __all__ = [
     "WorkBudget",
     "alphabet",
     "alt",
-    "approx_star_height",
     "assess",
     "bounded_jaccard",
     "build_dfa",

@@ -114,9 +114,6 @@ class Dfa:
                     todo.append(p)
         return frozenset(range(self.state_count)) - alive
 
-    def is_error_state(self, q) -> bool:
-        return q in self.error_states
-
     def reachable_states(self) -> list[int]:
         """States reachable from the initial one, in BFS discovery order."""
         seen = {self.initial}
@@ -496,12 +493,3 @@ def parse_traces(text, alpha: Alphabet) -> list[Trace]:
 
 def format_traces(traces, alpha: Alphabet) -> str:
     return "\n".join(" ".join(alpha.names(t)) for t in traces) + "\n"
-
-
-def format_trace_multiset(counted, alpha: Alphabet) -> str:
-    """Counted variant: each line is ``count symbol symbol ...``."""
-    lines = []
-    for trace, count in counted:
-        names = " ".join(alpha.names(trace))
-        lines.append(f"{count} {names}".rstrip())
-    return "\n".join(lines) + "\n"

@@ -74,7 +74,7 @@ class RandomWalkConfig:
 
 @dataclass
 class EvaluationMultiset:
-    """Multiset of traces with a per-length histogram."""
+    """Multiset of traces."""
 
     traces: Counter = field(default_factory=Counter)
 
@@ -84,16 +84,6 @@ class EvaluationMultiset:
     @property
     def total(self):
         return sum(self.traces.values())
-
-    @property
-    def per_length_histogram(self):
-        hist = Counter()
-        for trace, count in self.traces.items():
-            hist[len(trace)] += count
-        return dict(hist)
-
-    def counted(self):
-        return sorted(self.traces.items())
 
 
 @dataclass
@@ -410,6 +400,9 @@ def mbt_assessment(reference, inferred, cfg: WMethodConfig):
 
 _SPLIT = 255  # table mark of a top byte that straddles a symbol boundary
 
+# refusal threshold on the expected draws n_target * sigma**length / |slice|
+MAX_EXPECTED_DRAWS = 5_000_000
+
 
 def _symbol_draws(sigma):
     """``draw(rng, length)``: the symbols ``int(rng.random() * sigma)`` of
@@ -465,13 +458,23 @@ def sigma_sampling_assessment(
     Draws length-``length`` traces with i.i.d. uniform symbols until
     ``n_target`` of them are accepted by the conditioning model (the inferred
     one for precision, the reference for recall), then returns the fraction
-    of those that the other model also accepts.
+    of those that the other model also accepts.  Refuses before the first
+    draw when the expected number of draws exceeds ``MAX_EXPECTED_DRAWS``.
     """
     if metric not in ("precision", "recall"):
         raise ValueError("metric must be 'precision' or 'recall'")
     conditioning = inferred if metric == "precision" else reference
-    if count_dp(conditioning, length)[length] == 0:
+    size = count_dp(conditioning, length)[length]
+    if size == 0:
         raise UnsuitableModelError(f"conditioning language has no trace of length {length}")
+    estimate = n_target * len(reference.alphabet) ** length // size
+    if estimate > MAX_EXPECTED_DRAWS:
+        raise SizeGuardError(
+            f"sampling would need about {estimate} draws for {n_target} traces "
+            f"of length {length}, of which the conditioning language has "
+            f"{size} (cap {MAX_EXPECTED_DRAWS})",
+            estimate=estimate,
+        )
     product, (tp, fp, fn) = confusion_product(reference, inferred)
     counted = tp | (fp if metric == "precision" else fn)
     rows = product.transitions

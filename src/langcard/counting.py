@@ -11,13 +11,20 @@ coefficients and constant term 1 once reduced.
 ``compute_ogf`` never builds a digraph.  It takes the 2q + 2 terms
 a_0..a_{2q+1} from the DP counter, runs Berlekamp-Massey modulo word-size
 primes to get the connection polynomial, and lifts it to the integers by
-CRT.  A candidate D of degree <= q, with N = (D * a) mod z^q, is accepted
-only after checking in integers that coefficients q..2q+1 of D * a vanish.
-That proves N/D is the OGF: with the true OGF N*/D*, the polynomial
-N * D* - N* * D has degree < 2q and is divisible by z^(2q), so it is zero.
-An unlucky prime can only delay the answer, never change it.  The proof
-needs only an upper bound on q, which is what lets several languages share
-one automaton.
+CRT.  A candidate D of degree <= L <= q, L the recurrence length, with
+N = (D * a) mod z^L, is accepted only after checking in integers that
+coefficients L..2q+1 of D * a vanish.  That proves N/D is the OGF: with the
+true OGF N*/D*, the polynomial N * D* - N* * D has degree < 2q and is
+divisible by z^(2q), so it is zero.  An unlucky prime can only delay the
+answer, never change it.  The proof needs only an upper bound on q, which
+is what lets several languages share one automaton.
+
+The result is in lowest terms without a GCD.  Let L* be the length of the
+shortest recurrence over the rationals.  The true D* taken mod p is a
+recurrence of length L*, so each prime's length, and the kept L, is at
+most L*; the passed check makes D a recurrence of length L, so L >= L*.
+Hence L = L*, and a common factor of N and D would give a shorter one.
+D(0) = 1, so D has content 1 and its sign is already the canonical one.
 
 ``count_by_class`` counts several languages at once: the traces ending in
 each of some disjoint classes of accepting states of one DFA, such as the
@@ -202,7 +209,7 @@ def compute_ogf(d, budget: WorkBudget | None = None) -> RationalFunction:
     check = _deadline(budget)
     q = _live_count(d)
     (terms,) = _dp_terms(d, (d.accepting,), 2 * q + 1, check("counting terms"))
-    return RationalFunction(*_solve(terms, q, budget, check))
+    return _solve(terms, q, budget, check)
 
 
 def count_by_class(
@@ -224,7 +231,7 @@ def count_by_class(
     seqs = _dp_terms(d, classes, min(n_max, top), check("counting terms"))
     if n_max > top:
         for terms in seqs:
-            _, den = _solve(terms, q, budget, check)
+            den = _solve(terms, q, budget, check).den
             # c_0 = 1 and deg N < q, so a_n = -sum_{j>=1} c_j a_{n-j} for n >= q
             taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
             for n in range(top + 1, n_max + 1):
@@ -259,15 +266,16 @@ def _live_count(d):
 
 
 def _solve(terms, q, budget, check_deadline):
-    """The recurrence of a count sequence: polynomials N and D with
-    D(0) = 1, proved to satisfy N/D = the series of ``terms`` =
-    a_0..a_{2q+1}, for a language of at most q live states.
+    """The generating function N/D of a count sequence, D(0) = 1, proved
+    to equal the series of ``terms`` = a_0..a_{2q+1} for a language of at
+    most q live states, and in lowest terms.
 
     Berlekamp-Massey modulo word-size primes gives the connection
-    polynomial, lifted to the integers by CRT.  A candidate D of degree <= q
-    with N = (D * a) mod z^q is returned only once coefficients q..2q+1 of
-    D * a are checked to vanish in integers, and only if its degree is
-    within ``budget.max_degree``.
+    polynomial of the longest length L <= q seen, lifted to the integers by
+    CRT.  A candidate D with N = (D * a) mod z^L is returned only once
+    coefficients L..2q+1 of D * a are checked to vanish in integers, and
+    only if its degree is within ``budget.max_degree``.  The check proves
+    L minimal, which makes N/D canonical with no GCD (module docstring).
     """
     rev = terms[::-1]
     top = 2 * q + 1
@@ -295,20 +303,21 @@ def _solve(terms, q, budget, check_deadline):
         # check once the lift stops changing (always on round one); the
         # check makes a wrong candidate impossible, just wasteful
         if previous is None or sym == previous:
-            for n in range(q, top + 1):
+            for n in range(length, top + 1):
                 check_exact()
                 if product_coefficient(sym, n):
                     break
             else:
-                num = Polynomial([product_coefficient(sym, n) for n in range(q)])
-                den = Polynomial(sym)
-                degree = max(num.degree, den.degree)
+                f = RationalFunction._reduced(
+                    Polynomial([product_coefficient(sym, n) for n in range(length)]),
+                    Polynomial(sym),
+                )
                 # the zero series has no degree
-                if num and degree > budget.max_degree:
+                if f and f.degree > budget.max_degree:
                     raise ResourceLimitError(
-                        f"degree {degree} exceeded budget {budget.max_degree}"
+                        f"degree {f.degree} exceeded budget {budget.max_degree}"
                     )
-                return num, den
+                return f
         previous = sym
 
 
@@ -320,13 +329,10 @@ def elimination_ogf(d, budget: WorkBudget | None = None, order=None) -> Rational
     """
     budget = budget or DEFAULT_BUDGET
     g, _, _ = digraph_construction(d)
-    deadline = time.monotonic() + budget.time_limit_s
+    check_deadline = _deadline(budget)("node elimination")
 
     def check_budget():
-        if time.monotonic() > deadline:
-            raise ResourceLimitError(
-                f"generating-function computation exceeded {budget.time_limit_s:.0f} s"
-            )
+        check_deadline()
         if g.peak_degree > budget.max_degree:
             raise ResourceLimitError(
                 f"intermediate degree {g.peak_degree} exceeded budget {budget.max_degree}"
@@ -467,61 +473,3 @@ def _dp_terms(d, classes, n_max, check):
     for q, v in frontier.items():
         seqs[cls[q]][n_max] += v
     return seqs[:-1]
-
-
-def approx_star_height(d) -> int:
-    """Upper estimate of the star height of L(d).
-
-    Runs the same node elimination with edges labeled by the star-nesting
-    depth of the regular expression they would carry; each self-loop
-    elimination adds one star level.  Returns 0 for finite languages.
-    """
-    heights = {}  # (u, v) -> int nesting depth of the edge regex
-    succ = {INITIAL: set(), FINAL: set()}
-    pred = {INITIAL: set(), FINAL: set()}
-    nodes = []
-    for q in range(d.state_count):
-        succ[q] = set()
-        pred[q] = set()
-        nodes.append(q)
-
-    def connect(u, v, h):
-        key = (u, v)
-        if key in heights:
-            heights[key] = max(heights[key], h)
-        else:
-            heights[key] = h
-            succ[u].add(v)
-            pred[v].add(u)
-
-    for q, row in enumerate(d.transitions):
-        for t in set(row):
-            connect(q, t, 0)
-    connect(INITIAL, d.initial, 0)
-    for q in d.accepting:
-        connect(q, FINAL, 0)
-
-    remaining = set(nodes)
-    while remaining:
-
-        def cost(n):
-            loop = heights.get((n, n), -1)
-            return (loop, len(pred[n] - {n}) * len(succ[n] - {n}), n)
-
-        n = min(remaining, key=cost)
-        remaining.discard(n)
-        loop = heights.pop((n, n), None)
-        succ[n].discard(n)
-        pred[n].discard(n)
-        loop_h = loop + 1 if loop is not None else 0
-        for p in pred[n]:
-            h_in = heights.pop((p, n))
-            succ[p].discard(n)
-            for s in succ[n]:
-                connect(p, s, max(h_in, loop_h, heights[(n, s)]))
-        for s in list(succ[n]):
-            heights.pop((n, s))
-            pred[s].discard(n)
-        pred.pop(n)
-        succ.pop(n)
-    return heights.get((INITIAL, FINAL), 0)

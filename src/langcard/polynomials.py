@@ -9,13 +9,15 @@ form makes structural equality coincide with mathematical equality, which the
 counting layer relies on when checking order invariance.
 
 GCDs are computed modulo word-size primes with CRT reconstruction and a
-trial-division check, so the result is provably the true GCD.
+trial-division check, so the result is provably the true GCD.  Only
+rational-function arithmetic (node elimination, the reference engine) and
+the public constructor need one: Berlekamp-Massey results are built already
+reduced (``counting``).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DivergentStarError
 
@@ -378,13 +380,6 @@ class RationalFunction:
 
     def __bool__(self):
         return not self.is_zero
-
-    def at_zero(self):
-        """Value at z = 0 as an exact fraction (denominator must not vanish)."""
-        d = self.den.constant_term()
-        if d == 0:
-            raise ZeroDivisionError("pole at z = 0")
-        return Fraction(self.num.constant_term(), d)
 
     def __add__(self, other):
         if self.is_zero:

@@ -99,6 +99,41 @@ def empty_language(n_symbols):
     return Dfa(Alphabet(SYMS[:n_symbols]), rows, 0, frozenset())
 
 
+def b_power(length, n_symbols):
+    """Acceptor of the single trace b^length over the first n_symbols of SYMS."""
+    sink = length + 1
+    rows = tuple(
+        tuple(q + 1 if s == 1 and q < length else sink for s in range(n_symbols))
+        for q in range(length + 2)
+    )
+    return Dfa(Alphabet(SYMS[:n_symbols]), rows, 0, frozenset([length]))
+
+
+def random_finite_dfa(rng, n_states, n_symbols, accept_p=0.4):
+    """Random acyclic acceptor: every move goes to a later state, the last
+    state being a rejecting sink, so the language is finite."""
+    sink = n_states
+    rows = tuple(
+        tuple(rng.randrange(q + 1, sink + 1) for _ in range(n_symbols))
+        for q in range(n_states)
+    ) + ((sink,) * n_symbols,)
+    accepting = frozenset(q for q in range(n_states) if rng.random() < accept_p)
+    return Dfa(Alphabet(SYMS[:n_symbols]), rows, 0, accepting)
+
+
+def doubled(d):
+    """An unminimized copy of d with twice its states: state q + n*bit
+    stands for q and flips ``bit`` on every move."""
+    n = d.state_count
+    rows = tuple(
+        tuple(t + n * (1 - bit) for t in d.transitions[q])
+        for bit in (0, 1)
+        for q in range(n)
+    )
+    accepting = frozenset(q + n * bit for q in d.accepting for bit in (0, 1))
+    return Dfa(d.alphabet, rows, d.initial, accepting)
+
+
 def binary_tree(depth):
     """Unminimized acceptor of all words over {a, b} up to ``depth`` long.
 

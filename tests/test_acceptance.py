@@ -21,6 +21,7 @@ from langcard.counting import (
     WorkBudget,
     coefficients,
     compute_ogf,
+    _live_count,
     count_dp,
     elimination_ogf,
 )
@@ -30,9 +31,11 @@ from langcard.polynomials import ONE_POLY, Polynomial, RationalFunction
 
 from helpers import (
     all_accepting,
+    doubled,
     enumerate_counts,
     enumerate_language,
     random_dfa,
+    random_finite_dfa,
     random_nonempty_dfa,
     seeded,
     signature_models,
@@ -103,18 +106,29 @@ def test_criterion_3_trace_similarity_sensitivity(capsys):
 def test_criterion_4_oracle_equivalence(capsys):
     started = time.monotonic()
     rng = seeded(4040)
-    for i in range(200):
-        d = random_dfa(rng, rng.randrange(1, 13), rng.randrange(1, 5))
+    models = [random_dfa(rng, rng.randrange(1, 13), rng.randrange(1, 5)) for _ in range(200)]
+    # finite languages and doubled state sets recur in fewer terms than they
+    # have live states: BM then keeps a length L < q
+    models += [random_finite_dfa(rng, rng.randrange(1, 10), rng.randrange(1, 4)) for _ in range(50)]
+    models += [doubled(random_dfa(rng, rng.randrange(1, 7), rng.randrange(1, 4))) for _ in range(50)]
+    shorter = 0
+    for i, d in enumerate(models):
         ogf = compute_ogf(d)
         assert elimination_ogf(d) == ogf, f"engine mismatch on model {i}"
+        # built without a GCD, yet already canonical
+        assert RationalFunction(ogf.num, ogf.den) == ogf, f"unreduced result on model {i}"
         ogf_counts = coefficients(ogf, 60)
         assert ogf_counts == count_dp(d, 60), f"dp mismatch on model {i}"
         assert ogf_counts[:9] == enumerate_counts(d, 8), f"enumeration mismatch on model {i}"
+        length = max(len(ogf.num.coeffs), len(ogf.den.coeffs) - 1)
+        shorter += length < _live_count(d)
+    assert shorter >= 50
     report(
         capsys, 4, time.monotonic() - started, 120.0,
-        "200 random models: both engines give the same function, whose series "
-        "coefficients equal the dynamic-programming counts (n <= 60) and "
-        "exhaustive enumeration (n <= 8)",
+        f"{len(models)} models (200 random, 50 finite, 50 doubled; {shorter} "
+        "recurring in fewer terms than live states): both engines give the "
+        "same canonical function, whose series coefficients equal the "
+        "dynamic-programming counts (n <= 60) and exhaustive enumeration (n <= 8)",
     )
 
 

@@ -257,8 +257,8 @@ def test_minimize_gives_canonical_form():
 
 def test_error_states():
     d = parse_dfa(A_STAR_FILE)
-    assert d.is_error_state(1)  # the sink
-    assert not d.is_error_state(0)
+    assert 1 in d.error_states  # the sink
+    assert 0 not in d.error_states
 
 
 def test_error_states_match_bfs_oracle():
@@ -279,7 +279,7 @@ def test_error_states_match_bfs_oracle():
             return False
 
         for q in range(d.state_count):
-            assert d.is_error_state(q) == (not reaches_accepting(q))
+            assert (q in d.error_states) == (not reaches_accepting(q))
 
 
 def test_confusion_automata_identical_models():

@@ -28,7 +28,7 @@ from langcard.inference import generate_training_set
 from langcard.metrics import confusion_counts, single_length_assessment
 from langcard.regexes import EPSILON, alt, seq, star, sym, to_dfa
 
-from helpers import all_accepting, random_dfa, random_nonempty_dfa, seeded, signature_models
+from helpers import all_accepting, b_power, random_dfa, random_nonempty_dfa, seeded, signature_models
 
 AB = ("a", "b")
 
@@ -146,23 +146,6 @@ def test_pa_one_precision_is_one_exactly_when_reference_accepts_epsilon():
     c = cfg(termination_probability=1.0, target_trace_count=100)
     assert trace_similarity(accepts_eps, inferred, c).precision == 1
     assert trace_similarity(rejects_eps, inferred, c).precision == 0
-
-
-def test_multiset_histogram_and_counted_export():
-    from langcard.automata import Alphabet, format_trace_multiset
-
-    reference, inferred = signature_models()
-    res = trace_similarity(reference, inferred, cfg(target_trace_count=300))
-    ms = res.e_precision
-    hist = ms.per_length_histogram
-    assert sum(hist.values()) == ms.total
-    assert all(
-        hist[n] == sum(c for t, c in ms.traces.items() if len(t) == n) for n in hist
-    )
-    text = format_trace_multiset(ms.counted(), reference.alphabet)
-    lines = text.strip().splitlines()
-    assert len(lines) == len(ms.traces)
-    assert sum(int(line.split()[0]) for line in lines) == ms.total
 
 
 def test_conditioned_partition_sizes_sum_to_total():
@@ -333,6 +316,17 @@ def test_sigma_sampling_requires_nonempty_conditioning_slice():
     short = to_dfa(sym("a"), AB)
     with pytest.raises(ValueError):
         sigma_sampling_assessment(short, short, 3, 10, "precision", seed=1)
+
+
+def test_sigma_sampling_refuses_a_slice_too_thin_to_fill(monkeypatch):
+    def no_draws(sigma):
+        raise AssertionError("refused only after drawing")
+
+    monkeypatch.setattr(baselines, "_symbol_draws", no_draws)
+    with pytest.raises(SizeGuardError) as info:
+        sigma_sampling_assessment(all_accepting(3), b_power(12, 3), 12, 150, "precision", seed=1)
+    # 150 * 3^12 / 1 expected draws
+    assert info.value.estimate == 79_716_150
 
 
 def test_sigma_sampling_agrees_with_exact_single_length():

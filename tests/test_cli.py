@@ -1,16 +1,20 @@
 import errno
 import json
 import os
+import pkgutil
+import subprocess
+import sys
 from types import SimpleNamespace
 from xml.etree import ElementTree
 
 import pytest
 
+import langcard
 from langcard import baselines, cli, counting
 from langcard.automata import MAX_STATES, serialize_dfa
 from langcard.cli import BUDGET_ENV, main
 from langcard.metrics import confusion_counts
-from helpers import all_accepting, binary_tree, empty_language, signature_models
+from helpers import all_accepting, b_power, binary_tree, empty_language, signature_models
 
 
 @pytest.fixture
@@ -147,6 +151,23 @@ def test_baseline_sigma_sample(tmp_path):
     )
     assert code == 0
     assert out.read_text().strip().splitlines()[1].split(",")[1] == "1.000000"
+
+
+def test_baseline_sigma_sample_refuses_a_thin_slice(tmp_path, capsys):
+    reference = tmp_path / "top.dfa"
+    reference.write_text(serialize_dfa(all_accepting(3)))
+    inferred = tmp_path / "b12.dfa"
+    inferred.write_text(serialize_dfa(b_power(12, 3)))
+    out = tmp_path / "sigma.csv"
+    code = run(
+        "baseline", "sigma-sample", str(reference), str(inferred),
+        "--length", "12", "--samples", "150", "--metric", "precision",
+        "--out", str(out),
+    )
+    assert code == 4
+    assert "refused:" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "sigma.csv.manifest.json").exists()
 
 
 def test_infer_and_gen_traces_pipeline(tmp_path, signature_files):
@@ -634,3 +655,40 @@ def test_sigma_sample_past_its_deadline_exits_3(tmp_path, monkeypatch, capsys):
     assert run(*argv, "--time-limit", "1", "--out", str(out)) == 3
     assert "resource limit: sampling hit the time limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+RUNTIME_PROBE = """
+import contextlib, importlib, io, json, sys
+before = set(sys.modules)
+import langcard
+for name in sys.argv[1:]:
+    importlib.import_module("langcard." + name)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = langcard.cli.main(["--version"])
+loaded = set(sys.modules) - before
+print(json.dumps({
+    "code": code,
+    "version": out.getvalue().strip(),
+    "foreign": sorted(
+        m for m in loaded
+        if m.partition(".")[0] not in sys.stdlib_module_names | {"langcard"}
+    ),
+    "network": sorted({"ssl", "http.client"} & set(sys.modules)),
+}))
+"""
+
+
+def test_runtime_loads_only_the_standard_library():
+    # a fresh interpreter, so modules the test runner loaded do not hide any
+    names = [m.name for m in pkgutil.iter_modules(langcard.__path__)]
+    src = os.path.dirname(os.path.dirname(langcard.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", RUNTIME_PROBE, *names],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    probe = json.loads(done.stdout)
+    assert "cli" in names and probe["code"] == 0
+    assert probe["version"] == langcard.__version__
+    assert probe["foreign"] == []
+    assert probe["network"] == []

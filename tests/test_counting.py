@@ -3,15 +3,17 @@ from types import SimpleNamespace
 import pytest
 
 from langcard import Alphabet, Dfa, counting, polynomials
+from langcard.automata import confusion_automata, confusion_product, serialize_dfa
+from langcard.cli import main
 from langcard.counting import (
     FINAL,
     INITIAL,
     LabeledDigraph,
     WorkBudget,
     _berlekamp_massey_mod,
-    approx_star_height,
     coefficients,
     compute_ogf,
+    count_by_class,
     count_dp,
     digraph_construction,
     elimination_ogf,
@@ -23,11 +25,12 @@ from langcard.errors import (
     ZeroConstantDenominatorError,
 )
 from langcard.polynomials import ONE_POLY, Polynomial, RationalFunction
-from langcard.regexes import seq, star, sym, to_dfa
+from langcard.regexes import seq, sym, to_dfa
 
 from helpers import (
     all_accepting,
     binary_tree,
+    doubled,
     empty_language,
     enumerate_counts,
     random_dfa,
@@ -289,6 +292,28 @@ def test_bm_engine_survives_unlucky_primes_and_rejected_candidates(monkeypatch):
         assert compute_ogf(d, budget) == elimination_ogf(d)
 
 
+def test_bm_results_are_built_without_a_gcd(monkeypatch, tmp_path, capsys):
+    rng = seeded(32)
+    models = [random_dfa(rng, rng.randrange(1, 10), rng.randrange(1, 4)) for _ in range(20)]
+    models += [doubled(d) for d in models[:5]]
+    expected = [elimination_ogf(d) for d in models]
+    reference, inferred = signature_models()
+    product, classes = confusion_product(reference, inferred)
+    n_max = 2 * product.state_count + 20  # past 2Q + 1, so each class is solved
+    oracle = [count_dp(d, n_max) for d in confusion_automata(reference, inferred)]
+    model = tmp_path / "m.dfa"
+    model.write_text(serialize_dfa(models[0]))
+
+    def refuse(a, b):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(polynomials, "poly_gcd", refuse)
+    assert [compute_ogf(d) for d in models] == expected
+    assert count_by_class(product, classes, n_max) == oracle
+    assert main(["count", str(model), "--max-length", "40", "--out", str(tmp_path / "c.csv")]) == 0
+    assert capsys.readouterr().out == f"OGF: {expected[0]}\n"
+
+
 def test_bm_engine_on_a_large_four_letter_model():
     # elimination needs minutes at this size, so the DP is the only oracle;
     # 40 terms past the 2|Q| + 2 that BM reads check the extrapolation
@@ -301,53 +326,6 @@ def test_bm_engine_on_a_large_four_letter_model():
         n += 10
     q = d.state_count
     assert coefficients(compute_ogf(d), 2 * q + 40) == count_dp(d, 2 * q + 40)
-
-
-def test_star_height_of_finite_language_is_zero():
-    d = to_dfa(seq(sym("a"), sym("b")), ("a", "b"))
-    assert approx_star_height(d) == 0
-
-
-def test_star_height_of_a_star():
-    d = to_dfa(star(sym("a")), ("a", "b"))
-    assert approx_star_height(d) == 1
-
-
-def test_star_height_is_a_small_upper_bound():
-    # (a b* a)* admits the single-star expression eps | a (b|aa)* a, and the
-    # elimination with the default order finds exactly that nesting depth
-    inner = star(seq(sym("a"), star(sym("b")), sym("a")))
-    d = to_dfa(inner, ("a", "b"))
-    assert approx_star_height(d) == 1
-
-
-def test_star_height_at_least_one_for_live_cycles():
-    rng = seeded(28)
-
-    def has_live_cycle(d):
-        live = set(d.reachable_states()) - d.error_states
-        color = {}
-
-        def dfs(q):
-            color[q] = 1
-            for t in d.transitions[q]:
-                if t in live:
-                    if color.get(t) == 1:
-                        return True
-                    if t not in color and dfs(t):
-                        return True
-            color[q] = 2
-            return False
-
-        return any(dfs(q) for q in live if q not in color)
-
-    for _ in range(60):
-        d = random_dfa(rng, rng.randrange(1, 7), rng.randrange(1, 4))
-        height = approx_star_height(d)
-        if has_live_cycle(d):
-            assert height >= 1
-        else:
-            assert height == 0
 
 
 def test_star_height_zero_means_finite_language():

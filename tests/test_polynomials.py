@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -145,11 +144,6 @@ def test_field_round_trip(an, ad, bn, bd):
     a = RationalFunction(Polynomial(an), Polynomial(ad))
     b = RationalFunction(Polynomial(bn), Polynomial(bd))
     assert (a + b) - b == a
-
-
-def test_at_zero():
-    f = RationalFunction(Polynomial([3, 1]), Polynomial([2, 5]))
-    assert f.at_zero() == Fraction(3, 2)
 
 
 def test_formatting():
