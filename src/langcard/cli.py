@@ -51,6 +51,9 @@ from .metrics import (
 from .report import render_chart, series_from_csv
 
 BUDGET_ENV = "LANGCARD_WORK_BUDGET"
+# the most decimal places --digits accepts: a rendered value of up to 1,001
+# digits stays well inside CPython's int-to-str limit of 4,300
+MAX_DIGITS = 1000
 
 
 class _UsageError(LangcardError):
@@ -192,6 +195,7 @@ def _checked(convert, accept, expected):
 
 _nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_digits = _checked(int, lambda v: 0 <= v <= MAX_DIGITS, f"an integer in 0..{MAX_DIGITS}")
 _probability = _checked(float, lambda v: 0 < v <= 1, "a probability in (0, 1]")
 _seconds = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number of seconds")
 _symbols = _checked(
@@ -210,7 +214,7 @@ def build_parser():
     p.add_argument("--max-length", type=_nonnegative_int, default=200)
     p.add_argument("--range", dest="length_range", default=None, metavar="A..B")
     p.add_argument("--mode", choices=("single", "cumulative", "both"), default="both")
-    p.add_argument("--digits", type=_nonnegative_int, default=6)
+    p.add_argument("--digits", type=_digits, default=6, help=f"decimal places, at most {MAX_DIGITS}")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("count", help="count accepted traces per length")
@@ -235,7 +239,7 @@ def build_parser():
     p.add_argument("--length", type=_nonnegative_int, default=None, help="trace length for sigma-sample")
     p.add_argument("--samples", type=_positive_int, default=1000, help="accepted samples for sigma-sample")
     p.add_argument("--metric", choices=("precision", "recall"), default="precision")
-    p.add_argument("--digits", type=_nonnegative_int, default=6)
+    p.add_argument("--digits", type=_digits, default=6, help=f"decimal places, at most {MAX_DIGITS}")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("infer", help="k-tails inference from a trace file")

@@ -13,17 +13,21 @@ Precision and recall are exact rationals.  A 0/0 quotient is reported as the
 explicit undefined marker ``None`` rather than silently coerced to 0 or 1;
 CSV output writes the literal ``undefined`` for it.  Assessment rows are
 views over the counts that build their ``Fraction`` values when read; the
-CSV is rendered from the integer counts directly, one round-half-even
-division per cell, since its text depends on nothing else.
+CSV is rendered from the integer counts directly, since its text depends on
+nothing else.  It is built a column at a time: one exact round-half-even
+division per cell, and the text of each distinct rounded value formatted once
+per column (long horizons converge, so most cells repeat a value).
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
+from operator import add
 
 from .automata import confusion_product
 from .counting import coefficients, compute_ogf, count_by_class
@@ -82,10 +86,12 @@ class AssessmentRows(Sequence):
 
     @cached_property
     def _rows(self):
-        part = 2 if self.cumulative else 1
-        pairs = list(islice(_ratio_pairs(self.counts), max(self.ns, default=-1) + 1))
+        nums, p_dens, r_dens = map(
+            list, _ratio_columns(self.counts, range(max(self.ns, default=-1) + 1), self.cumulative)
+        )
         return [
-            AssessmentRow(n, *(_fraction(pair) for pair in pairs[n][part])) for n in self.ns
+            AssessmentRow(n, _fraction(nums[n], p_dens[n]), _fraction(nums[n], r_dens[n]))
+            for n in self.ns
         ]
 
     def __eq__(self, other):
@@ -133,22 +139,22 @@ def confusion_counts(reference, inferred, n_max, budget=None) -> ConfusionCounts
     )
 
 
-def _ratio_pairs(counts: ConfusionCounts):
-    """Per n: the (numerator, denominator) integers of precision and recall
-    over the traces of length n, then over those of length at most n.
+def _ratio_columns(counts: ConfusionCounts, ns: range, cumulative: bool):
+    """Iterators over the n of ``ns`` (a range with a positive step): the
+    numerator shared by precision and recall (tp) and their denominators
+    (tp + fp and tp + fn), over the traces of length n or, if
+    ``cumulative``, over those of length at most n.
 
     The one definition both the ``Fraction`` rows and the CSV cells read.
     """
-    c_tp = c_fp = c_fn = 0
-    for n, (tp, fp, fn) in enumerate(zip(counts.tp, counts.fp, counts.fn)):
-        c_tp += tp
-        c_fp += fp
-        c_fn += fn
-        yield n, ((tp, tp + fp), (tp, tp + fn)), ((c_tp, c_tp + c_fp), (c_tp, c_tp + c_fn))
+    tp = counts.tp[: ns.stop]
+    p_dens, r_dens = map(add, tp, counts.fp[: ns.stop]), map(add, tp, counts.fn[: ns.stop])
+    if cumulative:
+        tp, p_dens, r_dens = accumulate(tp), accumulate(p_dens), accumulate(r_dens)
+    return (islice(column, ns.start, ns.stop, ns.step) for column in (tp, p_dens, r_dens))
 
 
-def _fraction(pair):
-    num, den = pair
+def _fraction(num, den):
     return Fraction(num, den) if den else None
 
 
@@ -183,19 +189,40 @@ def bounded_jaccard(reference, inferred, n_max, budget=None) -> Fraction | None:
     return 1 - Fraction(inter_total, union_total)
 
 
+def _ratio_column(nums, dens, digits):
+    """Exact decimal text of each num/den (den >= 0), rounded half to even;
+    ``undefined`` where den is 0.
+
+    One integer ``divmod`` per cell.  The text of a rounded value is built
+    the first time the column reaches it and looked up after that.
+    """
+    scale = 10**digits
+    texts = {}
+    column = []
+    append = column.append
+    for num, den in zip(nums, dens):
+        if not den:
+            append("undefined")
+            continue
+        # floor division, so num/den = scaled + rest/den with 0 <= rest < den
+        scaled, rest = divmod(num * scale, den)
+        twice = 2 * rest
+        if twice > den or (twice == den and scaled & 1):
+            scaled += 1
+        text = texts.get(scaled)
+        if text is None:
+            sign = "-" if scaled < 0 else ""
+            text = str(abs(scaled)).rjust(digits + 1, "0")
+            text = f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+            texts[scaled] = text
+        append(text)
+    return column
+
+
 def format_ratio(num: int, den: int, digits: int = 6) -> str:
     """Exact decimal rendering of num/den for den >= 0, rounded half to
     even; ``undefined`` when den is 0."""
-    if den == 0:
-        return "undefined"
-    # floor division, so num/den = scaled + rest/den with 0 <= rest < den
-    scaled, rest = divmod(num * 10**digits, den)
-    twice = 2 * rest
-    if twice > den or (twice == den and scaled & 1):
-        scaled += 1
-    sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+    return _ratio_column((num,), (den,), digits)[0]
 
 
 def format_value(value: Fraction | None, digits: int = 6) -> str:
@@ -206,41 +233,52 @@ def format_value(value: Fraction | None, digits: int = 6) -> str:
 
 
 CSV_HEADER = "n,precision_eq,recall_eq,precision_le,recall_le"
-_UNDEFINED_PAIR = ("undefined", "undefined")
+
+
+def _text_columns(counts: ConfusionCounts, rows: AssessmentRows | None, stop: int, digits: int):
+    """The precision and recall texts of ``rows`` at each n < stop, and
+    ``undefined`` where it has no row."""
+    precision, recall = ["undefined"] * stop, ["undefined"] * stop
+    if rows is not None and rows.ns:
+        ascending = rows.ns if rows.ns.step > 0 else rows.ns[::-1]
+        window = slice(ascending.start, ascending.stop, ascending.step)
+        # one pass per column, so no column of counts is held in memory
+        nums, p_dens, _ = _ratio_columns(counts, ascending, rows.cumulative)
+        precision[window] = _ratio_column(nums, p_dens, digits)
+        nums, _, r_dens = _ratio_columns(counts, ascending, rows.cumulative)
+        recall[window] = _ratio_column(nums, r_dens, digits)
+    return precision, recall
 
 
 def assessment_csv(result: AssessmentResult, digits: int = 6) -> str:
     """Render the rows in the shared schema, straight from the integer counts.
 
     A line per n that either part has a row for, in increasing n; a part
-    without a row there reads ``undefined``.
+    without a row there reads ``undefined``.  The text is built a column at
+    a time, then joined into lines.
     """
-    per = result.per_length.ns if result.per_length is not None else range(0)
-    cum = result.cumulative.ns if result.cumulative is not None else range(0)
-    stop = max(max(per, default=-1), max(cum, default=-1)) + 1
+    parts = (result.per_length, result.cumulative)
+    ns = sorted(set().union(*(rows.ns for rows in parts if rows is not None)))
+    stop = ns[-1] + 1 if ns else 0
+    p_eq, r_eq = _text_columns(result.counts, result.per_length, stop, digits)
+    p_le, r_le = _text_columns(result.counts, result.cumulative, stop, digits)
     lines = [CSV_HEADER]
-    for n, (precision, recall), (c_precision, c_recall) in islice(
-        _ratio_pairs(result.counts), stop
-    ):
-        in_per = n in per
-        in_cum = n in cum
-        if not (in_per or in_cum):
-            continue
-        p_eq, r_eq = (
-            (format_ratio(*precision, digits), format_ratio(*recall, digits))
-            if in_per
-            else _UNDEFINED_PAIR
-        )
-        p_le, r_le = (
-            (format_ratio(*c_precision, digits), format_ratio(*c_recall, digits))
-            if in_cum
-            else _UNDEFINED_PAIR
-        )
-        lines.append(f"{n},{p_eq},{r_eq},{p_le},{r_le}")
+    lines += [f"{n},{p_eq[n]},{r_eq[n]},{p_le[n]},{r_le[n]}" for n in ns]
     return "\n".join(lines) + "\n"
 
 
 def counts_csv(counts: list[int]) -> str:
-    lines = ["length,count"]
-    lines += [f"{n},{c}" for n, c in enumerate(counts)]
+    """One line per length.  The counts are written in full, however many
+    digits they have: CPython's cap on ``int`` to ``str`` conversion (4,300
+    digits by default, absent before 3.10.7) is lifted for this conversion
+    alone."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        lines = ["length,count"]
+        lines += [f"{n},{c}" for n, c in enumerate(counts)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return "\n".join(lines) + "\n"

@@ -353,6 +353,9 @@ TWO_STATES = "alphabet: a b\nstates: 2\ninitial: 0\naccepting: 1\n0 a 1\n1 b 0\n
         ("baseline", "trace-sim", "M", "M", "--min-coverage", "-5"),
         ("baseline", "mbt", "M", "M", "--m-bound", "1"),  # the model has 3 states
         ("baseline", "sigma-sample", "M", "M", "--samples", "0", "--length", "3"),
+        ("assess", "M", "M", "--digits", "1001"),
+        ("assess", "M", "M", "--digits", "5000"),
+        ("baseline", "mbt", "M", "M", "--m-bound", "3", "--digits", "5000"),
     ],
     ids=lambda argv: " ".join(a for a in argv if a != "M"),
 )
@@ -363,6 +366,32 @@ def test_out_of_range_arguments_exit_with_usage_code(tmp_path, argv):
     argv = [str(model) if a == "M" else a for a in argv]
     assert run(*argv, "--out", str(out)) == 1
     assert not out.exists()
+
+
+def test_digits_up_to_the_cap_are_written(tmp_path):
+    m = tmp_path / "m.dfa"
+    m.write_text(TWO_STATES)
+    out = tmp_path / "o.csv"
+    one = "1." + "0" * cli.MAX_DIGITS
+    digits = ("--digits", str(cli.MAX_DIGITS), "--out", str(out))
+    assert run("assess", str(m), str(m), "--max-length", "1", *digits) == 0
+    assert out.read_text().splitlines()[-1] == f"1,{one},{one},{one},{one}"
+    assert run("baseline", "mbt", str(m), str(m), "--m-bound", "3", *digits) == 0
+    assert out.read_text().splitlines()[-1] == f"0,undefined,undefined,{one},{one}"
+
+
+def test_count_writes_counts_past_the_int_to_str_digit_cap(tmp_path):
+    # 4^7200 has 4,335 decimal digits, past CPython's default cap of 4,300
+    model = tmp_path / "all4.dfa"
+    model.write_text(serialize_dfa(all_accepting(4)))
+    out = tmp_path / "counts.csv"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert run("count", str(model), "--max-length", "7200", "--out", str(out)) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    n, digits = out.read_text().splitlines()[-1].split(",")
+    assert n == "7200" and len(digits) == 4335
+    # read back in two parts, each within the cap
+    assert int(digits[:-4300]) * 10**4300 + int(digits[-4300:]) == 4**7200
 
 
 def test_infer_rejects_k_below_one(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from langcard import Alphabet, Dfa, confusion_automata, confusion_product, counting
 from langcard.counting import coefficients, count_dp, elimination_ogf
 from langcard.metrics import (
+    AssessmentResult,
     AssessmentRow,
     ConfusionCounts,
     assess,
@@ -19,6 +20,7 @@ from langcard.metrics import (
     format_value,
     single_length_assessment,
 )
+from langcard.metrics import _ratio_column
 from langcard.regexes import EPSILON, seq, sym, to_dfa
 
 from helpers import (
@@ -339,6 +341,35 @@ def test_format_ratio_rounds_half_to_even():
     assert format_ratio(5, 0, 0) == "undefined"
 
 
+def test_ratio_column_leaves_undefined_cells_between_defined_ones():
+    column = _ratio_column([1, 0, 5, 2, 0, 7], [3, 0, 0, 4, 9, 0], 3)
+    assert column == ["0.333", "undefined", "undefined", "0.500", "0.000", "undefined"]
+    assert _ratio_column([], [], 6) == []
+
+
+def test_ratio_column_formats_each_rounded_value_once():
+    # 1/3, 2/6 and 333333/10^6 all round to 333333 millionths
+    column = _ratio_column([1, 2, 333333, 1], [3, 6, 10**6, 2], 6)
+    assert column == ["0.333333"] * 3 + ["0.500000"]
+    assert column[0] is column[1] is column[2]
+    # -1/300 and 0/5 both round to zero, which has no sign; -1/8 keeps its own
+    column = _ratio_column([-1, 0, 1, -1, 1], [300, 5, 8, 8, 8], 2)
+    assert column == ["0.00", "0.00", "0.12", "-0.12", "0.12"]
+
+
+def test_ratio_column_breaks_large_exact_ties_to_even():
+    half = 2**3001
+    column = _ratio_column([(2 * k + 1) * 2**3000 for k in range(6)], [half] * 6, 0)
+    assert column == ["0", "2", "2", "4", "4", "6"]
+    negative = _ratio_column([-(2 * k + 1) * 2**3000 for k in range(4)], [half] * 4, 0)
+    assert negative == ["0", "-2", "-2", "-4"]
+    # the same ties in the last of six decimal places
+    column = _ratio_column([(2 * k + 1) * 2**3000 for k in range(4)], [half * 10**6] * 4, 6)
+    assert column == ["0.000000", "0.000002", "0.000002", "0.000004"]
+    # one unit past a tie rounds up, whatever the parity
+    assert _ratio_column([2**3000 + 1], [half], 0) == ["1"]
+
+
 _COUNT = st.one_of(st.just(0), st.integers(0, 9), st.integers(2**3000, 2**3100))
 
 
@@ -373,6 +404,40 @@ def test_assessment_csv_equals_fraction_row_oracle(triples, mode, window, digits
     hi = lo + width
     text = assessment_csv(_window(counts, mode, lo, hi, max_length), digits)
     assert text == fraction_rows_csv(counts, digits, mode, lo, hi, max_length)
+
+
+@pytest.fixture(scope="module")
+def long_horizon_counts():
+    """A seeded sigma=3 pair counted to n = 1450: counts of about 2,200 bits."""
+    rng = seeded(40)
+    counts = confusion_counts(random_dfa(rng, 6, 3), random_dfa(rng, 6, 3), 1450)
+    assert min(c[1400].bit_length() for c in (counts.tp, counts.fp, counts.fn)) > 2100
+    return counts
+
+
+@pytest.mark.parametrize("digits", [0, 6, 40])
+@pytest.mark.parametrize("mode", sorted(_ASSESSMENTS))
+def test_assessment_csv_equals_the_oracle_at_bench_scale(long_horizon_counts, mode, digits):
+    # assess --mode MODE --max-length 1400 --range 700..1450
+    lo, hi, max_length = 700, 1450, 1400
+    text = assessment_csv(_window(long_horizon_counts, mode, lo, hi, max_length), digits)
+    assert text == fraction_rows_csv(long_horizon_counts, digits, mode, lo, hi, max_length)
+
+
+def test_assessment_csv_reads_stepped_and_reversed_views():
+    rng = seeded(42)
+    counts = confusion_counts(random_dfa(rng, 5, 3), random_dfa(rng, 5, 3), 20)
+    cells = [line.split(",") for line in assessment_csv(assess(counts), 4).splitlines()[1:]]
+    und = ["undefined"] * 2
+    for part in ("per_length", "cumulative"):
+        rows = getattr(assess(counts), part)
+        for view in (rows[::-1], rows[::3], rows[18:2:-4], rows[5:5]):
+            written = assessment_csv(AssessmentResult(counts, **{part: view}), 4)
+            kept = [cells[n][1:3] + und if part == "per_length" else und + cells[n][3:]
+                    for n in sorted(view.ns)]
+            assert written.splitlines()[1:] == [
+                ",".join([str(n), *row]) for n, row in zip(sorted(view.ns), kept)
+            ]
 
 
 def test_assessment_csv_of_whole_results():
