@@ -9,15 +9,16 @@ deg N <= q - 1 and deg D <= q, and by Fatou's lemma D has integer
 coefficients and constant term 1 once reduced.
 
 ``compute_ogf`` never builds a digraph.  It takes the 2q + 2 terms
-a_0..a_{2q+1} from the DP counter, runs Berlekamp-Massey modulo word-size
-primes to get the connection polynomial, and lifts it to the integers by
-CRT.  A candidate D of degree <= L <= q, L the recurrence length, with
-N = (D * a) mod z^L, is accepted only after checking in integers that
-coefficients L..2q+1 of D * a vanish.  That proves N/D is the OGF: with the
-true OGF N*/D*, the polynomial N * D* - N* * D has degree < 2q and is
-divisible by z^(2q), so it is zero.  An unlucky prime can only delay the
-answer, never change it.  The proof needs only an upper bound on q, which
-is what lets several languages share one automaton.
+a_0..a_{2q+1} from the DP counter, runs Berlekamp-Massey modulo primes
+below 2^30 (so residues are one-digit CPython ints) to get the connection
+polynomial, and lifts it to the integers by CRT.  A candidate D of degree
+<= L <= q, L the recurrence length, with N = (D * a) mod z^L, is accepted
+only after checking in integers that coefficients L..2q+1 of D * a vanish.
+That proves N/D is the OGF: with the true OGF N*/D*, the polynomial
+N * D* - N* * D has degree < 2q and is divisible by z^(2q), so it is zero.
+An unlucky prime can only delay the answer, never change it.  The proof
+needs only an upper bound on q, which is what lets several languages share
+one automaton.
 
 The result is in lowest terms without a GCD.  Let L* be the length of the
 shortest recurrence over the rationals.  The true D* taken mod p is a
@@ -27,13 +28,17 @@ Hence L = L*, and a common factor of N and D would give a shorter one.
 D(0) = 1, so D has content 1 and its sign is already the canonical one.
 
 ``count_by_class`` counts several languages at once: the traces ending in
-each of some disjoint classes of accepting states of one DFA, such as the
-true-positive, false-positive and false-negative states of the product of a
-reference and an inferred model.  One DP over the Q live states of that DFA
-sums its frontier by class at every step.  Each class's language has at most
-Q live states there, so Q stands in for q in the proof above: up to length
-2Q + 1 the DP terms are the answer, and past it each sequence is extended by
-the recurrence proved from its first 2Q + 2 terms.  Nothing is minimized.
+each of some sets of accepting states of one DFA, which may overlap, such as
+the states of the product of a reference and an inferred model that accept
+in both models, in the inferred one and in the reference.  One DP over the
+Q live states of that DFA sums its frontier by set at every step.  The
+count of any set of live states, or of the difference of two sets, is
+u^T M^n w over those same Q states, so its OGF is N/D with deg D <= Q and
+deg N < Q: Q stands in for q in the proof above.  Up to length 2Q + 1 the
+DP terms are the answer; past it each sequence is extended by the
+recurrence proved from its first 2Q + 2 terms, solved once per distinct
+nonzero prefix (equal prefixes mean equal series, and a zero prefix the
+zero series).  Nothing is minimized.
 
 ``elimination_ogf``, the reference engine, is the construction of the
 paper: node elimination on a digraph whose edges carry rational functions.
@@ -61,7 +66,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     NonIntegerCoefficientError,
@@ -215,22 +220,36 @@ def compute_ogf(d, budget: WorkBudget | None = None) -> RationalFunction:
 def count_by_class(
     d, classes, n_max, budget: WorkBudget | None = None
 ) -> list[CardinalitySequence]:
-    """Accepted-trace counts per length up to n_max, one sequence per class.
+    """Accepted-trace counts per length up to n_max, one sequence per set.
 
-    ``classes`` are disjoint sets of states that together make up
-    ``d.accepting``; a trace counts toward the class of the state it ends
-    in.  With Q the number of live states of d, the DP alone answers up to
-    length 2Q + 1; past it, each sequence is extended by its recurrence,
-    solved and proved from its first 2Q + 2 terms.  The deadline is checked
-    on every step of the DP, of Berlekamp-Massey and of the exact check.
+    ``classes`` are sets of accepting states of d, which may overlap; a
+    trace counts toward every set that holds the state it ends in.  With Q
+    the number of live states of d, the DP alone answers up to length
+    2Q + 1.  Past it, each sequence is extended by its recurrence, solved
+    and proved from its first 2Q + 2 terms; a sequence whose first terms are
+    all zero, or equal to an earlier one's, is not solved again.  The
+    deadline is checked on every step of the DP, of Berlekamp-Massey and of
+    the exact check.
     """
+    for members in classes:
+        if not d.accepting.issuperset(members):
+            raise ValueError("count_by_class counts sets of accepting states")
     budget = budget or DEFAULT_BUDGET
     check = _deadline(budget)
     q = _live_count(d)
     top = 2 * q + 1
     seqs = _dp_terms(d, classes, min(n_max, top), check("counting terms"))
     if n_max > top:
-        for terms in seqs:
+        extended = {}  # prefix -> its sequence extended to n_max
+        for i, terms in enumerate(seqs):
+            prefix = tuple(terms)
+            if prefix in extended:
+                seqs[i] = extended[prefix][:]
+                continue
+            extended[prefix] = terms
+            if not any(terms):
+                terms += [0] * (n_max - top)
+                continue
             den = _solve(terms, q, budget, check).den
             # c_0 = 1 and deg N < q, so a_n = -sum_{j>=1} c_j a_{n-j} for n >= q
             taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
@@ -270,7 +289,7 @@ def _solve(terms, q, budget, check_deadline):
     to equal the series of ``terms`` = a_0..a_{2q+1} for a language of at
     most q live states, and in lowest terms.
 
-    Berlekamp-Massey modulo word-size primes gives the connection
+    Berlekamp-Massey modulo primes below 2^30 gives the connection
     polynomial of the longest length L <= q seen, lifted to the integers by
     CRT.  A candidate D with N = (D * a) mod z^L is returned only once
     coefficients L..2q+1 of D * a are checked to vanish in integers, and
@@ -383,7 +402,7 @@ def _berlekamp_massey_mod(seq, p, check=_unbounded):
     rev = seq[::-1]
     top = len(seq) - 1
     c, b = [1], [1]
-    length, shift, b_disc = 0, 1, 1
+    length, shift, b_inv = 0, 1, 1  # b_inv: inverse of b's discrepancy
     for n in range(len(seq)):
         check()
         start = top - n  # rev[start + i] is seq[n - i]
@@ -391,13 +410,13 @@ def _berlekamp_massey_mod(seq, p, check=_unbounded):
         if disc == 0:
             shift += 1
             continue
-        coef = disc * pow(b_disc, -1, p) % p
+        coef = disc * b_inv % p
         old = c
         c = c + [0] * (len(b) + shift - len(c))
         end = shift + len(b)
         c[shift:end] = [(x - coef * y) % p for x, y in zip(c[shift:end], b)]
         if 2 * length <= n:
-            length, b, b_disc, shift = n + 1 - length, old, disc, 1
+            length, b, b_inv, shift = n + 1 - length, old, pow(disc, -1, p), 1
         else:
             shift += 1
     return c, length
@@ -444,14 +463,21 @@ def count_dp(d, n_max: int, budget: WorkBudget | None = None) -> CardinalitySequ
 
 
 def _dp_terms(d, classes, n_max, check):
-    """Per class (disjoint sets of states making up ``d.accepting``), the
-    number of traces of each length 0..n_max that end in it: one sparse
-    push DP over the live states, calling ``check`` before every step."""
+    """Per set of accepting states in ``classes`` (sets that may overlap),
+    the number of traces of each length 0..n_max that end in it: one sparse
+    push DP over the live states, calling ``check`` before every step.
+
+    The DP sums its frontier into one slot per group of states held by the
+    same sets; a set's sequence is the sum of its groups' sequences."""
     dead = d.error_states
-    cls = [len(classes)] * d.state_count  # the slot of the states in no class
+    held = {}  # state -> the indices of the sets that hold it
     for i, members in enumerate(classes):
         for q in members:
-            cls[q] = i
+            held[q] = held.get(q, ()) + (i,)
+    groups = {}  # indices of sets -> slot
+    cls = [-1] * d.state_count  # slot -1 gathers the states in no set
+    for q, sets in held.items():
+        cls[q] = groups.setdefault(sets, len(groups))
     moves = []
     for row in d.transitions:
         bundle = {}
@@ -459,7 +485,7 @@ def _dp_terms(d, classes, n_max, check):
             if t not in dead:
                 bundle[t] = bundle.get(t, 0) + 1
         moves.append(tuple(bundle.items()))
-    seqs = [[0] * (n_max + 1) for _ in range(len(classes) + 1)]
+    seqs = [[0] * (n_max + 1) for _ in range(len(groups) + 1)]
     frontier = {} if d.initial in dead else {d.initial: 1}
     for n in range(n_max):
         check()
@@ -472,4 +498,14 @@ def _dp_terms(d, classes, n_max, check):
         frontier = nxt
     for q, v in frontier.items():
         seqs[cls[q]][n_max] += v
-    return seqs[:-1]
+    out = []
+    for i in range(len(classes)):
+        mine = [seqs[slot] for sets, slot in groups.items() if i in sets]
+        if len(mine) == 1 and (i,) in groups:
+            out.append(mine[0])  # a group held by this set alone
+        else:
+            total = [0] * (n_max + 1)
+            for part in mine:
+                total = list(map(add, total, part))
+            out.append(total)
+    return out

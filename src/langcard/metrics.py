@@ -1,13 +1,15 @@
 """Accuracy measures computed from exact confusion-language counts.
 
 The counts come from one pass over the product R x H of the reference and
-the inferred model: each product state is in both models, only in H, only in
-R or in neither, and one DP sums the traces ending in the first three
-classes, giving tp, fp and fn together without minimizing anything.  With Q
-the number of product states from which an accepting one is reachable, the
-DP alone answers up to length 2Q + 1; past that, each sequence continues by
-the linear recurrence proved exact from its first 2Q + 2 terms (see
-``counting``).
+the inferred model, without minimizing anything: one DP sums the traces
+ending in the states accepting in both models (tp), in H (|L(H)|, the
+precision denominator tp + fp) and in R (|L(R)|, the recall denominator
+tp + fn).  With Q the number of product states from which an accepting one
+is reachable, the DP alone answers up to length 2Q + 1; past that, each of
+the three continues by the linear recurrence proved exact from its first
+2Q + 2 terms (see ``counting``), and fp and fn are the differences.  |L(H)|
+and |L(R)| each come from a single model, so their recurrences are far
+shorter than those of fp and fn, which are product languages.
 
 Precision and recall are exact rationals.  A 0/0 quotient is reported as the
 explicit undefined marker ``None`` rather than silently coerced to 0 or 1;
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
-from operator import add
+from operator import add, sub
 
 from .automata import confusion_product
 from .counting import coefficients, compute_ogf, count_by_class
@@ -36,16 +38,26 @@ from .counting import coefficients, compute_ogf, count_by_class
 @dataclass(frozen=True)
 class ConfusionCounts:
     """Per-length counts of true-positive, false-positive and false-negative
-    traces for one (reference, inferred) pair."""
+    traces for one (reference, inferred) pair.
+
+    ``h`` and ``r`` count the traces in the inferred and in the reference
+    language, tp + fp and tp + fn, the denominators of precision and recall;
+    they are derived from the other counts unless given."""
 
     tp: tuple[int, ...]
     fp: tuple[int, ...]
     fn: tuple[int, ...]
     alphabet_size: int
+    h: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    r: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not len(self.tp) == len(self.fp) == len(self.fn):
             raise ValueError("count sequences must share a length")
+        if self.h is None:
+            object.__setattr__(self, "h", tuple(map(add, self.tp, self.fp)))
+        if self.r is None:
+            object.__setattr__(self, "r", tuple(map(add, self.tp, self.fn)))
 
     @property
     def max_length(self):
@@ -131,24 +143,24 @@ class AssessmentResult:
 
 def confusion_counts(reference, inferred, n_max, budget=None) -> ConfusionCounts:
     """Exact tp/fp/fn sequences up to n_max, counted together in one pass
-    over the product R x H (``counting.count_by_class``)."""
-    product, classes = confusion_product(reference, inferred)
-    tp, fp, fn = count_by_class(product, classes, n_max, budget)
-    return ConfusionCounts(
-        tp=tuple(tp), fp=tuple(fp), fn=tuple(fn), alphabet_size=len(reference.alphabet)
-    )
+    over the product R x H (``counting.count_by_class``) as tp, |L(H)| and
+    |L(R)|; fp and fn are the differences."""
+    product, (tp_states, fp_states, fn_states) = confusion_product(reference, inferred)
+    sets = (tp_states, tp_states | fp_states, tp_states | fn_states)
+    tp, h, r = map(tuple, count_by_class(product, sets, n_max, budget))
+    fp, fn = tuple(map(sub, h, tp)), tuple(map(sub, r, tp))
+    return ConfusionCounts(tp, fp, fn, len(reference.alphabet), h=h, r=r)
 
 
 def _ratio_columns(counts: ConfusionCounts, ns: range, cumulative: bool):
     """Iterators over the n of ``ns`` (a range with a positive step): the
     numerator shared by precision and recall (tp) and their denominators
-    (tp + fp and tp + fn), over the traces of length n or, if
-    ``cumulative``, over those of length at most n.
+    (|L(H)| and |L(R)|), over the traces of length n or, if ``cumulative``,
+    over those of length at most n.
 
     The one definition both the ``Fraction`` rows and the CSV cells read.
     """
-    tp = counts.tp[: ns.stop]
-    p_dens, r_dens = map(add, tp, counts.fp[: ns.stop]), map(add, tp, counts.fn[: ns.stop])
+    tp, p_dens, r_dens = counts.tp[: ns.stop], counts.h[: ns.stop], counts.r[: ns.stop]
     if cumulative:
         tp, p_dens, r_dens = accumulate(tp), accumulate(p_dens), accumulate(r_dens)
     return (islice(column, ns.start, ns.stop, ns.step) for column in (tp, p_dens, r_dens))

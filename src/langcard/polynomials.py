@@ -21,9 +21,9 @@ import math
 
 from .errors import DivergentStarError
 
-# Primes just below 2**31 (products stay single-word), largest first; the
-# list grows on demand.
-_PRIMES = [2**31 - 1]
+# Primes just below 2**30, largest first, so residues are one-digit CPython
+# ints and products of two fit a machine word; the list grows on demand.
+_PRIMES = [2**30 - 35]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

@@ -9,6 +9,7 @@ traces.
 import random
 from collections import deque
 from fractions import Fraction
+from operator import mul
 
 from langcard import Alphabet, Dfa, coefficients, compute_ogf, confusion_automata
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
@@ -233,6 +234,32 @@ def minimized_confusion_counts(reference, inferred, n_max):
     return tuple(
         tuple(coefficients(compute_ogf(m), n_max)) for m in confusion_automata(reference, inferred)
     )
+
+
+def berlekamp_massey_mod_oracle(seq, p):
+    """Shortest linear recurrence of ``seq`` over GF(p) as ``(c, length)``,
+    computed as ``counting._berlekamp_massey_mod`` once did, inverting the
+    last discrepancy on every update.  Oracle for that kernel."""
+    rev = seq[::-1]
+    top = len(seq) - 1
+    c, b = [1], [1]
+    length, shift, b_disc = 0, 1, 1
+    for n in range(len(seq)):
+        start = top - n  # rev[start + i] is seq[n - i]
+        disc = sum(map(mul, c, rev[start : start + len(c)])) % p
+        if disc == 0:
+            shift += 1
+            continue
+        coef = disc * pow(b_disc, -1, p) % p
+        old = c
+        c = c + [0] * (len(b) + shift - len(c))
+        end = shift + len(b)
+        c[shift:end] = [(x - coef * y) % p for x, y in zip(c[shift:end], b)]
+        if 2 * length <= n:
+            length, b, b_disc, shift = n + 1 - length, old, disc, 1
+        else:
+            shift += 1
+    return c, length
 
 
 def seeded(seed):

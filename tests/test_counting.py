@@ -34,6 +34,7 @@ from helpers import (
     empty_language,
     enumerate_counts,
     random_dfa,
+    berlekamp_massey_mod_oracle,
     seeded,
     signature_models,
 )
@@ -263,6 +264,22 @@ def test_berlekamp_massey_mod_finds_the_shortest_recurrence():
     assert _berlekamp_massey_mod([1, 0, 0, 0], p)[1] == 1
 
 
+@pytest.mark.parametrize("p", [polynomials._PRIMES[0], 2**31 - 1, 2, 3])
+def test_berlekamp_massey_mod_matches_the_oracle(p):
+    # the first prime keeps residues in one CPython digit
+    assert polynomials._PRIMES[0] < 2**30
+    rng = seeded(61)
+    seqs = [[rng.randrange(p) for _ in range(rng.randrange(30))] for _ in range(150)]
+    # mostly zero, so most discrepancies vanish
+    seqs += [[rng.randrange(p) * (rng.random() < 0.2) for _ in range(25)] for _ in range(50)]
+    # language counts, with recurrences far shorter than the sequence
+    for _ in range(100):
+        d = random_dfa(rng, rng.randrange(1, 9), rng.randrange(1, 4))
+        seqs.append([a % p for a in count_dp(d, rng.randrange(40))])
+    for s in seqs:
+        assert _berlekamp_massey_mod(s, p) == berlekamp_massey_mod_oracle(s, p)
+
+
 def test_bm_engine_survives_unlucky_primes_and_rejected_candidates(monkeypatch):
     # {a, b, c}* d* has 1/((1 - 3z)(1 - z)) as its OGF, and its counts
     # (3^(n+1) - 1)/2 are all 1 mod 3: a shorter recurrence than over the
@@ -310,8 +327,40 @@ def test_bm_results_are_built_without_a_gcd(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(polynomials, "poly_gcd", refuse)
     assert [compute_ogf(d) for d in models] == expected
     assert count_by_class(product, classes, n_max) == oracle
+    tp, fp, fn = classes
+    assert count_by_class(product, (tp, tp | fp, tp | fn), n_max) == [
+        oracle[0],
+        count_dp(inferred, n_max),
+        count_dp(reference, n_max),
+    ]
     assert main(["count", str(model), "--max-length", "40", "--out", str(tmp_path / "c.csv")]) == 0
     assert capsys.readouterr().out == f"OGF: {expected[0]}\n"
+
+
+def test_count_by_class_counts_overlapping_sets():
+    rng = seeded(62)
+    for _ in range(40):
+        n_sym = rng.randrange(1, 4)
+        product, _ = confusion_product(random_dfa(rng, 6, n_sym), random_dfa(rng, 6, n_sym))
+        accepting = sorted(product.accepting)
+        sets = [frozenset(q for q in accepting if rng.random() < 0.5) for _ in range(4)]
+        sets += [sets[0], frozenset(), frozenset(accepting)]
+        n_max = 2 * product.state_count + 15
+        counts = count_by_class(product, sets, n_max)
+        assert counts == [
+            count_dp(Dfa(product.alphabet, product.transitions, 0, s), n_max) for s in sets
+        ]
+        # equal sets share a solve, not a list
+        assert counts[0] is not counts[4]
+        counts[4].append(0)
+        assert len(counts[0]) == n_max + 1
+
+
+def test_count_by_class_refuses_a_set_of_rejecting_states():
+    d = all_accepting(2).intersect(to_dfa(seq(sym("a")), ("a", "b")))
+    rejecting = frozenset(range(d.state_count)) - d.accepting
+    with pytest.raises(ValueError, match="sets of accepting states"):
+        count_by_class(d, (d.accepting, rejecting), 10)
 
 
 def test_bm_engine_on_a_large_four_letter_model():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langcard import Alphabet, Dfa, confusion_automata, confusion_product, counting
-from langcard.counting import coefficients, count_dp, elimination_ogf
+from langcard.counting import coefficients, compute_ogf, count_dp, elimination_ogf
 from langcard.metrics import (
     AssessmentResult,
     AssessmentRow,
@@ -25,6 +25,8 @@ from langcard.regexes import EPSILON, seq, sym, to_dfa
 
 from helpers import (
     all_accepting,
+    doubled,
+    empty_language,
     fraction_rows_csv,
     minimized_confusion_counts,
     random_dfa,
@@ -150,15 +152,26 @@ def test_one_pass_counts_keep_the_partition_identities_past_the_dp():
 
 
 def _counting_solves(monkeypatch):
+    """Record the terms and the bound Q every solve receives, and the
+    denominator it returns."""
     solved = []
     solve = counting._solve
 
-    def recording(*args):
-        solved.append(args[1])
-        return solve(*args)
+    def recording(terms, q, *rest):
+        given = tuple(terms)  # the pass extends the list once solved
+        f = solve(terms, q, *rest)
+        solved.append((given, q, f.den))
+        return f
 
     monkeypatch.setattr(counting, "_solve", recording)
     return solved
+
+
+def _expected_solves(r, h, q):
+    """One solve per distinct nonzero prefix a_0..a_{2Q+1} among tp, |L(H)|
+    and |L(R)|, in that order, each receiving Q."""
+    prefixes = [tuple(count_dp(m, 2 * q + 1)) for m in (r.intersect(h), h, r)]
+    return [(p, q) for p in dict.fromkeys(prefixes) if any(p)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -172,7 +185,9 @@ def test_counts_agree_on_both_sides_of_the_branch_point(monkeypatch, k):
     dp_only = confusion_counts(r, h, 2 * k + 1)
     assert solved == []
     recurrence = confusion_counts(r, h, 2 * k + 2)
-    assert solved == [k] * 3
+    # tp is |L(H)|, and for k = 1 also |L(R)|: one solve, or two
+    assert [(terms, bound) for terms, bound, _ in solved] == _expected_solves(r, h, k)
+    assert len(solved) == (1 if k == 1 else 2)
     tp = tuple(2**n if n % k == 0 else 0 for n in range(2 * k + 3))
     fn = tuple(2**n - t for n, t in enumerate(tp))
     assert (recurrence.tp, recurrence.fp, recurrence.fn) == (tp, (0,) * (2 * k + 3), fn)
@@ -189,12 +204,68 @@ def test_random_counts_agree_on_both_sides_of_the_branch_point(monkeypatch):
         r = random_dfa(rng, rng.randrange(1, 7), n_sym)
         h = random_dfa(rng, rng.randrange(1, 7), n_sym)
         q = live_product_states(r, h)
+        solved.clear()
         dp_only = confusion_counts(r, h, 2 * q + 1)
+        assert solved == []
         recurrence = confusion_counts(r, h, 2 * q + 2)
+        assert [(terms, bound) for terms, bound, _ in solved] == _expected_solves(r, h, q)
         expected = [count_dp(m, 2 * q + 2) for m in confusion_automata(r, h)]
         assert [list(s) for s in (recurrence.tp, recurrence.fp, recurrence.fn)] == expected
         assert [list(s) for s in (dp_only.tp, dp_only.fp, dp_only.fn)] == [e[:-1] for e in expected]
-    assert len(solved) == 90
+
+
+def _subset_pair(rng):
+    r = random_dfa(rng, 6, 2)
+    return r, r.intersect(random_dfa(rng, 4, 2))
+
+
+def _superset_pair(rng):
+    r = random_dfa(rng, 6, 2)
+    return r, r.union(random_dfa(rng, 4, 2))
+
+
+def _equal_pair(rng):
+    r = random_dfa(rng, 6, 3)
+    return r, doubled(r)  # the same language with twice the states
+
+
+def _random_pair(rng, n_sym=3):
+    return random_dfa(rng, rng.randrange(1, 8), n_sym), random_dfa(rng, rng.randrange(1, 8), n_sym)
+
+
+EDGE_PAIRS = {
+    "H in R": _subset_pair,
+    "R in H": _superset_pair,
+    "H = R": _equal_pair,
+    "empty H": lambda rng: (random_dfa(rng, 6, 2), empty_language(2)),
+    "empty R": lambda rng: (empty_language(2), random_dfa(rng, 6, 2)),
+    "both empty": lambda rng: (empty_language(3), empty_language(3)),
+    "one symbol": lambda rng: _random_pair(rng, 1),
+    "random": _random_pair,
+}
+
+
+@pytest.mark.parametrize("case", EDGE_PAIRS)
+def test_counts_past_the_branch_point_on_edge_pairs(monkeypatch, case):
+    rng = seeded(45)
+    solved = _counting_solves(monkeypatch)
+    for _ in range(8):
+        r, h = EDGE_PAIRS[case](rng)
+        q = live_product_states(r, h)
+        n_max = 2 * q + 25
+        solved.clear()
+        c = confusion_counts(r, h, n_max)
+        assert [(terms, bound) for terms, bound, _ in solved] == _expected_solves(r, h, q)
+        tp, fp, fn = r.intersect(h), h.intersect(r.complement()), r.intersect(h.complement())
+        assert [list(s) for s in (c.tp, c.fp, c.fn)] == [count_dp(m, n_max) for m in (tp, fp, fn)]
+        assert (c.h, c.r) == (tuple(count_dp(h, n_max)), tuple(count_dp(r, n_max)))
+        # each recurrence is the canonical one of its language, whatever
+        # automaton it was counted on
+        dens = {terms: den for terms, _, den in solved}
+        for m in (tp, h, r):
+            prefix = tuple(count_dp(m, 2 * q + 1))
+            if any(prefix):
+                assert dens[prefix] == compute_ogf(m).den
 
 
 def test_single_length_signature_precision():
