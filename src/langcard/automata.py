@@ -184,24 +184,21 @@ def _product_table(a, b):
     """Reachable part of ``a`` x ``b``: transition rows over pair ids (the
     start pair is 0, pairs numbered in BFS order) and the pair of each id."""
     _check_alphabets(a, b)
-    start = (a.initial, b.initial)
-    ids = {start: 0}
-    order = [start]
-    todo = deque([start])
-    while todo:
-        pair = todo.popleft()
-        qa, qb = pair
-        for s in a.alphabet:
-            nxt = (a.transitions[qa][s], b.transitions[qb][s])
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-                todo.append(nxt)
+    width = b.state_count  # the pair (qa, qb) is keyed qa * width + qb
+    rows_a, rows_b = a.transitions, b.transitions
+    ids = {a.initial * width + b.initial: 0}
+    order = [(a.initial, b.initial)]
     rows = []
-    for qa, qb in order:
-        rows.append(
-            tuple(ids[(a.transitions[qa][s], b.transitions[qb][s])] for s in a.alphabet)
-        )
+    for qa, qb in order:  # grows while it is walked
+        row = []
+        for ta, tb in zip(rows_a[qa], rows_b[qb]):
+            key = ta * width + tb
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(order)
+                order.append((ta, tb))
+            row.append(i)
+        rows.append(tuple(row))
     return tuple(rows), order
 
 
@@ -216,9 +213,8 @@ def _product(a, b, combine):
 
 def _minimize(d):
     # Hopcroft partition refinement on the reachable part (Hopcroft 1971;
-    # Valmari & Lehtinen, STACS 2008), then canonical renumbering by BFS
-    # from the initial state so that equal languages give structurally
-    # equal automata.
+    # Valmari & Lehtinen, STACS 2008), then the canonical numbering of
+    # ``canonical_dfa`` so that equal languages give equal automata.
     rows = d.transitions
     symbols = range(len(d.alphabet))
     reachable = d.reachable_states()
@@ -259,31 +255,37 @@ def _minimize(d):
                 half = new if b in waiting or len(hit) <= len(block) else b
                 pending.append(half)
                 waiting.add(half)
-    # BFS over classes, visiting symbols in id order
-    rep = {}
+    class_rows = [None] * len(blocks)
     for q in reachable:
-        rep.setdefault(cls[q], q)
-    start = cls[d.initial]
-    ids = {start: 0}
-    order = [start]
-    todo = deque([start])
-    while todo:
-        c = todo.popleft()
-        q = rep[c]
-        for s in symbols:
-            t = cls[rows[q][s]]
-            if t not in ids:
-                ids[t] = len(order)
+        c = cls[q]
+        if class_rows[c] is None:
+            class_rows[c] = [cls[t] for t in rows[q]]
+    accepting = {cls[q] for q in reachable if q in d.accepting}
+    return canonical_dfa(d.alphabet, class_rows, cls[d.initial], accepting)
+
+
+def canonical_dfa(alpha: Alphabet, rows, initial, accepting) -> Dfa:
+    """The part of the automaton ``rows`` (``rows[q][s]``: the successor of
+    state ``q`` on symbol ``s``) reachable from ``initial``, renumbered in
+    BFS order from it, symbols visited in id order.
+
+    When no two of its states accept the same language, equal languages
+    give equal automata: this is the numbering of every minimal DFA.
+    """
+    ids = [-1] * len(rows)
+    ids[initial] = 0
+    order = [initial]
+    out = []
+    for q in order:  # grows while it is walked
+        row = []
+        for t in rows[q]:
+            i = ids[t]
+            if i < 0:
+                i = ids[t] = len(order)
                 order.append(t)
-                todo.append(t)
-    out_rows = []
-    accepting = set()
-    for c in order:
-        q = rep[c]
-        out_rows.append(tuple(ids[cls[t]] for t in rows[q]))
-        if q in d.accepting:
-            accepting.add(ids[c])
-    return Dfa(d.alphabet, tuple(out_rows), 0, frozenset(accepting))
+            row.append(i)
+        out.append(tuple(row))
+    return Dfa(alpha, tuple(out), 0, frozenset(ids[q] for q in accepting if ids[q] >= 0))
 
 
 def subset_construction(alpha: Alphabet, start, step, is_accepting) -> Dfa:

@@ -271,7 +271,7 @@ def _deadline(budget):
             if time.monotonic() > deadline:
                 raise ResourceLimitError(
                     f"{stage}: generating-function computation exceeded "
-                    f"{budget.time_limit_s:.0f} s"
+                    f"{budget.time_limit_s} s"
                 )
 
         return check

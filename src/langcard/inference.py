@@ -6,8 +6,17 @@ most k coincide, which may introduce nondeterminism, so the quotient is
 determinized and minimized before being returned.  Merging is confined to
 tree states: the completion sink never joins a class.
 
-With k larger than the longest training trace no proper generalization is
-possible and the inferred language is exactly the training set.
+With k at least the longest training trace, each state's tails are all of
+its accepting suffixes, its right language: no proper generalization is
+possible, the inferred language is exactly the training set, and the
+quotient is already its minimal DFA.  That model is built in one pass over
+the tree instead (Revuz, TCS 1992; Daciuk et al., CL 2000): nodes are taken
+in reverse id order, children before parents, and each gets the class of
+its signature, whether it accepts and the class of its child on each
+symbol (the sink's class for a missing child).  Two nodes share a class
+exactly when their right languages are equal, so the classes plus the sink
+are the minimal DFA, numbered like every minimized model by
+``automata.canonical_dfa``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, Trace, build_dfa, subset_construction
+from .automata import Alphabet, Dfa, Trace, build_dfa, canonical_dfa, subset_construction
 from .baselines import RandomWalkConfig, _walk, _WalkTables, derive_rng
 from .errors import ResourceLimitError
 
@@ -79,6 +88,26 @@ class _Trie:
             sets[node] = frozenset(tails)
         return sets
 
+    def minimal_dfa(self, alpha: Alphabet) -> Dfa:
+        """The minimal DFA of the training set, one class per distinct
+        right language of the tree (module docstring)."""
+        symbols = range(len(alpha))
+        rows = [(0,) * len(alpha)]  # class 0 is the sink
+        accepting = set()
+        register = {}  # signature -> class
+        cls = [0] * (len(self.children) + 1)  # cls[-1], a missing child's, stays 0
+        for node in range(len(self.children) - 1, -1, -1):
+            kids = self.children[node]
+            signature = (node in self.accepting, *[cls[kids.get(s, -1)] for s in symbols])
+            c = register.get(signature)
+            if c is None:
+                c = register[signature] = len(rows)
+                rows.append(signature[1:])
+                if signature[0]:
+                    accepting.add(c)
+            cls[node] = c
+        return canonical_dfa(alpha, rows, cls[0], accepting)
+
 
 def build_pta(ts: TrainingSet) -> Dfa:
     """Prefix tree acceptor, completed with a sink; accepts exactly the
@@ -95,6 +124,8 @@ def build_pta(ts: TrainingSet) -> Dfa:
 def k_tails(ts: TrainingSet, cfg: InferenceConfig) -> Dfa:
     """Infer a DFA by merging same-tail prefix-tree states."""
     trie = _Trie(ts)
+    if cfg.k >= ts.max_trace_length:
+        return trie.minimal_dfa(ts.alphabet)
     tails = trie.tails(cfg.k)
     classes = {}
     cls = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
@@ -35,29 +35,61 @@ from .automata import confusion_product
 from .counting import coefficients, compute_ogf, count_by_class
 
 
-@dataclass(frozen=True)
 class ConfusionCounts:
     """Per-length counts of true-positive, false-positive and false-negative
-    traces for one (reference, inferred) pair.
+    traces for one (reference, inferred) pair; immutable.
 
     ``h`` and ``r`` count the traces in the inferred and in the reference
-    language, tp + fp and tp + fn, the denominators of precision and recall;
-    they are derived from the other counts unless given."""
+    language, tp + fp and tp + fn, the denominators of precision and recall.
+    Built from (tp, fp, fn), or from (tp, h, r) by ``from_denominators``; the
+    other two sequences are derived the first time they are read.
+    """
 
-    tp: tuple[int, ...]
-    fp: tuple[int, ...]
-    fn: tuple[int, ...]
-    alphabet_size: int
-    h: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    r: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not len(self.tp) == len(self.fp) == len(self.fn):
+    def __init__(self, tp, fp, fn, alphabet_size):
+        if not len(tp) == len(fp) == len(fn):
             raise ValueError("count sequences must share a length")
-        if self.h is None:
-            object.__setattr__(self, "h", tuple(map(add, self.tp, self.fp)))
-        if self.r is None:
-            object.__setattr__(self, "r", tuple(map(add, self.tp, self.fn)))
+        vars(self).update(tp=tp, fp=fp, fn=fn, alphabet_size=alphabet_size)
+
+    @classmethod
+    def from_denominators(cls, tp, h, r, alphabet_size):
+        if not len(tp) == len(h) == len(r):
+            raise ValueError("count sequences must share a length")
+        counts = cls.__new__(cls)
+        vars(counts).update(tp=tp, h=h, r=r, alphabet_size=alphabet_size)
+        return counts
+
+    @cached_property
+    def fp(self):
+        return tuple(map(sub, self.h, self.tp))
+
+    @cached_property
+    def fn(self):
+        return tuple(map(sub, self.r, self.tp))
+
+    @cached_property
+    def h(self):
+        return tuple(map(add, self.tp, self.fp))
+
+    @cached_property
+    def r(self):
+        return tuple(map(add, self.tp, self.fn))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self):
+        return self.tp, self.fp, self.fn, self.alphabet_size
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "ConfusionCounts(tp={!r}, fp={!r}, fn={!r}, alphabet_size={!r})".format(*self._key())
 
     @property
     def max_length(self):
@@ -144,12 +176,11 @@ class AssessmentResult:
 def confusion_counts(reference, inferred, n_max, budget=None) -> ConfusionCounts:
     """Exact tp/fp/fn sequences up to n_max, counted together in one pass
     over the product R x H (``counting.count_by_class``) as tp, |L(H)| and
-    |L(R)|; fp and fn are the differences."""
+    |L(R)|; fp and fn are the differences, taken when first read."""
     product, (tp_states, fp_states, fn_states) = confusion_product(reference, inferred)
     sets = (tp_states, tp_states | fp_states, tp_states | fn_states)
     tp, h, r = map(tuple, count_by_class(product, sets, n_max, budget))
-    fp, fn = tuple(map(sub, h, tp)), tuple(map(sub, r, tp))
-    return ConfusionCounts(tp, fp, fn, len(reference.alphabet), h=h, r=r)
+    return ConfusionCounts.from_denominators(tp, h, r, len(reference.alphabet))
 
 
 def _ratio_columns(counts: ConfusionCounts, ns: range, cumulative: bool):

@@ -448,9 +448,11 @@ def kleene_star(f):
 
 
 def format_rational(f, var="z"):
-    """Render as ``N / D`` with ascending powers, e.g. ``1 / (1 - 2z)``."""
-    num = format_poly(f.num, var)
-    den = format_poly(f.den, var)
-    if len(f.den.coeffs) > 1:
-        den = f"({den})"
-    return f"{num} / {den}"
+    """Render as ``N / D`` with ascending powers, e.g. ``(1 - z) / (1 - 2z)``;
+    a side of more than one term is parenthesized."""
+
+    def side(p):
+        text = format_poly(p, var)
+        return f"({text})" if sum(1 for c in p.coeffs if c) > 1 else text
+
+    return f"{side(f.num)} / {side(f.den)}"

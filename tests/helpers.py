@@ -262,5 +262,29 @@ def berlekamp_massey_mod_oracle(seq, p):
     return c, length
 
 
+def product_table_oracle(a, b):
+    """Reachable part of ``a`` x ``b`` the way ``automata._product_table``
+    once built it: pairs keyed as tuples, a queue for the BFS, and the rows
+    filled in after it.  Oracle for that function."""
+    start = (a.initial, b.initial)
+    ids = {start: 0}
+    order = [start]
+    todo = deque([start])
+    while todo:
+        qa, qb = todo.popleft()
+        for s in a.alphabet:
+            nxt = (a.transitions[qa][s], b.transitions[qb][s])
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+                todo.append(nxt)
+    rows = []
+    for qa, qb in order:
+        rows.append(
+            tuple(ids[(a.transitions[qa][s], b.transitions[qb][s])] for s in a.alphabet)
+        )
+    return tuple(rows), order
+
+
 def seeded(seed):
     return random.Random(seed)

@@ -22,6 +22,7 @@ from helpers import (
     all_accepting,
     enumerate_counts,
     moore_minimize,
+    product_table_oracle,
     random_dfa,
     random_trace,
     seeded,
@@ -165,6 +166,16 @@ def test_product_membership_oracle():
         t = random_trace(rng, 3)
         assert inter.accepts(t) == (a.accepts(t) and b.accepts(t))
         assert union.accepts(t) == (a.accepts(t) or b.accepts(t))
+
+
+def test_product_table_matches_the_tuple_keyed_oracle():
+    rng = seeded(12)
+    for _ in range(300):
+        n_sym = rng.randint(1, 3)
+        a = random_dfa(rng, rng.randint(1, 15), n_sym)
+        b = random_dfa(rng, rng.randint(1, 15), n_sym)
+        a = Dfa(a.alphabet, a.transitions, rng.randrange(a.state_count), a.accepting)
+        assert automata._product_table(a, b) == product_table_oracle(a, b)
 
 
 def test_alphabet_mismatch():

@@ -252,6 +252,12 @@ def test_deadline_is_checked_inside_every_bm_stage(monkeypatch, stage):
     assert len(readings) == jump + 1  # the first late reading raised
 
 
+def test_deadline_message_gives_the_limit_as_configured(monkeypatch):
+    _clock_jumping_after(monkeypatch, 1)
+    with pytest.raises(ResourceLimitError, match=r"exceeded 0\.05 s$"):
+        compute_ogf(all_accepting(2), WorkBudget(time_limit_s=0.05))
+
+
 def test_berlekamp_massey_mod_finds_the_shortest_recurrence():
     p = 2147483647
     # Fibonacci: a_n = a_{n-1} + a_{n-2}

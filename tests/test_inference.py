@@ -1,6 +1,6 @@
 import pytest
 
-from langcard import Alphabet
+from langcard import Alphabet, serialize_dfa
 from langcard.baselines import RandomWalkConfig
 from langcard.inference import (
     InferenceConfig,
@@ -73,6 +73,39 @@ def test_k_tails_with_large_k_returns_exactly_the_training_set():
         max_len = max((len(t) for t in traces), default=0)
         inferred = k_tails(ts, InferenceConfig(k=max_len + 1))
         assert enumerate_language(inferred, max_len + 1) == set(traces)
+
+
+def test_k_tails_from_the_longest_trace_up_is_the_minimized_prefix_tree():
+    rng = seeded(64)
+    for case in range(300):
+        n_sym = 1 + case % 3
+        alpha = Alphabet(("a", "b", "c")[:n_sym])
+        if case % 25 == 0:
+            traces = ((),) * rng.randint(1, 3)  # only the empty trace
+        else:
+            traces = [
+                tuple(rng.randrange(n_sym) for _ in range(rng.randrange(rng.choice((3, 9)))))
+                for _ in range(rng.randint(1, 8))
+            ]
+            traces += [rng.choice(traces) for _ in range(rng.randrange(3))]  # duplicates
+            if rng.random() < 0.3:
+                traces.append(())
+        ts = TrainingSet(tuple(traces), alpha)
+        expected = serialize_dfa(build_pta(ts).minimize())
+        longest = ts.max_trace_length
+        for k in {max(longest, 1), longest + 1, longest + 40}:
+            assert serialize_dfa(k_tails(ts, InferenceConfig(k=k))) == expected
+
+
+def test_k_tails_at_the_longest_trace_builds_no_tail_sets(monkeypatch):
+    ts = training(["a", "b"], ["b"], [])
+    expected = serialize_dfa(build_pta(ts).minimize())
+
+    def tails(self, k):
+        raise AssertionError("tail sets built")
+
+    monkeypatch.setattr(_Trie, "tails", tails)
+    assert serialize_dfa(k_tails(ts, InferenceConfig(k=2))) == expected
 
 
 def test_k_tails_never_drops_training_traces():

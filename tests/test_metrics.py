@@ -277,6 +277,19 @@ def test_single_length_signature_precision():
             assert row.recall == 1
 
 
+def test_counts_from_denominators_equal_the_counts_they_imply():
+    by_class = ConfusionCounts((1, 2, 0), (0, 3, 4), (5, 0, 6), 2)
+    by_denominator = ConfusionCounts.from_denominators((1, 2, 0), (1, 5, 4), (6, 2, 6), 2)
+    assert by_denominator == by_class and hash(by_denominator) == hash(by_class)
+    assert (by_denominator.fp, by_denominator.fn) == (by_class.fp, by_class.fn)
+    assert (by_class.h, by_class.r) == (by_denominator.h, by_denominator.r)
+    assert repr(by_denominator) == "ConfusionCounts(tp=(1, 2, 0), fp=(0, 3, 4), fn=(5, 0, 6), alphabet_size=2)"
+    with pytest.raises(AttributeError):
+        by_class.tp = (0, 0, 0)
+    with pytest.raises(ValueError):
+        ConfusionCounts.from_denominators((1,), (1, 2), (1,), 2)
+
+
 def test_single_length_zero_over_zero_is_undefined():
     c = ConfusionCounts(tp=(0,), fp=(0,), fn=(0,), alphabet_size=2)
     row = single_length_assessment(c).per_length[0]

@@ -151,4 +151,12 @@ def test_formatting():
     assert str(geo2) == "1 / (1 - 2z)"
     assert format_rational(RationalFunction.from_int(0)) == "0 / 1"
     poly = RationalFunction(Polynomial([1, 0, -3, 1]))
-    assert str(poly) == "1 - 3z^2 + z^3 / 1"
+    assert str(poly) == "(1 - 3z^2 + z^3) / 1"
+
+
+def test_formatting_parenthesizes_a_numerator_of_several_terms():
+    f = RationalFunction(Polynomial([1, -1]), Polynomial([1, -2, -1]))
+    assert format_rational(f) == "(1 - z) / (1 - 2z - z^2)"
+    single = RationalFunction(Polynomial([0, 0, -3]), Polynomial([1, -1]))
+    assert format_rational(single) == "-3z^2 / (1 - z)"
+    assert format_rational(RationalFunction(Polynomial([0, 2]))) == "2z / 1"
