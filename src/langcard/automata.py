@@ -18,8 +18,9 @@ from .errors import AlphabetMismatchError, ModelParseError, SizeGuardError
 
 Trace = tuple[int, ...]
 
-# the most states a model file may declare; parse_dfa refuses a larger
-# ``states:`` header before it allocates a row per state
+# the most states a model file may declare, and the most reachable pairs a
+# product may have; parse_dfa refuses a larger ``states:`` header before it
+# allocates a row per state, and _product_table a larger product
 MAX_STATES = 100_000
 
 
@@ -182,10 +183,15 @@ def _check_alphabets(a, b):
 
 def _product_table(a, b):
     """Reachable part of ``a`` x ``b``: transition rows over pair ids (the
-    start pair is 0, pairs numbered in BFS order) and the pair of each id."""
+    start pair is 0, pairs numbered in BFS order) and the pair of each id.
+
+    Refuses (``SizeGuardError``) a product of more than ``MAX_STATES``
+    pairs when it numbers the first pair past the cap, so nothing larger
+    is ever built."""
     _check_alphabets(a, b)
     width = b.state_count  # the pair (qa, qb) is keyed qa * width + qb
     rows_a, rows_b = a.transitions, b.transitions
+    cap = MAX_STATES
     ids = {a.initial * width + b.initial: 0}
     order = [(a.initial, b.initial)]
     rows = []
@@ -195,7 +201,14 @@ def _product_table(a, b):
             key = ta * width + tb
             i = ids.get(key)
             if i is None:
-                i = ids[key] = len(order)
+                i = len(order)
+                if i == cap:
+                    raise SizeGuardError(
+                        f"the product of a {a.state_count}-state and a "
+                        f"{b.state_count}-state model has more than {cap} "
+                        "reachable states"
+                    )
+                ids[key] = i
                 order.append((ta, tb))
             row.append(i)
         rows.append(tuple(row))

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from decimal import Decimal
 from typing import NamedTuple
 
 from . import __version__
@@ -305,12 +306,15 @@ def _cmd_assess(args):
 
 def _cmd_count(args):
     model = _load_model(args.model)
+    budget = _budget_from_env()
     extra = {}
     if args.oracle == "dp":
-        counts = count_dp(model, args.max_length, _budget_from_env())
+        counts = count_dp(model, args.max_length, budget)
     else:
-        ogf = compute_ogf(model, _budget_from_env())
-        counts = coefficients(ogf, args.max_length)
+        ogf = compute_ogf(model, budget)
+        # Decimals, whose text is linear in their length where an int's is
+        # quadratic
+        counts = coefficients(ogf, args.max_length, budget, number=Decimal)
         extra["ogf"] = str(ogf)
         print(f"OGF: {ogf}")
     return _Output(

@@ -55,17 +55,27 @@ Coefficients come out of the rational function through the linear recurrence
 
     a_n = (b_n - sum_{j=1..n} c_j a_{n-j}) / c_0
 
-with b and c the numerator and denominator coefficients.  ``count_dp`` is
-the DP alone, the sparse push over the transition table that every engine
-reads its terms from.  The test suite checks the engines against each other
-and against counts taken by enumerating traces.
+with b and c the numerator and denominator coefficients.  The terms are
+ints, or ``decimal.Decimal``s for counts that are to be written out: a
+Decimal's text takes time linear in its length, an int's quadratic time.
+Decimals are computed under an exact context (``decimal``'s largest
+precision and exponent range, with ``Inexact``, ``Rounded`` and
+``InvalidOperation`` trapped), so a result that would be rounded raises
+instead.  Every recurrence extension, here and in ``count_by_class``, checks
+the deadline once per 64 terms, under the stage name "extending".
+``count_dp`` is the DP alone, the sparse push over the transition table that
+every engine reads its terms from.  The test suite checks the engines
+against each other and against counts taken by enumerating traces.
 """
 
 from __future__ import annotations
 
+import contextlib
+import decimal
 import heapq
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from operator import add, mul
 
 from .errors import (
@@ -229,13 +239,15 @@ def count_by_class(
     and proved from its first 2Q + 2 terms; a sequence whose first terms are
     all zero, or equal to an earlier one's, is not solved again.  The
     deadline is checked on every step of the DP, of Berlekamp-Massey and of
-    the exact check.
+    the exact check, and once per ``_STEPS_PER_CHECK`` steps of each
+    extension.
     """
     for members in classes:
         if not d.accepting.issuperset(members):
             raise ValueError("count_by_class counts sets of accepting states")
     budget = budget or DEFAULT_BUDGET
     check = _deadline(budget)
+    check_extending = check("extending")
     q = _live_count(d)
     top = 2 * q + 1
     seqs = _dp_terms(d, classes, min(n_max, top), check("counting terms"))
@@ -253,12 +265,26 @@ def count_by_class(
             den = _solve(terms, q, budget, check).den
             # c_0 = 1 and deg N < q, so a_n = -sum_{j>=1} c_j a_{n-j} for n >= q
             taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
-            for n in range(top + 1, n_max + 1):
-                a = 0
-                for j, c in taps:
-                    a -= c * terms[n - j]
-                terms.append(a)
+            for block in _blocks(top + 1, n_max + 1, check_extending):
+                for n in block:
+                    a = 0
+                    for j, c in taps:
+                        a -= c * terms[n - j]
+                    terms.append(a)
     return seqs
+
+
+# the deadline is read once per this many steps of a recurrence extension:
+# a reading per step would cost more than 1% of a long-horizon ``assess``
+_STEPS_PER_CHECK = 64
+
+
+def _blocks(start, stop, check):
+    """``range(start, stop)`` in consecutive ranges of ``_STEPS_PER_CHECK``
+    steps, calling ``check`` before each."""
+    for first in range(start, stop, _STEPS_PER_CHECK):
+        check()
+        yield range(first, min(first + _STEPS_PER_CHECK, stop))
 
 
 def _deadline(budget):
@@ -422,31 +448,58 @@ def _berlekamp_massey_mod(seq, p, check=_unbounded):
     return c, length
 
 
-def coefficients(f: RationalFunction, n_max: int) -> CardinalitySequence:
-    """First n_max+1 series coefficients of f via the linear recurrence."""
+# the context of ``coefficients``'s Decimal arithmetic: as many digits as
+# the module allows, and a trap on any result that would be rounded, so a
+# Decimal count is exact or not made at all
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
+
+
+def coefficients(
+    f: RationalFunction, n_max: int, budget: WorkBudget | None = None, number=int
+) -> CardinalitySequence:
+    """First n_max+1 series coefficients of f via the linear recurrence.
+
+    The terms are of type ``number``: ``int``, or ``decimal.Decimal`` for
+    counts that are to be written out, since a Decimal's text takes time
+    linear in its length and an int's quadratic time.  Decimals are
+    computed under ``_EXACT``, which traps ``Inexact``, ``Rounded`` and
+    ``InvalidOperation``: each term is the exact integer or an exception.
+    The deadline of ``budget`` is checked every ``_STEPS_PER_CHECK`` terms.
+    """
     c = f.den.coeffs
     if not c or c[0] == 0:
         raise ZeroConstantDenominatorError(
             "series extraction needs a nonzero constant term in the denominator"
         )
-    b = f.num.coeffs
-    c0 = c[0]
-    # ``out`` starts with d zeros standing for the coefficients before z^0,
-    # so coefficient n - j sits at out[n + d - j] and no tap needs a bound
-    d = len(c) - 1
-    taps = [(d - j, cj) for j, cj in enumerate(c) if j and cj]
-    out = [0] * d
-    for n in range(n_max + 1):
-        s = b[n] if n < len(b) else 0
-        for offset, cj in taps:
-            s -= cj * out[n + offset]
-        if c0 != 1:
-            s, r = divmod(s, c0)
-            if r:
-                raise NonIntegerCoefficientError(
-                    f"coefficient {n} is not an integer; not a language series?"
-                )
-        out.append(s)
+    check = _deadline(budget or DEFAULT_BUDGET)("extending")
+    exact = decimal.localcontext(_EXACT) if number is Decimal else contextlib.nullcontext()
+    with exact:
+        b = list(map(number, f.num.coeffs))
+        c0 = number(c[0])
+        zero = number(0)
+        # ``out`` starts with d zeros standing for the coefficients before
+        # z^0, so coefficient n - j sits at out[n + d - j] and no tap needs a
+        # bound
+        d = len(c) - 1
+        taps = [(d - j, number(cj)) for j, cj in enumerate(c) if j and cj]
+        out = [zero] * d
+        for block in _blocks(0, n_max + 1, check):
+            for n in block:
+                s = b[n] if n < len(b) else zero
+                for offset, cj in taps:
+                    s -= cj * out[n + offset]
+                if c0 != 1:
+                    s, r = divmod(s, c0)
+                    if r:
+                        raise NonIntegerCoefficientError(
+                            f"coefficient {n} is not an integer; not a language series?"
+                        )
+                out.append(s)
     return out[d:]
 
 

@@ -19,6 +19,15 @@ CSV is rendered from the integer counts directly, since its text depends on
 nothing else.  It is built a column at a time: one exact round-half-even
 division per cell, and the text of each distinct rounded value formatted once
 per column (long horizons converge, so most cells repeat a value).
+
+A column is constant when tp equals its denominator at every length it
+covers: the precision of a model whose language lies inside the
+reference's (the exact k-tails model always does), or the recall of one
+whose language contains it.  Such a column is exactly 1 wherever its
+denominator (for a cumulative column, the running sum) is nonzero and
+``undefined`` elsewhere, so it is written with no division and no running
+sum.  One tuple comparison per column decides, and it stops at the first
+length that differs, so a pair without inclusion pays next to nothing.
 """
 
 from __future__ import annotations
@@ -130,13 +139,11 @@ class AssessmentRows(Sequence):
 
     @cached_property
     def _rows(self):
-        nums, p_dens, r_dens = map(
-            list, _ratio_columns(self.counts, range(max(self.ns, default=-1) + 1), self.cumulative)
-        )
-        return [
-            AssessmentRow(n, _fraction(nums[n], p_dens[n]), _fraction(nums[n], r_dens[n]))
-            for n in self.ns
-        ]
+        counts, upto = self.counts, range(max(self.ns, default=-1) + 1)
+        precision = map(_fraction, *_ratios(counts.tp, counts.h, upto, self.cumulative))
+        recall = map(_fraction, *_ratios(counts.tp, counts.r, upto, self.cumulative))
+        values = list(zip(precision, recall))
+        return [AssessmentRow(n, *values[n]) for n in self.ns]
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -183,18 +190,18 @@ def confusion_counts(reference, inferred, n_max, budget=None) -> ConfusionCounts
     return ConfusionCounts.from_denominators(tp, h, r, len(reference.alphabet))
 
 
-def _ratio_columns(counts: ConfusionCounts, ns: range, cumulative: bool):
-    """Iterators over the n of ``ns`` (a range with a positive step): the
-    numerator shared by precision and recall (tp) and their denominators
-    (|L(H)| and |L(R)|), over the traces of length n or, if ``cumulative``,
-    over those of length at most n.
+def _ratios(nums, dens, ns: range, cumulative: bool):
+    """Iterators over num and den at the n of ``ns`` (a range with a
+    positive step), over the traces of length n or, if ``cumulative``, over
+    those of length at most n.  ``nums`` is tp and ``dens`` |L(H)| for
+    precision, |L(R)| for recall.
 
     The one definition both the ``Fraction`` rows and the CSV cells read.
     """
-    tp, p_dens, r_dens = counts.tp[: ns.stop], counts.h[: ns.stop], counts.r[: ns.stop]
+    nums, dens = nums[: ns.stop], dens[: ns.stop]
     if cumulative:
-        tp, p_dens, r_dens = accumulate(tp), accumulate(p_dens), accumulate(r_dens)
-    return (islice(column, ns.start, ns.stop, ns.step) for column in (tp, p_dens, r_dens))
+        nums, dens = accumulate(nums), accumulate(dens)
+    return islice(nums, ns.start, ns.stop, ns.step), islice(dens, ns.start, ns.stop, ns.step)
 
 
 def _fraction(num, den):
@@ -286,11 +293,31 @@ def _text_columns(counts: ConfusionCounts, rows: AssessmentRows | None, stop: in
         ascending = rows.ns if rows.ns.step > 0 else rows.ns[::-1]
         window = slice(ascending.start, ascending.stop, ascending.step)
         # one pass per column, so no column of counts is held in memory
-        nums, p_dens, _ = _ratio_columns(counts, ascending, rows.cumulative)
-        precision[window] = _ratio_column(nums, p_dens, digits)
-        nums, _, r_dens = _ratio_columns(counts, ascending, rows.cumulative)
-        recall[window] = _ratio_column(nums, r_dens, digits)
+        precision[window] = _text_column(counts.tp, counts.h, ascending, rows.cumulative, digits)
+        recall[window] = _text_column(counts.tp, counts.r, ascending, rows.cumulative, digits)
     return precision, recall
+
+
+def _text_column(nums, dens, ns: range, cumulative: bool, digits: int):
+    """The text of each ratio of ``_ratios(nums, dens, ns, cumulative)``.
+
+    A constant column, where nums equals dens at every length below
+    ``ns.stop``, reads 1 wherever its denominator is nonzero and
+    ``undefined`` elsewhere, and is written without a division.  Deciding
+    takes one tuple comparison, which stops at the first length that
+    differs.
+    """
+    nums, dens = nums[: ns.stop], dens[: ns.stop]
+    if nums != dens:
+        return _ratio_column(*_ratios(nums, dens, ns, cumulative), digits)
+    one = f"1.{'0' * digits}" if digits else "1"
+    if cumulative:
+        # counts are nonnegative: a running sum is nonzero from the first
+        # nonzero count on
+        first = next((n for n, den in enumerate(dens) if den), ns.stop)
+        undefined = len(range(ns.start, first, ns.step))
+        return ["undefined"] * undefined + [one] * (len(ns) - undefined)
+    return [one if den else "undefined" for den in islice(dens, ns.start, ns.stop, ns.step)]
 
 
 def assessment_csv(result: AssessmentResult, digits: int = 6) -> str:
@@ -310,11 +337,12 @@ def assessment_csv(result: AssessmentResult, digits: int = 6) -> str:
     return "\n".join(lines) + "\n"
 
 
-def counts_csv(counts: list[int]) -> str:
-    """One line per length.  The counts are written in full, however many
-    digits they have: CPython's cap on ``int`` to ``str`` conversion (4,300
-    digits by default, absent before 3.10.7) is lifted for this conversion
-    alone."""
+def counts_csv(counts) -> str:
+    """One line per length.  The counts, ints or integral ``Decimal``s, are
+    written in full, however many digits they have: CPython's cap on ``int``
+    to ``str`` conversion (4,300 digits by default, absent before 3.10.7) is
+    lifted for this conversion alone.  A Decimal's text takes time linear in
+    its length, an int's quadratic time."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)

@@ -110,6 +110,11 @@ def b_power(length, n_symbols):
     return Dfa(Alphabet(SYMS[:n_symbols]), rows, 0, frozenset([length]))
 
 
+def cycle(n):
+    """One-symbol acceptor of the traces whose length is a multiple of n."""
+    return Dfa(Alphabet(("a",)), tuple(((q + 1) % n,) for q in range(n)), 0, frozenset({0}))
+
+
 def random_finite_dfa(rng, n_states, n_symbols, accept_p=0.4):
     """Random acyclic acceptor: every move goes to a later state, the last
     state being a rejecting sink, so the language is finite."""

@@ -7,6 +7,7 @@ from langcard import (
     Dfa,
     build_dfa,
     confusion_automata,
+    confusion_product,
     format_traces,
     parse_dfa,
     parse_traces,
@@ -20,6 +21,7 @@ from langcard.errors import AlphabetMismatchError, ModelParseError, SizeGuardErr
 from helpers import (
     SYMS,
     all_accepting,
+    cycle,
     enumerate_counts,
     moore_minimize,
     product_table_oracle,
@@ -176,6 +178,18 @@ def test_product_table_matches_the_tuple_keyed_oracle():
         b = random_dfa(rng, rng.randint(1, 15), n_sym)
         a = Dfa(a.alphabet, a.transitions, rng.randrange(a.state_count), a.accepting)
         assert automata._product_table(a, b) == product_table_oracle(a, b)
+
+
+def test_product_over_the_states_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(automata, "MAX_STATES", 50)
+    # cycles of coprime lengths reach every pair: 2 x 25 = 50 fits the cap
+    product, _ = confusion_product(cycle(2), cycle(25))
+    assert product.state_count == 50
+    for a, b in ((7, 8), (3, 17), (50, 51)):
+        with pytest.raises(SizeGuardError, match="more than 50 reachable states"):
+            confusion_product(cycle(a), cycle(b))
+    with pytest.raises(SizeGuardError):
+        cycle(7).intersect(cycle(8))
 
 
 def test_alphabet_mismatch():

@@ -10,11 +10,11 @@ from xml.etree import ElementTree
 import pytest
 
 import langcard
-from langcard import baselines, cli, counting
+from langcard import automata, baselines, cli, counting
 from langcard.automata import MAX_STATES, serialize_dfa
 from langcard.cli import BUDGET_ENV, main
 from langcard.metrics import confusion_counts
-from helpers import all_accepting, b_power, binary_tree, empty_language, signature_models
+from helpers import all_accepting, b_power, binary_tree, cycle, empty_language, signature_models
 
 
 @pytest.fixture
@@ -626,6 +626,24 @@ def test_a_states_header_over_the_cap_is_refused(tmp_path, capsys, states):
     assert run("count", str(model), "--out", str(out)) == 4
     assert f"refused: line 2: more than {MAX_STATES} states" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_assess_refuses_a_product_over_the_states_cap(tmp_path, monkeypatch, capsys):
+    paths = []
+    for n in (7, 8):  # one-symbol cycles of coprime lengths: 56 product states
+        paths.append(tmp_path / f"cycle{n}.dfa")
+        paths[-1].write_text(serialize_dfa(cycle(n)))
+    out = tmp_path / "o.csv"
+    argv = ["assess", *map(str, paths), "--max-length", "5", "--out", str(out)]
+    assert run(*argv) == 0
+    monkeypatch.setattr(automata, "MAX_STATES", 50)
+    out.unlink()
+    (tmp_path / "o.csv.manifest.json").unlink()
+    assert run(*argv) == 4
+    assert "refused: the product of a 7-state and a 8-state model has more than 50" in (
+        capsys.readouterr().err
+    )
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
 
 
 @pytest.mark.parametrize("stage", ["counting terms", "berlekamp-massey", "exact check"])

@@ -1,10 +1,13 @@
+import decimal
+import math
+from decimal import Decimal
 from types import SimpleNamespace
 
 import pytest
 
 from langcard import Alphabet, Dfa, counting, polynomials
 from langcard.automata import confusion_automata, confusion_product, serialize_dfa
-from langcard.cli import main
+from langcard.cli import BUDGET_ENV, main
 from langcard.counting import (
     FINAL,
     INITIAL,
@@ -24,6 +27,7 @@ from langcard.errors import (
     ResourceLimitError,
     ZeroConstantDenominatorError,
 )
+from langcard.metrics import counts_csv
 from langcard.polynomials import ONE_POLY, Polynomial, RationalFunction
 from langcard.regexes import seq, sym, to_dfa
 
@@ -34,6 +38,7 @@ from helpers import (
     empty_language,
     enumerate_counts,
     random_dfa,
+    random_finite_dfa,
     berlekamp_massey_mod_oracle,
     seeded,
     signature_models,
@@ -256,6 +261,127 @@ def test_deadline_message_gives_the_limit_as_configured(monkeypatch):
     _clock_jumping_after(monkeypatch, 1)
     with pytest.raises(ResourceLimitError, match=r"exceeded 0\.05 s$"):
         compute_ogf(all_accepting(2), WorkBudget(time_limit_s=0.05))
+
+
+def _readings_when_time_stands_still(monkeypatch, run):
+    readings = _clock_jumping_after(monkeypatch, math.inf)
+    run()
+    return len(readings)
+
+
+def _checks(steps):
+    """Deadline readings of an extension of ``steps`` steps."""
+    return -(-steps // counting._STEPS_PER_CHECK)
+
+
+@pytest.mark.parametrize("number", [int, Decimal])
+def test_coefficients_check_the_deadline_while_extending(monkeypatch, number):
+    f = compute_ogf(all_accepting(2))
+    budget = WorkBudget(time_limit_s=1.0)
+
+    def extend():
+        return coefficients(f, 300, budget, number=number)
+
+    readings = _readings_when_time_stands_still(monkeypatch, extend)
+    assert readings == 1 + _checks(301)  # the deadline set, then a check per block
+    _clock_jumping_after(monkeypatch, readings - 1)
+    with pytest.raises(ResourceLimitError, match=r"^extending: .* exceeded 1\.0 s$"):
+        extend()
+
+
+def test_count_by_class_checks_the_deadline_while_extending(monkeypatch):
+    rng = seeded(60)
+    product, (tp, fp, fn) = confusion_product(random_dfa(rng, 5, 2), random_dfa(rng, 5, 2))
+    budget = WorkBudget(time_limit_s=1.0)
+    top = 2 * counting._live_count(product) + 1  # the DP alone answers up to here
+
+    def count(steps=200):
+        return count_by_class(product, (tp, tp | fp, tp | fn), top + steps, budget)
+
+    # the three sequences are distinct and nonzero, so each is extended
+    counted = count()
+    assert len(set(map(tuple, counted))) == 3 and all(map(any, counted))
+    readings = _readings_when_time_stands_still(monkeypatch, count)
+    one_step = _readings_when_time_stands_still(monkeypatch, lambda: count(1))
+    assert readings - one_step == 3 * (_checks(200) - _checks(1))
+    _clock_jumping_after(monkeypatch, readings - 1)
+    with pytest.raises(ResourceLimitError, match="^extending: "):
+        count()
+
+
+@pytest.mark.parametrize("command", ["count", "assess"])
+def test_cli_past_its_deadline_while_extending_exits_3(tmp_path, monkeypatch, capsys, command):
+    reference, inferred = signature_models()
+    paths = []
+    for name, model in (("r", reference), ("h", inferred))[: 1 + (command == "assess")]:
+        paths.append(tmp_path / f"{name}.dfa")
+        paths[-1].write_text(serialize_dfa(model))
+    out = tmp_path / "o.csv"
+    argv = [command, *map(str, paths), "--max-length", "300", "--out", str(out)]
+    monkeypatch.setenv(BUDGET_ENV, "1")
+    readings = _readings_when_time_stands_still(monkeypatch, lambda: main(argv))
+    out.unlink()
+    (tmp_path / "o.csv.manifest.json").unlink()
+    _clock_jumping_after(monkeypatch, readings - 1)
+    assert main(argv) == 3
+    assert "resource limit: extending: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+
+
+def test_decimal_coefficients_are_the_int_coefficients():
+    rng = seeded(62)
+    models = [random_dfa(rng, rng.randrange(1, 8), rng.randrange(1, 4)) for _ in range(60)]
+    models += [all_accepting(1), all_accepting(4), doubled(all_accepting(3))]
+    for d in models:
+        f = compute_ogf(d)
+        for n_max in (0, 1, rng.randrange(2, 300)):
+            ints = coefficients(f, n_max)
+            decimals = coefficients(f, n_max, number=Decimal)
+            assert all(type(a) is Decimal for a in decimals)
+            assert decimals == ints
+            # no exponent, no -0: the text of each is the int's
+            assert list(map(str, decimals)) == list(map(str, ints))
+    # a series that is not a language's fails the same way for both
+    halves = RationalFunction(Polynomial([1]), Polynomial([2, -1]))
+    for number in (int, Decimal):
+        with pytest.raises(NonIntegerCoefficientError, match="coefficient 0"):
+            coefficients(halves, 3, number=number)
+
+
+def test_decimal_coefficients_raise_rather_than_round(monkeypatch):
+    exact = counting._EXACT
+    assert (exact.prec, exact.Emax, exact.Emin) == (
+        decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+    )
+    small = exact.copy()
+    small.prec = 5
+    monkeypatch.setattr(counting, "_EXACT", small)
+    fours = compute_ogf(all_accepting(4))
+    # 4^8 = 65536 has five digits; 4^9 = 262144 would be rounded
+    assert coefficients(fours, 8, number=Decimal) == [4**n for n in range(9)]
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        coefficients(fours, 9, number=Decimal)
+    # 10^5 fits five digits only as 1E+5, which the exact context refuses too
+    tens = RationalFunction(ONE_POLY, Polynomial([1, -10]))  # 1/(1-10z)
+    with pytest.raises(decimal.Rounded):
+        coefficients(tens, 5, number=Decimal)
+
+
+def test_count_writes_the_integer_coefficients(tmp_path, capsys):
+    rng = seeded(63)
+    models = [random_dfa(rng, rng.randrange(1, 7), rng.randrange(1, 4)) for _ in range(30)]
+    # zero counts at some lengths, all of them, or past the longest trace
+    models += [empty_language(2), all_accepting(1)]
+    models += [random_finite_dfa(rng, rng.randrange(2, 8), rng.randrange(1, 4)) for _ in range(10)]
+    model, out = tmp_path / "m.dfa", tmp_path / "c.csv"
+    for d in models:
+        model.write_text(serialize_dfa(d))
+        f = compute_ogf(d)
+        for n_max in (0, rng.randrange(1, 120)):
+            argv = ["count", str(model), "--max-length", str(n_max), "--out", str(out)]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == f"OGF: {f}\n"
+            assert out.read_text() == counts_csv(coefficients(f, n_max))
 
 
 def test_berlekamp_massey_mod_finds_the_shortest_recurrence():

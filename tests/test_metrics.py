@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langcard import Alphabet, Dfa, confusion_automata, confusion_product, counting
+from langcard import Alphabet, Dfa, confusion_automata, confusion_product, counting, metrics
 from langcard.counting import coefficients, compute_ogf, count_dp, elimination_ogf
 from langcard.metrics import (
     AssessmentResult,
@@ -21,10 +21,11 @@ from langcard.metrics import (
     single_length_assessment,
 )
 from langcard.metrics import _ratio_column
-from langcard.regexes import EPSILON, seq, sym, to_dfa
+from langcard.regexes import EPSILON, one_of, seq, star, sym, to_dfa
 
 from helpers import (
     all_accepting,
+    b_power,
     doubled,
     empty_language,
     fraction_rows_csv,
@@ -570,6 +571,87 @@ def test_assessment_csv_layout():
     assert lines[0] == "n,precision_eq,recall_eq,precision_le,recall_le"
     assert lines[2] == "1,undefined,undefined,1.000000,1.000000"
     assert lines[4].startswith("3,0.200000,1.000000,")
+
+
+def _late_fp_pair(rng):
+    """H is R plus the one trace b^12, which R rejects: H has a false
+    positive first at length 12, and R is inside H below it."""
+    late = b_power(12, 2)
+    r = random_dfa(rng, 6, 2).intersect(late.complement())
+    return r, r.union(late)
+
+
+COLUMN_PAIRS = {
+    **EDGE_PAIRS,
+    "fp from 12": _late_fp_pair,
+    "fn from 12": lambda rng: _late_fp_pair(rng)[::-1],
+}
+
+
+def ratio_cells_csv(counts, digits, mode, lo, hi, max_length):
+    """The CSV of ``assess --mode MODE --range LO..HI --max-length M``, a
+    cell at a time from ``format_ratio`` on the counts and their running
+    sums: never a column at a time, so never a constant column."""
+    rows = {}
+    for n in range(counts.max_length + 1):
+        cells = ["undefined"] * 4
+        if mode != "cumulative" and lo <= n <= hi:
+            cells[:2] = (format_ratio(counts.tp[n], counts.h[n], digits),
+                         format_ratio(counts.tp[n], counts.r[n], digits))
+        if mode != "single" and n <= max_length:
+            tp, h, r = (sum(seq[: n + 1]) for seq in (counts.tp, counts.h, counts.r))
+            cells[2:] = format_ratio(tp, h, digits), format_ratio(tp, r, digits)
+        if mode != "cumulative" and lo <= n <= hi or mode != "single" and n <= max_length:
+            rows[n] = ",".join([str(n), *cells])
+    return "\n".join(["n,precision_eq,recall_eq,precision_le,recall_le", *rows.values()]) + "\n"
+
+
+@pytest.mark.parametrize("case", COLUMN_PAIRS)
+def test_constant_columns_equal_the_cell_by_cell_oracle(case):
+    rng = seeded(46)
+    for _ in range(6):
+        r, h = COLUMN_PAIRS[case](rng)
+        counts = confusion_counts(r, h, 30)
+        for mode in _ASSESSMENTS:
+            # (lo, hi, max_length): whole, windows starting above 0, one row
+            for lo, hi, max_length in ((0, 30, 30), (3, 20, 14), (13, 30, 25), (12, 12, 0)):
+                for digits in (0, 1, 6):
+                    text = assessment_csv(_window(counts, mode, lo, hi, max_length), digits)
+                    assert text == ratio_cells_csv(counts, digits, mode, lo, hi, max_length)
+
+
+def test_late_false_positives_leave_no_column_constant():
+    counts = confusion_counts(*_late_fp_pair(seeded(46)), 30)
+    assert counts.fp.index(1) == 12 and not any(counts.fn)
+    lines = assessment_csv(single_length_assessment(counts)).splitlines()
+    assert lines[13].split(",")[1] != "1.000000"
+
+
+def _divided_columns(monkeypatch):
+    """The columns ``assessment_csv`` divides cell by cell, by length."""
+    divided = []
+    divide = metrics._ratio_column
+
+    def recording(nums, dens, digits):
+        column = divide(nums, dens, digits)
+        divided.append(len(column))
+        return column
+
+    monkeypatch.setattr(metrics, "_ratio_column", recording)
+    return divided
+
+
+def test_constant_columns_are_written_without_a_division(monkeypatch):
+    reference, inferred = signature_models()  # R inside H: recall is constant
+    other = to_dfa(star(one_of("a", "c")), reference.alphabet.symbols)  # neither way
+    divided = _divided_columns(monkeypatch)
+    for (r, h), columns in (((reference, reference), 0), ((inferred, reference), 2),
+                            ((reference, inferred), 2), ((reference, other), 4)):
+        counts = confusion_counts(r, h, 40)
+        expected = ratio_cells_csv(counts, 6, "both", 0, 40, 40)
+        divided.clear()
+        assert assessment_csv(assess(counts)) == expected
+        assert divided == [41] * columns
 
 
 def test_counts_csv():
