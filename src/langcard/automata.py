@@ -86,9 +86,6 @@ class Dfa:
     def state_count(self):
         return len(self.transitions)
 
-    def step(self, state, symbol):
-        return self.transitions[state][symbol]
-
     def run(self, trace, start=None):
         state = self.initial if start is None else start
         for s in trace:

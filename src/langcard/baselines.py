@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .automata import confusion_product
-from .counting import count_dp
+from .counting import WorkBudget, count_dp
 from .errors import (
     IndistinguishableStatesError,
     ResourceLimitError,
@@ -46,6 +46,12 @@ from .errors import (
 )
 
 DEFAULT_SEED = 52_4287
+
+# refusal threshold on the W-method test set's size bound
+# |cover| * (1 + sigma + ... + sigma^(k+1)) * |distinguishing set|
+MAX_TEST_SET_SIZE = 5_000_000
+# refusal threshold on the expected draws n_target * sigma**length / |slice|
+MAX_EXPECTED_DRAWS = 5_000_000
 
 
 @dataclass
@@ -89,7 +95,6 @@ class EvaluationMultiset:
 @dataclass
 class WMethodConfig:
     m: int  # upper bound on the inferred model's state count
-    max_test_set_size: int = 5_000_000
 
 
 def derive_rng(seed, stream) -> random.Random:
@@ -170,7 +175,7 @@ def _coverable_transitions(d):
     return out
 
 
-def _generate_multiset(d, cfg, rng):
+def _generate_multiset(d, cfg, rng, deadline):
     tables = _WalkTables(d, cfg.exclude_error_transitions)
     need = cfg.min_transition_coverage
     # every step of an accepted walk is a coverable transition, so a count of
@@ -179,7 +184,6 @@ def _generate_multiset(d, cfg, rng):
     coverage = [0] * (d.state_count * len(d.alphabet))
     multiset = EvaluationMultiset()
     traces = multiset.traces
-    deadline = time.monotonic() + cfg.time_limit_s
     generated = 0
     while True:
         trace, steps = _walk(tables, cfg, rng, track_steps=uncovered > 0)
@@ -217,9 +221,11 @@ def _judged_by_length(multiset, judge):
 
 def _walked_and_judged(reference, inferred, cfg):
     """The walk multisets on ``inferred`` and on ``reference``, each judged
-    by the other model, length by length."""
-    e_prec = _generate_multiset(inferred, cfg, derive_rng(cfg.seed, 0))
-    e_rec = _generate_multiset(reference, cfg, derive_rng(cfg.seed, 1))
+    by the other model, length by length; both sets are walked within one
+    ``cfg.time_limit_s``."""
+    deadline = time.monotonic() + cfg.time_limit_s
+    e_prec = _generate_multiset(inferred, cfg, derive_rng(cfg.seed, 0), deadline)
+    e_rec = _generate_multiset(reference, cfg, derive_rng(cfg.seed, 1), deadline)
     return e_prec, e_rec, _judged_by_length(e_prec, reference), _judged_by_length(e_rec, inferred)
 
 
@@ -335,10 +341,10 @@ def _w_method_tests(d, cfg: WMethodConfig):
     sigma = len(d.alphabet)
     middle_size = sum(sigma**i for i in range(k + 2))
     estimate = len(cover) * middle_size * len(dist)
-    if estimate > cfg.max_test_set_size:
+    if estimate > MAX_TEST_SET_SIZE:
         raise SizeGuardError(
             f"W-method test set would hold up to {estimate} traces "
-            f"(cap {cfg.max_test_set_size})",
+            f"(cap {MAX_TEST_SET_SIZE})",
             estimate=estimate,
         )
     middles = [
@@ -400,9 +406,6 @@ def mbt_assessment(reference, inferred, cfg: WMethodConfig):
 
 _SPLIT = 255  # table mark of a top byte that straddles a symbol boundary
 
-# refusal threshold on the expected draws n_target * sigma**length / |slice|
-MAX_EXPECTED_DRAWS = 5_000_000
-
 
 def _symbol_draws(sigma):
     """``draw(rng, length)``: the symbols ``int(rng.random() * sigma)`` of
@@ -460,11 +463,14 @@ def sigma_sampling_assessment(
     one for precision, the reference for recall), then returns the fraction
     of those that the other model also accepts.  Refuses before the first
     draw when the expected number of draws exceeds ``MAX_EXPECTED_DRAWS``.
+    The count of the conditioning slice and the draws share one
+    ``time_limit_s``.
     """
     if metric not in ("precision", "recall"):
         raise ValueError("metric must be 'precision' or 'recall'")
     conditioning = inferred if metric == "precision" else reference
-    size = count_dp(conditioning, length)[length]
+    deadline = time.monotonic() + time_limit_s
+    size = count_dp(conditioning, length, WorkBudget(time_limit_s=time_limit_s))[length]
     if size == 0:
         raise UnsuitableModelError(f"conditioning language has no trace of length {length}")
     estimate = n_target * len(reference.alphabet) ** length // size
@@ -482,7 +488,6 @@ def sigma_sampling_assessment(
     rng = random.Random(seed)
     true_positives = 0
     accepted = 0
-    deadline = time.monotonic() + time_limit_s
     checks = 0
     while accepted < n_target:
         checks += 1

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -36,7 +37,8 @@ from .baselines import (
     trace_similarity,
     trace_similarity_conditioned,
 )
-from .counting import WorkBudget, compute_ogf, coefficients, count_dp
+from . import counting
+from .counting import WorkBudget, check_horizon, compute_ogf, coefficients, count_dp
 from .errors import LangcardError, ModelParseError
 from .inference import InferenceConfig, TrainingSet, generate_training_set, k_tails
 from .metrics import (
@@ -306,15 +308,20 @@ def _cmd_assess(args):
 
 def _cmd_count(args):
     model = _load_model(args.model)
-    budget = _budget_from_env()
+    budget = _budget_from_env() or WorkBudget()
     extra = {}
     if args.oracle == "dp":
         counts = count_dp(model, args.max_length, budget)
     else:
+        check_horizon(args.max_length, len(model.alphabet))
+        # one budget for both stages, read on the clock that counting reads
+        started = counting.time.monotonic()
         ogf = compute_ogf(model, budget)
+        spent = counting.time.monotonic() - started
+        rest = replace(budget, time_limit_s=max(0.0, budget.time_limit_s - spent))
         # Decimals, whose text is linear in their length where an int's is
         # quadratic
-        counts = coefficients(ogf, args.max_length, budget, number=Decimal)
+        counts = coefficients(ogf, args.max_length, rest, number=Decimal)
         extra["ogf"] = str(ogf)
         print(f"OGF: {ogf}")
     return _Output(

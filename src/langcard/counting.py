@@ -47,9 +47,10 @@ Eliminating a node n rewires every predecessor/successor pair (p, s) with
     E(p, s) += E(p, n) * E(n, s) * 1/(1 - E(n, n))
 
 until only the distinguished entry and exit nodes remain.  Elimination order
-does not affect the result (the canonical form is identical), only the cost;
-the default order takes the node with the lowest self-loop degree first,
-breaking ties by predecessor*successor pair count and then node id.
+does not affect the result (the canonical form is identical), only the cost.
+The default order is a plain minimum of a key at each step: the node with
+the lowest self-loop degree first, breaking ties by predecessor*successor
+pair count and then node id.
 
 Coefficients come out of the rational function through the linear recurrence
 
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import contextlib
 import decimal
-import heapq
 import time
 from dataclasses import dataclass
 from decimal import Decimal
@@ -81,6 +81,7 @@ from operator import add, mul
 from .errors import (
     NonIntegerCoefficientError,
     ResourceLimitError,
+    SizeGuardError,
     ZeroConstantDenominatorError,
 )
 from .polynomials import (
@@ -108,6 +109,33 @@ class WorkBudget:
 
 
 DEFAULT_BUDGET = WorkBudget()
+
+# the most memory, in bytes, that the counts of one computation may be
+# estimated to take (``check_horizon``); the peak of a command that writes
+# them out is a few times this, for the counts' text
+MAX_COUNT_BYTES = 2**27
+# bytes estimated per length counted, besides the count's own digits: its
+# list slot and number object
+_SLOT_BYTES = 64
+
+
+def check_horizon(n_max, sigma, sequences=1):
+    """Refuse (``SizeGuardError``) to count ``sequences`` sequences of
+    traces over ``sigma`` symbols up to length ``n_max`` when they are
+    estimated to take more than ``MAX_COUNT_BYTES``.
+
+    Each sequence holds n_max + 1 counts, and the count of length n at most
+    n * log2(sigma) bits, so about n_max^2 * log2(sigma) / 2 bits in all;
+    log2(sigma) is rounded up to an integer, so no float is involved.
+    """
+    bits = max(sigma - 1, 0).bit_length()  # ceil(log2(sigma))
+    estimate = sequences * ((n_max + 1) * _SLOT_BYTES + n_max * n_max * bits // 16)
+    if estimate > MAX_COUNT_BYTES:
+        raise SizeGuardError(
+            f"counting to length {n_max} over an alphabet of {sigma} would take about "
+            f"{estimate} bytes (cap {MAX_COUNT_BYTES})",
+            estimate=estimate,
+        )
 
 
 class LabeledDigraph:
@@ -161,10 +189,7 @@ class LabeledDigraph:
         return (self.self_loop_degree(n), preds * succs, n)
 
     def eliminate(self, n):
-        """Remove node n, rerouting its traffic through updated edges.
-
-        Returns the nodes whose edge sets changed (the old neighbors of n).
-        """
+        """Remove node n, rerouting its traffic through updated edges."""
         if n in (INITIAL, FINAL):
             raise ValueError("cannot eliminate the entry or exit node")
         loop = kleene_star(self.label(n, n))
@@ -184,7 +209,6 @@ class LabeledDigraph:
         self.nodes.discard(n)
         del self.succ[n]
         del self.pred[n]
-        return set(preds) | set(succs)
 
 
 def digraph_construction(d) -> tuple[LabeledDigraph, int, int]:
@@ -240,11 +264,12 @@ def count_by_class(
     all zero, or equal to an earlier one's, is not solved again.  The
     deadline is checked on every step of the DP, of Berlekamp-Massey and of
     the exact check, and once per ``_STEPS_PER_CHECK`` steps of each
-    extension.
+    extension.  A horizon that ``check_horizon`` refuses is refused first.
     """
     for members in classes:
         if not d.accepting.issuperset(members):
             raise ValueError("count_by_class counts sets of accepting states")
+    check_horizon(n_max, len(d.alphabet), len(classes))
     budget = budget or DEFAULT_BUDGET
     check = _deadline(budget)
     check_extending = check("extending")
@@ -369,47 +394,27 @@ def _solve(terms, q, budget, check_deadline):
 def elimination_ogf(d, budget: WorkBudget | None = None, order=None) -> RationalFunction:
     """The generating function by node elimination, the reference engine.
 
-    ``order`` overrides the elimination order (a sequence of state ids);
-    every order yields the same canonical result as ``compute_ogf``.
+    ``order`` overrides the elimination order (a sequence of state ids); by
+    default each step eliminates the interior node of least
+    ``elimination_cost``, a plain minimum over the nodes left, whose key
+    ends in the node id.  Every order yields the same canonical result as
+    ``compute_ogf``.
     """
     budget = budget or DEFAULT_BUDGET
     g, _, _ = digraph_construction(d)
     check_deadline = _deadline(budget)("node elimination")
 
-    def check_budget():
+    def cheapest():
+        return min(g.interior_nodes(), key=g.elimination_cost, default=None)
+
+    for n in iter(cheapest, None) if order is None else order:
+        g.eliminate(n)
         check_deadline()
         if g.peak_degree > budget.max_degree:
             raise ResourceLimitError(
                 f"intermediate degree {g.peak_degree} exceeded budget {budget.max_degree}"
             )
-
-    if order is not None:
-        for n in order:
-            g.eliminate(n)
-            check_budget()
-        remaining = g.interior_nodes()
-        assert not remaining, "elimination order must cover every state"
-        return g.label(INITIAL, FINAL)
-
-    # lazy heap over the heuristic key; stale entries are re-queued, so the
-    # node popped is always the one the plain minimum scan would pick
-    live = set(g.interior_nodes())
-    heap = [(g.elimination_cost(n), n) for n in live]
-    heapq.heapify(heap)
-    while live:
-        key, n = heapq.heappop(heap)
-        if n not in live:
-            continue
-        current = g.elimination_cost(n)
-        if current != key:
-            heapq.heappush(heap, (current, n))
-            continue
-        touched = g.eliminate(n)
-        live.discard(n)
-        for neighbor in touched:
-            if neighbor in live:
-                heapq.heappush(heap, (g.elimination_cost(neighbor), neighbor))
-        check_budget()
+    assert not g.interior_nodes(), "elimination order must cover every state"
     return g.label(INITIAL, FINAL)
 
 
@@ -508,8 +513,10 @@ def count_dp(d, n_max: int, budget: WorkBudget | None = None) -> CardinalitySequ
 
     Only live states carry a count: error states are dropped, so the
     frontier stays as small as the automaton allows.  The deadline is checked
-    before every step.
+    before every step, and a horizon that ``check_horizon`` refuses is
+    refused first.
     """
+    check_horizon(n_max, len(d.alphabet))
     check = _deadline(budget or DEFAULT_BUDGET)
     (counts,) = _dp_terms(d, (d.accepting,), n_max, check("counting terms"))
     return counts

@@ -549,6 +549,27 @@ def test_sigma_sampling_past_its_deadline_raises(monkeypatch):
         sigma_sampling_assessment(top, top, 3, 10_000, "precision", seed=1, time_limit_s=1.0)
 
 
+@pytest.mark.parametrize("method", [trace_similarity, trace_similarity_conditioned])
+def test_both_walk_sets_share_one_time_limit(monkeypatch, method):
+    # the clock reads 0 when the deadline is set and 1.5 s at every later
+    # reading: past the 1 s limit, yet inside one started afresh; so each
+    # walk set stops at its first check, after 256 walks
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1.5
+
+    monkeypatch.setattr(baselines, "time", SimpleNamespace(monotonic=monotonic))
+    top = all_accepting(2)
+    result = method(top, top, cfg(target_trace_count=1000, time_limit_s=1.0))
+    if method is trace_similarity:
+        walked = result.e_precision.total, result.e_recall.total
+    else:
+        walked = sum(r.precision_samples for r in result), sum(r.recall_samples for r in result)
+    assert walked == (256, 256)
+
+
 def _restarting_model():
     """Literal walks restart whenever they leave state 0 on ``a``; state 1
     loops on both symbols and accepts."""

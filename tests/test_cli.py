@@ -10,7 +10,7 @@ from xml.etree import ElementTree
 import pytest
 
 import langcard
-from langcard import automata, baselines, cli, counting
+from langcard import automata, baselines, cli, counting, polynomials
 from langcard.automata import MAX_STATES, serialize_dfa
 from langcard.cli import BUDGET_ENV, main
 from langcard.metrics import confusion_counts
@@ -702,6 +702,135 @@ def test_sigma_sample_past_its_deadline_exits_3(tmp_path, monkeypatch, capsys):
     assert run(*argv, "--time-limit", "1", "--out", str(out)) == 3
     assert "resource limit: sampling hit the time limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("budget, step", [("1", 0.6), (None, 360.0)])
+def test_count_solves_and_extends_within_one_budget(tmp_path, monkeypatch, capsys, budget, step):
+    # counting's clock reads 0 until compute_ogf returns, then ``step`` more
+    # at every reading: the solve leaves 0.4 of the budget's seconds (1 s, or
+    # the default 600 s when the variable is unset), and the extension's
+    # first check finds them spent; a budget started afresh would still hold
+    model = tmp_path / "two.dfa"
+    model.write_text(TWO_STATES)
+    now, solved = [0.0], [False]
+    solve = cli.compute_ogf
+
+    def compute_ogf(*args):
+        result = solve(*args)
+        solved[0] = True
+        return result
+
+    def monotonic():
+        now[0] += step if solved[0] else 0.0
+        return now[0]
+
+    monkeypatch.setattr(cli, "compute_ogf", compute_ogf)
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    if budget is None:
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+    else:
+        monkeypatch.setenv(BUDGET_ENV, budget)
+    out = tmp_path / "o.csv"
+    assert run("count", str(model), "--max-length", "50", "--out", str(out)) == 3
+    assert "resource limit: extending: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sigma_sample_counts_its_slice_within_the_time_limit(tmp_path, monkeypatch, capsys):
+    # counting's clock reads 0 when the count's deadline is set and 2 s after:
+    # past the 1 s --time-limit, though well inside the default work budget
+    model = tmp_path / "top.dfa"
+    model.write_text(serialize_dfa(all_accepting(2)))
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 2.0
+
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    out = tmp_path / "o.csv"
+    argv = ["baseline", "sigma-sample", str(model), str(model), "--length", "3", "--samples", "10"]
+    assert run(*argv, "--time-limit", "1", "--out", str(out)) == 3
+    assert "resource limit: counting terms: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+HORIZON_CALLS = [
+    ["assess", "M", "M"],
+    ["count", "M"],
+    ["count", "M", "--oracle", "dp"],
+    ["baseline", "sigma-sample", "M", "M", "--length"],
+]
+
+
+@pytest.mark.parametrize("sigma", [1, 2])
+@pytest.mark.parametrize("call", HORIZON_CALLS, ids=" ".join)
+def test_a_horizon_over_the_memory_cap_is_refused(tmp_path, monkeypatch, capsys, call, sigma):
+    # at sigma = 1 every count is 0 or 1, but the 1,001 slots alone pass the cap
+    model = tmp_path / "all.dfa"
+    model.write_text(serialize_dfa(all_accepting(sigma)))
+    monkeypatch.setattr(counting, "MAX_COUNT_BYTES", 20_000)
+    out = tmp_path / "o.csv"
+    argv = [str(model) if arg == "M" else arg for arg in call]
+    if "--length" not in argv:
+        argv.append("--max-length")
+    assert run(*argv, "10", "--out", str(out)) == 0
+    out.unlink()
+    (tmp_path / "o.csv.manifest.json").unlink()
+    assert run(*argv, "1000", "--out", str(out)) == 4
+    assert f"refused: counting to length 1000 over an alphabet of {sigma} would take about " in (
+        capsys.readouterr().err
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["all.dfa"]
+
+
+def test_the_horizon_cap_admits_the_benchmark_horizons():
+    counting.check_horizon(7200, 4)  # count's longest
+    counting.check_horizon(1600, 4, 3)  # long-horizon's assess
+
+
+def test_mbt_over_the_test_set_cap_is_refused(tmp_path, signature_files, monkeypatch, capsys):
+    r_path, h_path = signature_files
+    out = tmp_path / "o.csv"
+    argv = ["baseline", "mbt", r_path, h_path, "--m-bound", "6", "--out", str(out)]
+    assert run(*argv) == 0
+    out.unlink()
+    (tmp_path / "o.csv.manifest.json").unlink()
+    monkeypatch.setattr(baselines, "MAX_TEST_SET_SIZE", 5)
+    assert run(*argv) == 4
+    assert "refused: W-method test set would hold up to " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_command_reaches_a_gcd_or_node_elimination(tmp_path, signature_files, monkeypatch):
+    # the commands count by Berlekamp-Massey, whose results need no GCD;
+    # node elimination is the library's reference engine only
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(polynomials, "poly_gcd", unreachable)
+    monkeypatch.setattr(counting, "elimination_ogf", unreachable)
+    r_path, h_path = signature_files
+    csv, traces = str(tmp_path / "a.csv"), str(tmp_path / "t.traces")
+
+    def out(name):
+        return ["--out", str(tmp_path / name)]
+
+    calls = [
+        ["assess", r_path, h_path, "--max-length", "60", "--out", csv],
+        ["count", r_path, "--max-length", "60", *out("c.csv")],
+        ["count", r_path, "--oracle", "dp", "--max-length", "60", *out("d.csv")],
+        ["baseline", "trace-sim", r_path, h_path, "--target-traces", "200", *out("s.csv")],
+        ["baseline", "trace-sim-conditioned", r_path, h_path, "--target-traces", "200", *out("sc.csv")],
+        ["baseline", "mbt", r_path, h_path, "--m-bound", "6", *out("m.csv")],
+        ["baseline", "sigma-sample", r_path, h_path, "--length", "4", "--samples", "50", *out("ss.csv")],
+        ["gen-traces", r_path, "--min-traces", "20", "--out", traces],
+        ["infer", traces, "--k", "2", "--out-model", str(tmp_path / "k.dfa")],
+        ["report", csv, *out("r.svg")],
+    ]
+    assert {call[0] for call in calls} == set(cli._COMMANDS)
+    for call in calls:
+        assert run(*call) == 0, call
 
 
 RUNTIME_PROBE = """

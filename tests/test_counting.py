@@ -154,6 +154,45 @@ def test_elimination_order_invariance():
             assert elimination_ogf(d, order=order) == reference
 
 
+def _model_and_shuffled_order(seed):
+    rng = seeded(seed)
+    d = random_dfa(rng, rng.randrange(8, 14), rng.randrange(2, 4))
+    order = list(range(d.state_count))
+    rng.shuffle(order)
+    return d, order
+
+
+# the least intermediate-degree budget that node elimination accepts, in its
+# own order and in a shuffled one; a change to the order moves one of them
+@pytest.mark.parametrize("seed, own, shuffled", [(85, 5, 5), (92, 8, 9), (94, 8, 9), (98, 5, 6)])
+def test_elimination_accepts_the_same_least_degree_budget(seed, own, shuffled):
+    d, order = _model_and_shuffled_order(seed)
+    for given, least in ((None, own), (order, shuffled)):
+        assert elimination_ogf(d, WorkBudget(max_degree=least), order=given) == compute_ogf(d)
+        with pytest.raises(ResourceLimitError, match="^intermediate degree"):
+            elimination_ogf(d, WorkBudget(max_degree=least - 1), order=given)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_elimination_order_is_the_least_key_whatever_order_the_nodes_come_in(
+    monkeypatch, reverse
+):
+    d, _ = _model_and_shuffled_order(98)
+    eliminated = []
+    eliminate, interior_nodes = LabeledDigraph.eliminate, LabeledDigraph.interior_nodes
+
+    def recording(g, n):
+        eliminated.append(n)
+        return eliminate(g, n)
+
+    monkeypatch.setattr(LabeledDigraph, "eliminate", recording)
+    if reverse:
+        monkeypatch.setattr(LabeledDigraph, "interior_nodes", lambda g: interior_nodes(g)[::-1])
+    elimination_ogf(d)
+    # ties on self-loop degree and pair count go to the lower node id
+    assert eliminated == [2, 8, 9, 1, 3, 4, 6, 5, 0, 7]
+
+
 def test_coefficients_of_geometric_series():
     assert coefficients(GEO2, 4) == [1, 2, 4, 8, 16]
 

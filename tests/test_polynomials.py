@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langcard.counting import coefficients
 from langcard.errors import DivergentStarError
 from langcard.polynomials import (
     ONE_POLY,
@@ -144,6 +145,27 @@ def test_field_round_trip(an, ad, bn, bd):
     a = RationalFunction(Polynomial(an), Polynomial(ad))
     b = RationalFunction(Polynomial(bn), Polynomial(bd))
     assert (a + b) - b == a
+
+
+# denominators with D(0) = 1, so every series has integer coefficients
+series_dens = st.lists(st.integers(-9, 9), max_size=5).map(lambda c: Polynomial([1, *c]))
+
+
+@given(small_coeffs, series_dens, small_coeffs, series_dens)
+@settings(max_examples=80)
+def test_sums_and_products_add_and_convolve_the_series(an, ad, bn, bd):
+    # the oracle reads only the operands' and results' coefficients through
+    # the recurrence, never the rational-function arithmetic under test
+    a, b = RationalFunction(Polynomial(an), ad), RationalFunction(Polynomial(bn), bd)
+    n = 12
+    ca, cb = coefficients(a, n), coefficients(b, n)
+    total, product = a + b, a * b
+    assert coefficients(total, n) == [x + y for x, y in zip(ca, cb)]
+    assert coefficients(product, n) == [
+        sum(ca[i] * cb[k - i] for i in range(k + 1)) for k in range(n + 1)
+    ]
+    for f in (total, product):
+        assert RationalFunction(f.num, f.den) == f  # already canonical
 
 
 def test_formatting():
