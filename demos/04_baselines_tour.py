@@ -5,7 +5,7 @@ per-length sampling (unbiased but statistical), and the exact per-length
 values they approximate.
 """
 
-from langcard import WMethodConfig, mbt_assessment, sigma_sampling_assessment, w_method_test_set
+from langcard import mbt_assessment, sigma_sampling_assessment, w_method_test_set
 from langcard.metrics import confusion_counts, single_length_assessment
 from langcard.regexes import alt, seq, star, sym, to_dfa
 
@@ -15,8 +15,8 @@ reference = to_dfa(star(alt(sym("a"), seq(sym("b"), sym("a")))), AB).minimize()
 inferred = to_dfa(star(sym("a")), AB).minimize()  # lost the b-a blocks
 
 m = max(reference.state_count, inferred.state_count)
-tests = w_method_test_set(reference, WMethodConfig(m=m))
-precision, recall = mbt_assessment(reference, inferred, WMethodConfig(m=m))
+tests = w_method_test_set(reference, m)
+precision, recall = mbt_assessment(reference, inferred, m)
 print(f"W-method with m = {m}: {tests.total} test traces")
 print(f"  precision = {float(precision):.3f}, recall = {float(recall):.3f}")
 

@@ -6,7 +6,7 @@ large k barely generalizes (big model, high precision, low recall).  The
 exact cumulative assessment quantifies both sides of the trade.
 """
 
-from langcard import InferenceConfig, RandomWalkConfig, generate_training_set, k_tails
+from langcard import RandomWalkConfig, generate_training_set, k_tails
 from langcard.metrics import confusion_counts, cumulative_assessment
 from langcard.regexes import alt, seq, star, sym, to_dfa
 
@@ -23,7 +23,7 @@ print(f"training set: {len(training.traces)} traces, longest {longest}")
 
 print(f"\n{'k':>3} {'states':>7} {'precision<=20':>14} {'recall<=20':>11}")
 for k in (1, 2, 4, 8, longest + 1):
-    model = k_tails(training, InferenceConfig(k=k))
+    model = k_tails(training, k)
     counts = confusion_counts(reference, model, 20)
     result = cumulative_assessment(counts)
     last = result.cumulative[-1]

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .automata import (
     Alphabet,
     Dfa,
-    alphabet,
     build_dfa,
     confusion_automata,
     confusion_product,
@@ -23,10 +22,8 @@ from .automata import (
 )
 from .baselines import (
     RandomWalkConfig,
-    WMethodConfig,
     characterization_set,
     mbt_assessment,
-    random_walk_trace,
     sigma_sampling_assessment,
     state_cover,
     trace_similarity,
@@ -43,9 +40,7 @@ from .counting import (
     elimination_ogf,
 )
 from .inference import (
-    InferenceConfig,
     TrainingSet,
-    build_pta,
     generate_training_set,
     k_tails,
 )
@@ -67,19 +62,15 @@ __all__ = [
     "ConfusionCounts",
     "Dfa",
     "EPSILON",
-    "InferenceConfig",
     "Polynomial",
     "RandomWalkConfig",
     "RationalFunction",
     "TrainingSet",
-    "WMethodConfig",
     "WorkBudget",
-    "alphabet",
     "alt",
     "assess",
     "bounded_jaccard",
     "build_dfa",
-    "build_pta",
     "characterization_set",
     "coefficients",
     "compute_ogf",
@@ -99,7 +90,6 @@ __all__ = [
     "one_of",
     "parse_dfa",
     "parse_traces",
-    "random_walk_trace",
     "seq",
     "serialize_dfa",
     "sigma_sampling_assessment",

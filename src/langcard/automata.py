@@ -2,8 +2,9 @@
 
 The model type is always a *complete* DFA: the transition table is total by
 construction, with a sink state inserted during parsing or regex compilation
-whenever transitions are omitted.  Totality is what makes complementation a
-plain flip of the accepting set.
+whenever transitions are omitted.  Totality means that every trace runs to
+some state, so a trace is rejected exactly when the state it reaches is not
+accepting.
 
 All types are immutable; every operation returns a fresh automaton.
 """
@@ -51,10 +52,6 @@ class Alphabet:
 
     def names(self, trace) -> tuple[str, ...]:
         return tuple(self.symbols[s] for s in trace)
-
-
-def alphabet(*names) -> Alphabet:
-    return Alphabet(tuple(names))
 
 
 @dataclass(frozen=True)
@@ -126,10 +123,6 @@ class Dfa:
                     todo.append(t)
         return order
 
-    def complement(self) -> "Dfa":
-        acc = frozenset(range(self.state_count)) - self.accepting
-        return Dfa(self.alphabet, self.transitions, self.initial, acc)
-
     def intersect(self, other) -> "Dfa":
         return _product(self, other, lambda a, b: a and b)
 
@@ -138,27 +131,6 @@ class Dfa:
 
     def minimize(self) -> "Dfa":
         return _minimize(self)
-
-    def equivalent_to(self, other) -> bool:
-        """Language equality via BFS over the product automaton.
-
-        Searches for a reachable pair on which the two automata disagree;
-        independent of minimization, so it doubles as an oracle in tests.
-        """
-        _check_alphabets(self, other)
-        start = (self.initial, other.initial)
-        seen = {start}
-        todo = deque([start])
-        while todo:
-            qa, qb = todo.popleft()
-            if (qa in self.accepting) != (qb in other.accepting):
-                return False
-            for s in self.alphabet:
-                nxt = (self.transitions[qa][s], other.transitions[qb][s])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return True
 
     def reindex_to(self, target: Alphabet) -> "Dfa":
         """Re-map symbol ids onto ``target``; the name sets must coincide."""

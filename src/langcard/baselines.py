@@ -52,16 +52,19 @@ DEFAULT_SEED = 52_4287
 MAX_TEST_SET_SIZE = 5_000_000
 # refusal threshold on the expected draws n_target * sigma**length / |slice|
 MAX_EXPECTED_DRAWS = 5_000_000
+# the most steps one walk may take, and the most times it may start over
+# from a state with nothing live to follow
+MAX_WALK_STEPS = 1_000_000
+MAX_WALK_RESTARTS = 1_000_000
 
 
 @dataclass
 class RandomWalkConfig:
     """Knobs of the random-walk trace generator.
 
-    ``termination_probability`` applies only at accepting states; transitions
-    are chosen uniformly.  By default transitions into error states are
-    pruned from the choice (set ``exclude_error_transitions=False`` for the
-    literal walk that enters them and restarts).
+    ``termination_probability`` applies only at accepting states; each step
+    is chosen uniformly among the transitions into states from which an
+    accepting state is still reachable.
     """
 
     termination_probability: float = 0.1
@@ -69,9 +72,6 @@ class RandomWalkConfig:
     min_transition_coverage: int = 10
     time_limit_s: float = 1800.0
     seed: int = DEFAULT_SEED
-    exclude_error_transitions: bool = True
-    max_steps_per_trace: int = 1_000_000
-    max_restarts_per_trace: int = 1_000_000
 
     def __post_init__(self):
         if not 0 < self.termination_probability <= 1:
@@ -92,32 +92,26 @@ class EvaluationMultiset:
         return sum(self.traces.values())
 
 
-@dataclass
-class WMethodConfig:
-    m: int  # upper bound on the inferred model's state count
-
-
 def derive_rng(seed, stream) -> random.Random:
     return random.Random((seed ^ (stream * 0x9E3779B97F4A7C15)) & (2**64 - 1))
 
 
 class _WalkTables:
-    """Per-state walk choices with error-state pruning applied once.
+    """Per-state walk choices, transitions into error states pruned.
 
     A choice is ``(symbol, step, target)``, where the step id
     ``state * sigma + symbol`` indexes per-transition counters; acceptance
-    and deadness are lists of bools over the states."""
+    is a list of bools over the states."""
 
-    def __init__(self, d, exclude_error):
+    def __init__(self, d):
         errors = d.error_states
         if d.initial in errors:
             raise UnsuitableModelError("random walk needs a model with a nonempty language")
         sigma = len(d.alphabet)
         self.initial = d.initial
         self.accepting = [q in d.accepting for q in range(d.state_count)]
-        self.dead = [q in errors for q in range(d.state_count)]
         self.choices = [
-            [(s, q * sigma + s, t) for s, t in enumerate(row) if not (exclude_error and t in errors)]
+            [(s, q * sigma + s, t) for s, t in enumerate(row) if t not in errors]
             for q, row in enumerate(d.transitions)
         ]
 
@@ -127,13 +121,12 @@ def _walk(tables, cfg, rng, track_steps):
     ``track_steps``); the walk itself is identical either way."""
     pa = cfg.termination_probability
     accepting = tables.accepting
-    dead = tables.dead
     choices = tables.choices
     rand = rng.random
-    max_steps = cfg.max_steps_per_trace
+    max_steps = MAX_WALK_STEPS
     restarts = 0
     while True:
-        if restarts > cfg.max_restarts_per_trace:
+        if restarts > MAX_WALK_RESTARTS:
             raise ResourceLimitError("random walk exceeded the restart limit")
         state = tables.initial
         trace = []
@@ -146,41 +139,19 @@ def _walk(tables, cfg, rng, track_steps):
             options = choices[state]
             if not options:
                 break  # nothing live to follow: discard and restart
-            s, step, nxt = options[int(rand() * len(options))]
-            if dead[nxt]:
-                break  # literal mode stepped into an error state
+            s, step, state = options[int(rand() * len(options))]
             trace.append(s)
             if track_steps:
                 steps.append(step)
-            state = nxt
         restarts += 1
 
 
-def random_walk_trace(d, cfg: RandomWalkConfig, rng: random.Random):
-    """A single random-walk trace; always accepted by ``d``."""
-    tables = _WalkTables(d, cfg.exclude_error_transitions)
-    trace, _ = _walk(tables, cfg, rng, track_steps=False)
-    return trace
-
-
-def _coverable_transitions(d):
-    """Transitions that accepted walks can traverse: live source, live target."""
-    errors = d.error_states
-    reachable = set(d.reachable_states())
-    out = set()
-    for q in reachable - errors:
-        for s, t in enumerate(d.transitions[q]):
-            if t not in errors:
-                out.add((q, s))
-    return out
-
-
 def _generate_multiset(d, cfg, rng, deadline):
-    tables = _WalkTables(d, cfg.exclude_error_transitions)
+    tables = _WalkTables(d)
     need = cfg.min_transition_coverage
-    # every step of an accepted walk is a coverable transition, so a count of
+    # walks take only the choices out of reachable states, so a count of
     # those still short of ``need`` tells when all of them are covered
-    uncovered = len(_coverable_transitions(d)) if need > 0 else 0
+    uncovered = sum(len(tables.choices[q]) for q in d.reachable_states()) if need > 0 else 0
     coverage = [0] * (d.state_count * len(d.alphabet))
     multiset = EvaluationMultiset()
     traces = multiset.traces
@@ -328,14 +299,14 @@ def characterization_set(d) -> list[tuple[int, ...]]:
     return sorted(set(witness.values()), key=lambda t: (len(t), t))
 
 
-def _w_method_tests(d, cfg: WMethodConfig):
+def _w_method_tests(d, m):
     """The W-method test set C (eps|Sigma|...|Sigma^{k+1}) D of ``d`` with
     k = m - |Q|, duplicates removed: a list of each cover+middle prefix with
     the distinguishing suffixes that extend it to a test not listed before,
     in the order the set lists its tests."""
-    if cfg.m < d.state_count:
+    if m < d.state_count:
         raise ValueError("state bound m must be at least the reference size")
-    k = cfg.m - d.state_count
+    k = m - d.state_count
     cover = state_cover(d)
     dist = characterization_set(d)
     sigma = len(d.alphabet)
@@ -367,22 +338,24 @@ def _w_method_tests(d, cfg: WMethodConfig):
     return tests
 
 
-def w_method_test_set(d, cfg: WMethodConfig) -> EvaluationMultiset:
+def w_method_test_set(d, m) -> EvaluationMultiset:
     """The conformance test set C (eps|Sigma|...|Sigma^{k+1}) D with
-    k = m - |Q|, duplicates removed."""
+    k = m - |Q|, duplicates removed; ``m`` bounds the state count of the
+    model under test."""
     result = EvaluationMultiset()
-    for prefix, suffixes in _w_method_tests(d, cfg):
+    for prefix, suffixes in _w_method_tests(d, m):
         for w in suffixes:
             result.add(prefix + w)
     return result
 
 
-def mbt_assessment(reference, inferred, cfg: WMethodConfig):
-    """Precision and recall over the W-method test set of the reference.
+def mbt_assessment(reference, inferred, m):
+    """Precision and recall over the W-method test set of the reference for
+    the state bound ``m``.
 
     Each test is classified by the state of R x H it reaches: its prefix is
     run once on the product table, and each suffix from there."""
-    tests = _w_method_tests(reference, cfg)
+    tests = _w_method_tests(reference, m)
     product, classes = confusion_product(reference, inferred)
     rows = product.transitions
     reached = [0] * product.state_count

@@ -31,7 +31,6 @@ from .automata import Alphabet, Dfa, format_traces, parse_dfa, parse_traces, ser
 from .baselines import (
     DEFAULT_SEED,
     RandomWalkConfig,
-    WMethodConfig,
     mbt_assessment,
     sigma_sampling_assessment,
     trace_similarity,
@@ -40,7 +39,7 @@ from .baselines import (
 from . import counting
 from .counting import WorkBudget, check_horizon, compute_ogf, coefficients, count_dp
 from .errors import LangcardError, ModelParseError
-from .inference import InferenceConfig, TrainingSet, generate_training_set, k_tails
+from .inference import TrainingSet, generate_training_set, k_tails
 from .metrics import (
     CSV_HEADER,
     assess,
@@ -368,9 +367,7 @@ def _baseline_rows(args, reference, inferred):
                 f"--m-bound {args.m_bound} is below the reference's "
                 f"{reference.state_count} states"
             )
-        precision, recall = mbt_assessment(
-            reference, inferred, WMethodConfig(m=args.m_bound)
-        )
+        precision, recall = mbt_assessment(reference, inferred, args.m_bound)
         return [f"0,{und},{und},{format_value(precision, digits)},{format_value(recall, digits)}"], {}
     # sigma-sample, the last of the parser's choices
     if args.length is None:
@@ -430,7 +427,7 @@ def _cmd_infer(args):
     traces = parse_traces(text, alpha)
     if not traces:
         raise ModelParseError("trace file holds no traces")
-    model = k_tails(TrainingSet(tuple(traces), alpha), InferenceConfig(k=args.k))
+    model = k_tails(TrainingSet(tuple(traces), alpha), args.k)
     return _Output(
         args.out_model,
         serialize_dfa(model),

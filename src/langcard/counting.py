@@ -102,7 +102,8 @@ CardinalitySequence = list[int]
 
 @dataclass
 class WorkBudget:
-    """Degree / wall-clock ceiling for one generating-function computation."""
+    """Wall-clock ceiling for one counting computation, and the degree
+    ceiling of a generating function it solves for."""
 
     max_degree: int = 50_000
     time_limit_s: float = 600.0
@@ -321,8 +322,7 @@ def _deadline(budget):
         def check():
             if time.monotonic() > deadline:
                 raise ResourceLimitError(
-                    f"{stage}: generating-function computation exceeded "
-                    f"{budget.time_limit_s} s"
+                    f"{stage}: time limit exceeded {budget.time_limit_s} s"
                 )
 
         return check

@@ -1,10 +1,11 @@
 """k-tails model inference from positive traces.
 
-The prefix tree acceptor holds one state per distinct training prefix; the
-k-tails step merges states whose sets of accepting suffixes of length at
-most k coincide, which may introduce nondeterminism, so the quotient is
-determinized and minimized before being returned.  Merging is confined to
-tree states: the completion sink never joins a class.
+``k_tails(ts, k)`` builds the prefix tree of the training traces, one node
+per distinct prefix, and merges the nodes whose sets of accepting suffixes
+of length at most k coincide.  That may introduce nondeterminism, so the
+quotient is determinized and minimized before being returned.  Merging is
+confined to tree nodes: the sink that completes the model never joins a
+class.
 
 With k at least the longest training trace, each state's tails are all of
 its accepting suffixes, its right language: no proper generalization is
@@ -24,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, Trace, build_dfa, canonical_dfa, subset_construction
+from .automata import Alphabet, Dfa, Trace, canonical_dfa, subset_construction
 from .baselines import RandomWalkConfig, _walk, _WalkTables, derive_rng
 from .errors import ResourceLimitError
 
@@ -43,15 +44,6 @@ class TrainingSet:
     @property
     def max_trace_length(self):
         return max((len(t) for t in self.traces), default=0)
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
 
 
 class _Trie:
@@ -109,24 +101,15 @@ class _Trie:
         return canonical_dfa(alpha, rows, cls[0], accepting)
 
 
-def build_pta(ts: TrainingSet) -> Dfa:
-    """Prefix tree acceptor, completed with a sink; accepts exactly the
-    training traces."""
+def k_tails(ts: TrainingSet, k: int) -> Dfa:
+    """Infer a DFA by merging the prefix-tree states whose accepting
+    suffixes of length at most ``k`` (at least 1) coincide."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     trie = _Trie(ts)
-    edges = [
-        (node, ts.alphabet.symbols[s], nxt)
-        for node, kids in enumerate(trie.children)
-        for s, nxt in kids.items()
-    ]
-    return build_dfa(ts.alphabet.symbols, len(trie), 0, trie.accepting, edges)
-
-
-def k_tails(ts: TrainingSet, cfg: InferenceConfig) -> Dfa:
-    """Infer a DFA by merging same-tail prefix-tree states."""
-    trie = _Trie(ts)
-    if cfg.k >= ts.max_trace_length:
+    if k >= ts.max_trace_length:
         return trie.minimal_dfa(ts.alphabet)
-    tails = trie.tails(cfg.k)
+    tails = trie.tails(k)
     classes = {}
     cls = []
     for node in range(len(trie)):
@@ -156,7 +139,7 @@ def generate_training_set(
     """Random-walk training material with a coverage-based stopping rule:
     keep walking until at least ``min_traces`` traces exist and every
     visitable state was visited ``min_state_visits`` times."""
-    tables = _WalkTables(reference, cfg.exclude_error_transitions)
+    tables = _WalkTables(reference)
     rng = derive_rng(cfg.seed, 2)
     target = [t for row in reference.transitions for t in row]  # step id -> state
     visits = [0] * reference.state_count

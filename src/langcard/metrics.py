@@ -325,16 +325,16 @@ def assessment_csv(result: AssessmentResult, digits: int = 6) -> str:
 
     A line per n that either part has a row for, in increasing n; a part
     without a row there reads ``undefined``.  The text is built a column at
-    a time, then joined into lines.
+    a time, then joined once into the text.
     """
     parts = (result.per_length, result.cumulative)
     ns = sorted(set().union(*(rows.ns for rows in parts if rows is not None)))
     stop = ns[-1] + 1 if ns else 0
     p_eq, r_eq = _text_columns(result.counts, result.per_length, stop, digits)
     p_le, r_le = _text_columns(result.counts, result.cumulative, stop, digits)
-    lines = [CSV_HEADER]
-    lines += [f"{n},{p_eq[n]},{r_eq[n]},{p_le[n]},{r_le[n]}" for n in ns]
-    return "\n".join(lines) + "\n"
+    lines = [CSV_HEADER + "\n"]
+    lines += [f"{n},{p_eq[n]},{r_eq[n]},{p_le[n]},{r_le[n]}\n" for n in ns]
+    return "".join(lines)
 
 
 def counts_csv(counts) -> str:
@@ -347,9 +347,9 @@ def counts_csv(counts) -> str:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        lines = ["length,count"]
-        lines += [f"{n},{c}" for n, c in enumerate(counts)]
+        lines = ["length,count\n"]
+        lines += [f"{n},{c}\n" for n, c in enumerate(counts)]
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    return "\n".join(lines) + "\n"
+    return "".join(lines)

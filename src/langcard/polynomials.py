@@ -197,7 +197,7 @@ ZERO_POLY = Polynomial()
 ONE_POLY = Polynomial((1,))
 
 
-def format_poly(p, var="z"):
+def format_poly(p):
     if p.is_zero:
         return "0"
     parts = []
@@ -208,7 +208,7 @@ def format_poly(p, var="z"):
         if i == 0:
             term = str(mag)
         else:
-            power = var if i == 1 else f"{var}^{i}"
+            power = "z" if i == 1 else f"z^{i}"
             term = power if mag == 1 else f"{mag}{power}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
@@ -421,12 +421,12 @@ def kleene_star(f):
     return RationalFunction._reduced(f.den, den)
 
 
-def format_rational(f, var="z"):
+def format_rational(f):
     """Render as ``N / D`` with ascending powers, e.g. ``(1 - z) / (1 - 2z)``;
     a side of more than one term is parenthesized."""
 
     def side(p):
-        text = format_poly(p, var)
+        text = format_poly(p)
         return f"({text})" if sum(1 for c in p.coeffs if c) > 1 else text
 
     return f"{side(f.num)} / {side(f.den)}"

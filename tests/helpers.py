@@ -11,7 +11,9 @@ from collections import deque
 from fractions import Fraction
 from operator import mul
 
-from langcard import Alphabet, Dfa, coefficients, compute_ogf, confusion_automata
+from langcard import Alphabet, Dfa, build_dfa, coefficients, compute_ogf, confusion_automata
+from langcard.baselines import _walk, _WalkTables
+from langcard.inference import _Trie
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
 
 SYMS = ("a", "b", "c", "d")
@@ -35,6 +37,51 @@ def random_nonempty_dfa(rng, n_states, n_symbols, accept_p=0.4):
 
 def random_trace(rng, n_symbols, max_len=12):
     return tuple(rng.randrange(n_symbols) for _ in range(rng.randrange(max_len + 1)))
+
+
+def complement(d):
+    """The complete DFA ``d`` with its accepting set flipped."""
+    return Dfa(d.alphabet, d.transitions, d.initial, frozenset(range(d.state_count)) - d.accepting)
+
+
+def equivalent(a, b):
+    """Language equality by breadth-first search over the product of ``a``
+    and ``b`` for a reachable pair on which they disagree.  Independent of
+    minimization, so it serves as the oracle of the minimizer."""
+    assert a.alphabet == b.alphabet
+    start = (a.initial, b.initial)
+    seen = {start}
+    todo = deque([start])
+    while todo:
+        qa, qb = todo.popleft()
+        if (qa in a.accepting) != (qb in b.accepting):
+            return False
+        for s in a.alphabet:
+            nxt = (a.transitions[qa][s], b.transitions[qb][s])
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return True
+
+
+def build_pta(ts):
+    """Prefix tree acceptor of the training set ``ts``, completed with a
+    sink: one state per distinct prefix, accepting exactly the training
+    traces.  The tree that the one-pass exact k-tails model is checked
+    against."""
+    trie = _Trie(ts)
+    edges = [
+        (node, ts.alphabet.symbols[s], nxt)
+        for node, kids in enumerate(trie.children)
+        for s, nxt in kids.items()
+    ]
+    return build_dfa(ts.alphabet.symbols, len(trie), 0, trie.accepting, edges)
+
+
+def random_walk_trace(d, cfg, rng):
+    """One random-walk trace of ``d`` as the baselines walk it."""
+    trace, _ = _walk(_WalkTables(d), cfg, rng, track_steps=False)
+    return trace
 
 
 def enumerate_counts(d, n_max):

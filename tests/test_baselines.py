@@ -11,11 +11,9 @@ from langcard import Alphabet, Dfa, baselines
 from langcard.baselines import (
     _symbol_draws,
     RandomWalkConfig,
-    WMethodConfig,
     characterization_set,
     derive_rng,
     mbt_assessment,
-    random_walk_trace,
     sigma_sampling_assessment,
     state_cover,
     trace_similarity,
@@ -28,7 +26,16 @@ from langcard.inference import generate_training_set
 from langcard.metrics import confusion_counts, single_length_assessment
 from langcard.regexes import EPSILON, alt, seq, star, sym, to_dfa
 
-from helpers import all_accepting, b_power, random_dfa, random_nonempty_dfa, seeded, signature_models
+from helpers import (
+    all_accepting,
+    b_power,
+    equivalent,
+    random_dfa,
+    random_nonempty_dfa,
+    random_walk_trace,
+    seeded,
+    signature_models,
+)
 
 AB = ("a", "b")
 
@@ -79,16 +86,6 @@ def test_walk_length_is_geometric():
     expected = (1 - pa) / pa
     stderr = math.sqrt(1 - pa) / pa / math.sqrt(n)
     assert abs(mean - expected) <= 3 * stderr
-
-
-def test_walk_literal_mode_still_returns_accepted_traces():
-    rng_models = seeded(51)
-    rng = derive_rng(5, 0)
-    for _ in range(10):
-        d = random_nonempty_dfa(rng_models, 5, 2)
-        c = cfg(exclude_error_transitions=False)
-        for _ in range(10):
-            assert d.accepts(random_walk_trace(d, c, rng))
 
 
 def test_trace_similarity_identical_models():
@@ -226,7 +223,7 @@ def test_w_method_size_bound_and_contents():
     for _ in range(15):
         d = random_dfa(rng, rng.randrange(2, 6), 2).minimize()
         m = d.state_count + 1
-        tests = w_method_test_set(d, WMethodConfig(m=m))
+        tests = w_method_test_set(d, m)
         k = m - d.state_count
         cover = state_cover(d)
         dist = characterization_set(d)
@@ -241,7 +238,7 @@ def test_w_method_size_bound_and_contents():
 def test_w_method_growth_rate():
     d = to_dfa(star(alt(sym("a"), seq(sym("b"), sym("a")))), AB).minimize()
     sizes = [
-        w_method_test_set(d, WMethodConfig(m=d.state_count + k)).total
+        w_method_test_set(d, d.state_count + k).total
         for k in (2, 3, 4)
     ]
     for small, large in zip(sizes, sizes[1:]):
@@ -251,14 +248,14 @@ def test_w_method_growth_rate():
 def test_w_method_size_guard():
     d = random_dfa(seeded(55), 5, 2).minimize()
     with pytest.raises(SizeGuardError) as exc:
-        w_method_test_set(d, WMethodConfig(m=d.state_count + 40))
+        w_method_test_set(d, d.state_count + 40)
     assert exc.value.estimate > 5_000_000
 
 
 def test_w_method_requires_m_at_least_reference_size():
     d = random_dfa(seeded(56), 5, 2).minimize()
     with pytest.raises(ValueError):
-        w_method_test_set(d, WMethodConfig(m=d.state_count - 1))
+        w_method_test_set(d, d.state_count - 1)
 
 
 def test_w_method_distinguishes_inequivalent_pairs():
@@ -267,16 +264,16 @@ def test_w_method_distinguishes_inequivalent_pairs():
     while done < 25:
         r = random_dfa(rng, rng.randrange(2, 5), 2).minimize()
         h = random_dfa(rng, rng.randrange(2, 6), 2).minimize()
-        if r.equivalent_to(h):
+        if equivalent(r, h):
             continue
         done += 1
-        tests = w_method_test_set(r, WMethodConfig(m=max(r.state_count, h.state_count)))
+        tests = w_method_test_set(r, max(r.state_count, h.state_count))
         assert any(r.accepts(t) != h.accepts(t) for t in tests.traces)
 
 
 def test_mbt_identical_models():
     d = to_dfa(star(sym("a")), AB)
-    assert mbt_assessment(d, d, WMethodConfig(m=d.state_count)) == (1, 1)
+    assert mbt_assessment(d, d, d.state_count) == (1, 1)
 
 
 def test_mbt_strict_subset_scores_recall_below_one():
@@ -285,11 +282,11 @@ def test_mbt_strict_subset_scores_recall_below_one():
     while done < 10:
         r = random_dfa(rng, 4, 2).minimize()
         h = r.intersect(random_dfa(rng, 3, 2)).minimize()
-        if h.equivalent_to(r) or h.initial in h.error_states:
+        if equivalent(h, r) or h.initial in h.error_states:
             continue
         done += 1
         m = max(r.state_count, h.state_count)
-        _, recall = mbt_assessment(r, h, WMethodConfig(m=m))
+        _, recall = mbt_assessment(r, h, m)
         assert recall is not None and recall < 1
 
 
@@ -355,8 +352,8 @@ def test_sigma_sampling_agrees_with_exact_single_length():
 
 
 def _pinned_model(rng, n, alpha):
-    """A minimal ``n``-state model whose last state is a rejecting sink, so
-    that literal walks restart."""
+    """A minimal ``n``-state model whose last state is a rejecting sink,
+    which walks never enter."""
     while True:
         rows = tuple(tuple(rng.randrange(n) for _ in alpha.symbols) for _ in range(n - 1))
         rows += (tuple(n - 1 for _ in alpha.symbols),)
@@ -374,10 +371,8 @@ def _pinned_pairs():
     return pairs
 
 
-def _pinned_cfg(exclude, seed=7):
-    return cfg(
-        target_trace_count=40, min_transition_coverage=2, exclude_error_transitions=exclude, seed=seed
-    )
+def _pinned_cfg(seed=7):
+    return cfg(target_trace_count=40, min_transition_coverage=2, seed=seed)
 
 
 def _wide_pair():
@@ -390,43 +385,25 @@ def _wide_pair():
 
 
 F = Fraction
-# keyed by exclude_error_transitions: per pair (precision, recall, walked
-# traces on the inferred and on the reference model); (row count, the rows
-# with samples) of the third pair; per pair the traces of a training set
-PINNED_TRACE_SIM = {
-    True: [
-        (F(27, 40), F(9, 20), 40, 40), (F(3, 20), F(7, 40), 40, 40),
-        (F(13, 40), F(13, 63), 40, 63),
+# per pair (precision, recall, walked traces on the inferred and on the
+# reference model); (row count, the rows with samples) of the third pair;
+# per pair the traces of a training set
+PINNED_TRACE_SIM = [
+    (F(27, 40), F(9, 20), 40, 40), (F(3, 20), F(7, 40), 40, 40),
+    (F(13, 40), F(13, 63), 40, 63),
+]
+PINNED_CONDITIONED = (
+    24,
+    [
+        (0, None, 0, F(0, 1), 22), (1, F(11, 16), 16, F(9, 11), 11),
+        (2, None, 0, F(0, 1), 7), (3, F(1, 4), 4, F(1, 4), 4), (4, F(1, 2), 2, F(1, 8), 8),
+        (5, F(0, 1), 3, F(1, 2), 2), (6, None, 0, F(0, 1), 2), (7, F(0, 1), 2, F(0, 1), 1),
+        (8, F(0, 1), 1, F(1, 2), 2), (9, None, 0, F(0, 1), 2), (11, F(0, 1), 2, None, 0),
+        (12, None, 0, F(0, 1), 1), (13, F(0, 1), 2, None, 0), (14, F(0, 1), 1, F(0, 1), 1),
+        (15, F(0, 1), 2, None, 0), (18, F(0, 1), 1, None, 0), (20, F(0, 1), 1, None, 0),
+        (22, F(0, 1), 1, None, 0), (23, F(0, 1), 2, None, 0),
     ],
-    False: [
-        (F(31, 40), F(1, 2), 40, 40), (F(13, 40), F(11, 40), 40, 40),
-        (F(5, 8), F(17, 70), 40, 70),
-    ],
-}
-PINNED_CONDITIONED = {
-    True: (
-        24,
-        [
-            (0, None, 0, F(0, 1), 22), (1, F(11, 16), 16, F(9, 11), 11),
-            (2, None, 0, F(0, 1), 7), (3, F(1, 4), 4, F(1, 4), 4), (4, F(1, 2), 2, F(1, 8), 8),
-            (5, F(0, 1), 3, F(1, 2), 2), (6, None, 0, F(0, 1), 2), (7, F(0, 1), 2, F(0, 1), 1),
-            (8, F(0, 1), 1, F(1, 2), 2), (9, None, 0, F(0, 1), 2), (11, F(0, 1), 2, None, 0),
-            (12, None, 0, F(0, 1), 1), (13, F(0, 1), 2, None, 0), (14, F(0, 1), 1, F(0, 1), 1),
-            (15, F(0, 1), 2, None, 0), (18, F(0, 1), 1, None, 0), (20, F(0, 1), 1, None, 0),
-            (22, F(0, 1), 1, None, 0), (23, F(0, 1), 2, None, 0),
-        ],
-    ),
-    False: (
-        16,
-        [
-            (0, None, 0, F(0, 1), 34), (1, F(11, 14), 28, F(13, 14), 14),
-            (2, None, 0, F(0, 1), 8), (3, F(1, 2), 6, F(3, 5), 5), (4, None, 0, F(0, 1), 2),
-            (5, F(0, 1), 2, F(1, 1), 1), (6, None, 0, F(0, 1), 2), (7, F(0, 1), 1, F(0, 1), 2),
-            (8, None, 0, F(0, 1), 1), (10, None, 0, F(0, 1), 1), (11, F(0, 1), 2, None, 0),
-            (15, F(0, 1), 1, None, 0),
-        ],
-    ),
-}
+)
 PINNED_MBT = [(F(5, 21), F(5, 17)), (F(1, 6), F(1, 9)), (F(8, 39), F(4, 31))]
 PINNED_W_METHOD = [
     (), (0,), (0, 0), (0, 0, 0), (1,), (1, 0), (1, 0, 0), (0, 0, 0, 0), (0, 1), (0, 1, 0),
@@ -435,63 +412,44 @@ PINNED_W_METHOD = [
 ]
 PINNED_SIGMA = [(F(7, 150), F(7, 150)), (F(1, 75), F(7, 150)), (F(17, 150), F(13, 150))]
 PINNED_SIGMA_WIDE = (F(3, 10), F(26, 75))
-PINNED_TRAINING = {
-    True: [
-        (
-            (1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0), (), (1, 0, 1, 1, 1, 0, 1, 1), (0,),
-            (0, 1, 1, 1, 1, 1, 1, 1, 0),
-        ),
-        ((1, 2, 2, 0, 1), (2, 2, 1), (2,), (1, 2, 2, 0), (2, 2)),
-        (
-            (4, 3, 1, 4, 4, 1, 1, 1, 2), (0, 0, 0, 0), (4, 0, 2, 4, 3, 1, 3, 1, 1, 3), (),
-            (1, 1, 3, 3, 3, 1),
-        ),
-    ],
-    False: [
-        (
-            (), (1,), (), (1, 0, 1, 1, 1, 0, 1, 1), (0,), (1, 1, 1, 0, 1, 1, 0), (), (),
-            (1, 1, 0), (), (1, 0, 0, 1, 0, 1, 0),
-        ),
-        (
-            (0, 2), (2,), (2,), (0, 2, 1, 0, 1), (0, 2, 1, 1), (2, 2), (2,), (2,), (0,), (2,),
-            (0,), (2,), (2,), (0,), (1, 2, 2, 0), (0,), (1, 2),
-        ),
-        (
-            (), (3,), (0, 1, 2), (0,), (1, 0), (), (0,), (4, 2, 1, 2), (), (1,), (0,),
-            (0, 2, 3), (4,), (), (), (0,), (), (1, 2), (3, 1, 0), (0,), (4,), (3, 1), (0,), (),
-            (4,), (), (), (0,), (), (4, 1, 3, 3, 3),
-        ),
-    ],
-}
+PINNED_TRAINING = [
+    (
+        (1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0), (), (1, 0, 1, 1, 1, 0, 1, 1), (0,),
+        (0, 1, 1, 1, 1, 1, 1, 1, 0),
+    ),
+    ((1, 2, 2, 0, 1), (2, 2, 1), (2,), (1, 2, 2, 0), (2, 2)),
+    (
+        (4, 3, 1, 4, 4, 1, 1, 1, 2), (0, 0, 0, 0), (4, 0, 2, 4, 3, 1, 3, 1, 1, 3), (),
+        (1, 1, 3, 3, 3, 1),
+    ),
+]
 
 
-@pytest.mark.parametrize("exclude", [True, False])
-def test_trace_similarity_is_pinned(exclude):
+def test_trace_similarity_is_pinned():
     got = []
     for reference, inferred in _pinned_pairs():
-        res = trace_similarity(reference, inferred, _pinned_cfg(exclude))
+        res = trace_similarity(reference, inferred, _pinned_cfg())
         got.append((res.precision, res.recall, res.e_precision.total, res.e_recall.total))
-    assert got == PINNED_TRACE_SIM[exclude]
+    assert got == PINNED_TRACE_SIM
 
 
-@pytest.mark.parametrize("exclude", [True, False])
-def test_trace_similarity_conditioned_is_pinned(exclude):
+def test_trace_similarity_conditioned_is_pinned():
     reference, inferred = _pinned_pairs()[2]
-    rows = trace_similarity_conditioned(reference, inferred, _pinned_cfg(exclude))
+    rows = trace_similarity_conditioned(reference, inferred, _pinned_cfg())
     sampled = [
         (r.n, r.precision, r.precision_samples, r.recall, r.recall_samples)
         for r in rows
         if r.precision_samples or r.recall_samples
     ]
-    assert (len(rows), sampled) == PINNED_CONDITIONED[exclude]
+    assert (len(rows), sampled) == PINNED_CONDITIONED
 
 
 def test_mbt_and_w_method_are_pinned():
     pairs = _pinned_pairs()
-    got = [mbt_assessment(r, h, WMethodConfig(m=r.state_count + 1)) for r, h in pairs]
+    got = [mbt_assessment(r, h, r.state_count + 1) for r, h in pairs]
     assert got == PINNED_MBT
     reference = pairs[0][0]
-    tests = w_method_test_set(reference, WMethodConfig(m=reference.state_count))
+    tests = w_method_test_set(reference, reference.state_count)
     assert list(tests.traces.items()) == [(t, 1) for t in PINNED_W_METHOD]
 
 
@@ -509,13 +467,12 @@ def test_sigma_sampling_is_pinned():
     assert wide == PINNED_SIGMA_WIDE
 
 
-@pytest.mark.parametrize("exclude", [True, False])
-def test_training_set_is_pinned(exclude):
+def test_training_set_is_pinned():
     got = [
-        generate_training_set(r, _pinned_cfg(exclude, seed=3), min_traces=5, min_state_visits=2).traces
+        generate_training_set(r, _pinned_cfg(seed=3), min_traces=5, min_state_visits=2).traces
         for r, _ in _pinned_pairs()
     ]
-    assert got == PINNED_TRAINING[exclude]
+    assert got == PINNED_TRAINING
 
 
 @pytest.mark.parametrize("length", [0, 1, 40])
@@ -570,28 +527,24 @@ def test_both_walk_sets_share_one_time_limit(monkeypatch, method):
     assert walked == (256, 256)
 
 
-def _restarting_model():
-    """Literal walks restart whenever they leave state 0 on ``a``; state 1
-    loops on both symbols and accepts."""
-    return Dfa(Alphabet(AB), ((2, 1), (1, 1), (2, 2)), 0, frozenset([1]))
-
-
-def test_literal_walk_keeps_the_restart_limit():
-    d = _restarting_model()
-    c = cfg(exclude_error_transitions=False, max_restarts_per_trace=0)
+def test_walk_keeps_the_restart_limit(monkeypatch):
+    # the accepting initial state has every edge into the sink, so a walk
+    # that draws no stop there has nothing to follow and starts over
+    d = Dfa(Alphabet(AB), ((1, 1), (1, 1)), 0, frozenset([0]))
+    monkeypatch.setattr(baselines, "MAX_WALK_RESTARTS", 0)
     rng = derive_rng(8, 0)
     with pytest.raises(ResourceLimitError, match="restart limit"):
         for _ in range(100):
-            random_walk_trace(d, c, rng)
+            random_walk_trace(d, cfg(), rng)
 
 
-def test_literal_walk_keeps_the_step_limit():
-    d = _restarting_model()
-    c = cfg(exclude_error_transitions=False, termination_probability=0.01, max_steps_per_trace=3)
+def test_walk_keeps_the_step_limit(monkeypatch):
+    d = Dfa(Alphabet(("a",)), ((0,),), 0, frozenset([0]))
+    monkeypatch.setattr(baselines, "MAX_WALK_STEPS", 3)
     rng = derive_rng(9, 0)
     with pytest.raises(ResourceLimitError, match="step limit"):
         for _ in range(100):
-            random_walk_trace(d, c, rng)
+            random_walk_trace(d, cfg(termination_probability=0.01), rng)
 
 
 @st.composite
@@ -606,12 +559,12 @@ def _models(draw, sigma):
 @settings(max_examples=60, deadline=None)
 def test_mbt_classes_from_the_product_equal_per_test_acceptance(models, extra):
     reference, inferred = models[0].minimize(), models[1]
-    config = WMethodConfig(m=reference.state_count + extra)
+    m = reference.state_count + extra
     tp = fp = fn = 0
-    for t in w_method_test_set(reference, config).traces:
+    for t in w_method_test_set(reference, m).traces:
         in_r, in_h = reference.accepts(t), inferred.accepts(t)
         tp += in_r and in_h
         fp += in_h and not in_r
         fn += in_r and not in_h
     expected = (F(tp, tp + fp) if tp + fp else None, F(tp, tp + fn) if tp + fn else None)
-    assert mbt_assessment(reference, inferred, config) == expected
+    assert mbt_assessment(reference, inferred, m) == expected

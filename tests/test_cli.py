@@ -751,7 +751,9 @@ def test_sigma_sample_counts_its_slice_within_the_time_limit(tmp_path, monkeypat
     out = tmp_path / "o.csv"
     argv = ["baseline", "sigma-sample", str(model), str(model), "--length", "3", "--samples", "10"]
     assert run(*argv, "--time-limit", "1", "--out", str(out)) == 3
-    assert "resource limit: counting terms: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "resource limit: counting terms: time limit exceeded 1.0 s" in err
+    assert "generating-function" not in err
     assert not out.exists()
 
 

@@ -2,18 +2,11 @@ import pytest
 
 from langcard import Alphabet, serialize_dfa
 from langcard.baselines import RandomWalkConfig
-from langcard.inference import (
-    InferenceConfig,
-    TrainingSet,
-    _Trie,
-    build_pta,
-    generate_training_set,
-    k_tails,
-)
+from langcard.inference import TrainingSet, _Trie, generate_training_set, k_tails
 from langcard.metrics import confusion_counts, single_length_assessment
 from langcard.regexes import alt, seq, star, sym, to_dfa
 
-from helpers import enumerate_language, random_nonempty_dfa, seeded
+from helpers import build_pta, enumerate_language, random_nonempty_dfa, seeded
 
 AB = Alphabet(("a", "b"))
 
@@ -71,7 +64,7 @@ def test_k_tails_with_large_k_returns_exactly_the_training_set():
         )
         ts = TrainingSet(traces, AB)
         max_len = max((len(t) for t in traces), default=0)
-        inferred = k_tails(ts, InferenceConfig(k=max_len + 1))
+        inferred = k_tails(ts, max_len + 1)
         assert enumerate_language(inferred, max_len + 1) == set(traces)
 
 
@@ -94,7 +87,7 @@ def test_k_tails_from_the_longest_trace_up_is_the_minimized_prefix_tree():
         expected = serialize_dfa(build_pta(ts).minimize())
         longest = ts.max_trace_length
         for k in {max(longest, 1), longest + 1, longest + 40}:
-            assert serialize_dfa(k_tails(ts, InferenceConfig(k=k))) == expected
+            assert serialize_dfa(k_tails(ts, k)) == expected
 
 
 def test_k_tails_at_the_longest_trace_builds_no_tail_sets(monkeypatch):
@@ -105,7 +98,7 @@ def test_k_tails_at_the_longest_trace_builds_no_tail_sets(monkeypatch):
         raise AssertionError("tail sets built")
 
     monkeypatch.setattr(_Trie, "tails", tails)
-    assert serialize_dfa(k_tails(ts, InferenceConfig(k=2))) == expected
+    assert serialize_dfa(k_tails(ts, 2)) == expected
 
 
 def test_k_tails_never_drops_training_traces():
@@ -117,13 +110,13 @@ def test_k_tails_never_drops_training_traces():
         )
         ts = TrainingSet(traces, AB)
         for k in (1, 2, 4):
-            inferred = k_tails(ts, InferenceConfig(k=k))
+            inferred = k_tails(ts, k)
             assert all(inferred.accepts(t) for t in traces)
 
 
 def test_k_tails_output_is_minimal_and_complete():
     ts = training(["a", "b"], ["a", "b", "a", "b"], ["b"])
-    inferred = k_tails(ts, InferenceConfig(k=2))
+    inferred = k_tails(ts, 2)
     assert inferred.minimize().state_count == inferred.state_count
     assert all(len(row) == 2 for row in inferred.transitions)
 
@@ -156,7 +149,7 @@ def test_tails_are_the_short_accepted_suffixes_of_each_prefix():
 def test_k_tails_merges_shared_tails():
     # both branches end in the same single tail, so k=1 collapses them
     ts = training(["a", "b"], ["b", "b"])
-    inferred = k_tails(ts, InferenceConfig(k=1))
+    inferred = k_tails(ts, 1)
     pta = build_pta(ts)
     assert inferred.state_count < pta.state_count
 
@@ -171,15 +164,15 @@ def test_k_tails_size_grows_with_k_on_protocol_sets():
             reference, walk_cfg(seed=seed), min_traces=30, min_state_visits=2
         )
         for k in sizes:
-            sizes[k].append(k_tails(ts, InferenceConfig(k=k)).state_count)
+            sizes[k].append(k_tails(ts, k).state_count)
     mean2 = sum(sizes[2]) / len(sizes[2])
     mean8 = sum(sizes[8]) / len(sizes[8])
     assert mean2 <= mean8
 
 
 def test_inference_config_validation():
-    with pytest.raises(ValueError):
-        InferenceConfig(k=0)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        k_tails(training(["a"]), 0)
 
 
 def test_generate_training_set_follows_the_stopping_rule():
@@ -207,7 +200,7 @@ def test_full_inference_round_trip_has_no_false_positives():
     ts = generate_training_set(
         reference, walk_cfg(seed=5), min_traces=40, min_state_visits=2
     )
-    inferred = k_tails(ts, InferenceConfig(k=ts.max_trace_length + 1))
+    inferred = k_tails(ts, ts.max_trace_length + 1)
     n_max = ts.max_trace_length + 2
     result = single_length_assessment(confusion_counts(reference, inferred, n_max))
     for row in result.per_length:

@@ -1,3 +1,5 @@
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from langcard.regexes import EPSILON, one_of, seq, star, sym, to_dfa
 from helpers import (
     all_accepting,
     b_power,
+    complement,
     doubled,
     empty_language,
     fraction_rows_csv,
@@ -145,7 +148,7 @@ def test_one_pass_counts_keep_the_partition_identities_past_the_dp():
         n_max = 2 * live_product_states(r, h) + 30
         c = confusion_counts(r, h, n_max)
         r_counts, h_counts = count_dp(r, n_max), count_dp(h, n_max)
-        neither = count_dp(r.complement().intersect(h.complement()), n_max)
+        neither = count_dp(complement(confusion_product(r, h)[0]), n_max)  # states in no class
         for n in range(n_max + 1):
             assert c.tp[n] + c.fp[n] == h_counts[n]
             assert c.tp[n] + c.fn[n] == r_counts[n]
@@ -257,7 +260,7 @@ def test_counts_past_the_branch_point_on_edge_pairs(monkeypatch, case):
         solved.clear()
         c = confusion_counts(r, h, n_max)
         assert [(terms, bound) for terms, bound, _ in solved] == _expected_solves(r, h, q)
-        tp, fp, fn = r.intersect(h), h.intersect(r.complement()), r.intersect(h.complement())
+        tp, fp, fn = r.intersect(h), h.intersect(complement(r)), r.intersect(complement(h))
         assert [list(s) for s in (c.tp, c.fp, c.fn)] == [count_dp(m, n_max) for m in (tp, fp, fn)]
         assert (c.h, c.r) == (tuple(count_dp(h, n_max)), tuple(count_dp(r, n_max)))
         # each recurrence is the canonical one of its language, whatever
@@ -577,7 +580,7 @@ def _late_fp_pair(rng):
     """H is R plus the one trace b^12, which R rejects: H has a false
     positive first at length 12, and R is inside H below it."""
     late = b_power(12, 2)
-    r = random_dfa(rng, 6, 2).intersect(late.complement())
+    r = random_dfa(rng, 6, 2).intersect(complement(late))
     return r, r.union(late)
 
 
@@ -656,3 +659,17 @@ def test_constant_columns_are_written_without_a_division(monkeypatch):
 
 def test_counts_csv():
     assert counts_csv([1, 2, 4]) == "length,count\n0,1\n1,2\n2,4\n"
+
+
+def test_counts_csv_holds_its_text_about_twice_at_most():
+    # the lines and their one join; a second copy of the whole text, as a
+    # join and then a newline appended to it make, would pass 3x
+    counts = [Decimal(4**n) for n in range(2001)]
+    tracemalloc.start()
+    try:
+        text = counts_csv(counts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.endswith(f"\n2000,{counts[-1]}\n")
+    assert peak < 2.5 * len(text)
