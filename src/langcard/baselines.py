@@ -13,6 +13,10 @@ generators from (seed, stream id).
 Every method runs on precomputed integer tables: walks on per-state choice
 lists, the W-method and sampling on the reachable product R x H, whose state
 classes (``automata.confusion_product``) say which model accepts a trace.
+The W-method's tests are counted, not listed, the way the paper counts any
+finite language: a DFA of the test set, built by subset construction, runs
+against R x H in one DP that sums the distinct tests by the product state
+they end in.
 
 Sampling draws a trace's symbols in bulk, yet consumes the generator exactly
 as one ``int(rng.random() * sigma)`` per symbol would.  CPython builds each
@@ -36,13 +40,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .automata import confusion_product
+from .automata import confusion_product, subset_construction
 from .counting import WorkBudget, count_dp
 from .errors import (
     IndistinguishableStatesError,
     ResourceLimitError,
     SizeGuardError,
     UnsuitableModelError,
+    int_text,
 )
 
 DEFAULT_SEED = 52_4287
@@ -299,75 +304,151 @@ def characterization_set(d) -> list[tuple[int, ...]]:
     return sorted(set(witness.values()), key=lambda t: (len(t), t))
 
 
-def _w_method_tests(d, m):
-    """The W-method test set C (eps|Sigma|...|Sigma^{k+1}) D of ``d`` with
-    k = m - |Q|, duplicates removed: a list of each cover+middle prefix with
-    the distinguishing suffixes that extend it to a test not listed before,
-    in the order the set lists its tests."""
+def _test_set_bound(cover, sigma, k, dist):
+    """The size bound |C| (1 + sigma + ... + sigma^(k+1)) |D| of a test set
+    and the longest middle it has summed.
+
+    The sum stops at the first power of sigma that takes the bound past
+    ``MAX_TEST_SET_SIZE``, so it adds at most about 23 powers whatever ``k``
+    is; below sigma = 2 it is one product."""
+    if sigma < 2:
+        return cover * (1 + sigma * (k + 1)) * dist, k + 1
+    longest, power, middles = 0, 1, 1
+    while longest <= k and cover * middles * dist <= MAX_TEST_SET_SIZE:
+        longest += 1
+        power *= sigma
+        middles += power
+    return cover * middles * dist, longest
+
+
+def _w_method_parts(d, m):
+    """k = m - |Q|, the state cover C and the characterization set D of the
+    W-method test set C (eps|Sigma|...|Sigma^{k+1}) D of ``d``, once the
+    set is known to be within ``MAX_TEST_SET_SIZE``."""
     if m < d.state_count:
         raise ValueError("state bound m must be at least the reference size")
     k = m - d.state_count
     cover = state_cover(d)
     dist = characterization_set(d)
-    sigma = len(d.alphabet)
-    middle_size = sum(sigma**i for i in range(k + 2))
-    estimate = len(cover) * middle_size * len(dist)
+    estimate, longest = _test_set_bound(len(cover), len(d.alphabet), k, len(dist))
     if estimate > MAX_TEST_SET_SIZE:
+        scope = "" if longest > k else (
+            f" counting middles of at most {longest} symbols alone; m = {m} allows {k + 1}"
+        )
         raise SizeGuardError(
-            f"W-method test set would hold up to {estimate} traces "
+            f"W-method test set would hold up to {estimate} traces{scope} "
             f"(cap {MAX_TEST_SET_SIZE})",
             estimate=estimate,
         )
-    middles = [
-        m
-        for i in range(k + 2)
-        for m in itertools.product(range(sigma), repeat=i)
-    ]
-    tests = []
-    seen = set()
-    for c in cover:
-        for mid in middles:
-            prefix = c + mid
-            suffixes = []
-            for w in dist:
-                t = prefix + w
-                if t not in seen:
-                    seen.add(t)
-                    suffixes.append(w)
-            tests.append((prefix, suffixes))
-    return tests
+    return k, cover, dist
 
 
 def w_method_test_set(d, m) -> EvaluationMultiset:
     """The conformance test set C (eps|Sigma|...|Sigma^{k+1}) D with
     k = m - |Q|, duplicates removed; ``m`` bounds the state count of the
-    model under test."""
-    result = EvaluationMultiset()
-    for prefix, suffixes in _w_method_tests(d, m):
-        for w in suffixes:
-            result.add(prefix + w)
-    return result
+    model under test.  Tests are listed in the order the set spells them,
+    cover string first, then middle, then distinguishing suffix."""
+    k, cover, dist = _w_method_parts(d, m)
+    middles = [
+        mid
+        for i in range(k + 2)
+        for mid in itertools.product(range(len(d.alphabet)), repeat=i)
+    ]
+    tests = dict.fromkeys((c + mid + w for c in cover for mid in middles for w in dist), 1)
+    return EvaluationMultiset(Counter(tests))
+
+
+def _trie(words):
+    """The trie of ``words``: each node's children by symbol (node 0 the
+    root), and the set of nodes that end a word."""
+    children = [{}]
+    ends = set()
+    for word in words:
+        node = 0
+        for s in word:
+            kids = children[node]
+            node = kids.get(s)
+            if node is None:
+                node = kids[s] = len(children)
+                children.append({})
+        ends.add(node)
+    return children, ends
+
+
+def _test_automaton(alpha, k, cover, dist):
+    """A DFA accepting exactly the W-method test set C (eps|...|Sigma^{k+1}) D.
+
+    It is the subset construction of an NFA whose positions are the nodes
+    of C's trie, then the middle lengths 0..k+1, then the nodes of D's trie.
+    A whole cover string moves on epsilon to middle length 0, and every
+    middle length to the root of D's trie; a subset accepts when it holds
+    the end of a whole D word.  The set is finite, so the DFA is acyclic but
+    for its sink, the empty subset."""
+    cover_kids, cover_ends = _trie(cover)
+    dist_kids, dist_ends = _trie(dist)
+    middle = len(cover_kids)  # position of middle length 0
+    root = middle + k + 2  # position of D's root
+    last = root - 1  # position of middle length k + 1
+
+    def step(subset, s):
+        nxt = set()
+        for pos in subset:
+            if pos < middle:
+                child = cover_kids[pos].get(s)
+                if child is not None:
+                    nxt.add(child)
+                    if child in cover_ends:
+                        nxt.update((middle, root))
+            elif pos < last:
+                nxt.update((pos + 1, root))
+            elif pos >= root:
+                child = dist_kids[pos - root].get(s)
+                if child is not None:
+                    nxt.add(root + child)
+        return frozenset(nxt)
+
+    start = frozenset((0, middle, root))  # the cover holds the empty string
+    ends = frozenset(root + node for node in dist_ends)
+    return subset_construction(alpha, start, step, lambda subset: not ends.isdisjoint(subset))
 
 
 def mbt_assessment(reference, inferred, m):
     """Precision and recall over the W-method test set of the reference for
     the state bound ``m``.
 
-    Each test is classified by the state of R x H it reaches: its prefix is
-    run once on the product table, and each suffix from there."""
-    tests = _w_method_tests(reference, m)
+    The distinct tests are counted, not listed: one DP runs over the pairs
+    of a state of the test set's DFA (``_test_automaton``) and a state of
+    R x H, in a topological order of the DFA, and sums the tests ending in
+    each product state.  The DFA is deterministic, so every distinct test is
+    one path, and the sums are those of running each test once."""
+    tests = _test_automaton(reference.alphabet, *_w_method_parts(reference, m))
     product, classes = confusion_product(reference, inferred)
-    rows = product.transitions
+    columns = tuple(zip(*product.transitions))  # columns[s][p]: p's successor on s
+    rows = tests.transitions
+    dead = tests.error_states  # the sink
+    waiting = [0] * len(rows)  # per state, its in-edges from states not yet walked
+    for q, row in enumerate(rows):
+        if q not in dead:
+            for t in row:
+                waiting[t] += 1
     reached = [0] * product.state_count
-    for prefix, suffixes in tests:
-        q = 0
-        for s in prefix:
-            q = rows[q][s]
-        for w in suffixes:
-            p = q
-            for s in w:
-                p = rows[p][s]
-            reached[p] += 1
+    counts = {tests.initial: {0: 1}}  # test DFA state -> product state -> tests
+    order = [tests.initial]  # the start has no edge into it; grows while walked
+    for q in order:
+        here = counts.pop(q)
+        if q in tests.accepting:
+            for p, c in here.items():
+                reached[p] += c
+        for t, column in zip(rows[q], columns):
+            if t in dead:
+                continue
+            there = counts.setdefault(t, {})
+            for p, c in here.items():
+                r = column[p]
+                there[r] = there.get(r, 0) + c
+            waiting[t] -= 1
+            if not waiting[t]:
+                order.append(t)
     tp, fp, fn = (sum(reached[q] for q in members) for members in classes)
     precision = Fraction(tp, tp + fp) if tp + fp else None
     recall = Fraction(tp, tp + fn) if tp + fn else None
@@ -449,9 +530,9 @@ def sigma_sampling_assessment(
     estimate = n_target * len(reference.alphabet) ** length // size
     if estimate > MAX_EXPECTED_DRAWS:
         raise SizeGuardError(
-            f"sampling would need about {estimate} draws for {n_target} traces "
+            f"sampling would need about {int_text(estimate)} draws for {n_target} traces "
             f"of length {length}, of which the conditioning language has "
-            f"{size} (cap {MAX_EXPECTED_DRAWS})",
+            f"{int_text(size)} (cap {MAX_EXPECTED_DRAWS})",
             estimate=estimate,
         )
     product, (tp, fp, fn) = confusion_product(reference, inferred)

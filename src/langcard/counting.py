@@ -83,6 +83,7 @@ from .errors import (
     ResourceLimitError,
     SizeGuardError,
     ZeroConstantDenominatorError,
+    int_text,
 )
 from .polynomials import (
     RF_ONE,
@@ -133,8 +134,8 @@ def check_horizon(n_max, sigma, sequences=1):
     estimate = sequences * ((n_max + 1) * _SLOT_BYTES + n_max * n_max * bits // 16)
     if estimate > MAX_COUNT_BYTES:
         raise SizeGuardError(
-            f"counting to length {n_max} over an alphabet of {sigma} would take about "
-            f"{estimate} bytes (cap {MAX_COUNT_BYTES})",
+            f"counting to length {int_text(n_max)} over an alphabet of {sigma} would take "
+            f"about {int_text(estimate)} bytes (cap {MAX_COUNT_BYTES})",
             estimate=estimate,
         )
 

@@ -1,5 +1,24 @@
 """Exception hierarchy shared across the toolkit."""
 
+import math
+
+
+def int_text(n):
+    """The positive integer ``n`` in decimal, or in scientific notation with
+    three digits (``9.99e4999``, truncated) when it has more digits than
+    CPython turns into text (``sys.get_int_max_str_digits()``, 4,300 by
+    default), so that a message may quote any estimate."""
+    try:
+        return str(n)
+    except ValueError:
+        e = int(math.log10(n))  # may be one off either way
+        while n >= 10 ** (e + 1):
+            e += 1
+        while n < 10**e:
+            e -= 1
+        lead = n // 10 ** (e - 2)
+        return f"{lead // 100}.{lead % 100:02d}e{e}"
+
 
 class LangcardError(Exception):
     """Base class for all toolkit errors.

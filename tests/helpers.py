@@ -6,12 +6,23 @@ product-automaton search, and counting sums over explicitly enumerated
 traces.
 """
 
+import itertools
 import random
 from collections import deque
 from fractions import Fraction
 from operator import mul
 
-from langcard import Alphabet, Dfa, build_dfa, coefficients, compute_ogf, confusion_automata
+from langcard import (
+    Alphabet,
+    Dfa,
+    build_dfa,
+    characterization_set,
+    coefficients,
+    compute_ogf,
+    confusion_automata,
+    confusion_product,
+    state_cover,
+)
 from langcard.baselines import _walk, _WalkTables
 from langcard.inference import _Trie
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
@@ -336,6 +347,46 @@ def product_table_oracle(a, b):
             tuple(ids[(a.transitions[qa][s], b.transitions[qb][s])] for s in a.alphabet)
         )
     return tuple(rows), order
+
+
+def mbt_by_enumeration(reference, inferred, m):
+    """Precision and recall over the W-method test set the way
+    ``baselines.mbt_assessment`` once took them: list every cover+middle
+    prefix with the distinguishing suffixes that extend it to a test not
+    seen before, run each prefix once on the R x H table and each suffix
+    from there.  Oracle for the count over the test set's DFA; it skips the
+    size guard, so keep its inputs small."""
+    assert m >= reference.state_count
+    k = m - reference.state_count
+    cover = state_cover(reference)
+    dist = characterization_set(reference)
+    middles = [
+        mid
+        for i in range(k + 2)
+        for mid in itertools.product(range(len(reference.alphabet)), repeat=i)
+    ]
+    product, classes = confusion_product(reference, inferred)
+    rows = product.transitions
+    reached = [0] * product.state_count
+    seen = set()
+    for c in cover:
+        for mid in middles:
+            prefix = c + mid
+            q = 0
+            for s in prefix:
+                q = rows[q][s]
+            for w in dist:
+                if prefix + w in seen:
+                    continue
+                seen.add(prefix + w)
+                p = q
+                for s in w:
+                    p = rows[p][s]
+                reached[p] += 1
+    tp, fp, fn = (sum(reached[q] for q in members) for members in classes)
+    precision = Fraction(tp, tp + fp) if tp + fp else None
+    recall = Fraction(tp, tp + fn) if tp + fn else None
+    return precision, recall
 
 
 def seeded(seed):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from langcard.baselines import (
     trace_similarity_conditioned,
     w_method_test_set,
 )
-from langcard.counting import count_dp
+from langcard.counting import check_horizon, count_dp
 from langcard.errors import IndistinguishableStatesError, ResourceLimitError, SizeGuardError
 from langcard.inference import generate_training_set
 from langcard.metrics import confusion_counts, single_length_assessment
@@ -29,7 +30,10 @@ from langcard.regexes import EPSILON, alt, seq, star, sym, to_dfa
 from helpers import (
     all_accepting,
     b_power,
+    doubled,
+    empty_language,
     equivalent,
+    mbt_by_enumeration,
     random_dfa,
     random_nonempty_dfa,
     random_walk_trace,
@@ -252,6 +256,21 @@ def test_w_method_size_guard():
     assert exc.value.estimate > 5_000_000
 
 
+@pytest.mark.parametrize("sigma, m", [(1, 10**9), (2, 200_000)])
+def test_a_huge_state_bound_is_refused_at_once(sigma, m):
+    # the size bound stops summing once it passes the cap, instead of adding
+    # sigma^i for every i <= k + 1
+    rows = ((1, 0), (0, 1)) if sigma == 2 else ((0,),)
+    d = Dfa(Alphabet(AB[:sigma]), rows, 0, frozenset([0]))
+    started = time.monotonic()
+    with pytest.raises(SizeGuardError) as exc:
+        mbt_assessment(d, d, m)
+    assert time.monotonic() - started < 1
+    # sigma = 1: 1 * (k + 2) * 1 exactly; sigma = 2: 2 * (1 + ... + 2^21) * 1,
+    # the first partial sum past the cap
+    assert exc.value.estimate == (m + 1 if sigma == 1 else 2 * (2**22 - 1))
+
+
 def test_w_method_requires_m_at_least_reference_size():
     d = random_dfa(seeded(56), 5, 2).minimize()
     with pytest.raises(ValueError):
@@ -269,6 +288,29 @@ def test_w_method_distinguishes_inequivalent_pairs():
         done += 1
         tests = w_method_test_set(r, max(r.state_count, h.state_count))
         assert any(r.accepts(t) != h.accepts(t) for t in tests.traces)
+
+
+def test_mbt_counts_equal_the_enumeration():
+    # the count over the test set's DFA against listing and running every
+    # test: sigma 1-4, single-state references (D = {eps}), inferred models
+    # with unreachable states or doubled (unminimized), m = |R|..|R|+3
+    rng = seeded(60)
+    unreachable = 0
+    for i in range(320):
+        sigma = 1 + i % 4
+        if i % 10 == 0:
+            reference = (all_accepting if i % 20 else empty_language)(sigma)
+        else:
+            reference = all_accepting(sigma)
+            while reference.state_count == 1:
+                reference = random_dfa(rng, rng.randrange(2, 7), sigma).minimize()
+        inferred = random_dfa(rng, rng.randrange(1, 6), sigma)
+        if i % 3 == 0:
+            inferred = doubled(inferred)
+        unreachable += len(inferred.reachable_states()) < inferred.state_count
+        m = reference.state_count + (i // 4) % 4
+        assert mbt_assessment(reference, inferred, m) == mbt_by_enumeration(reference, inferred, m)
+    assert unreachable >= 50
 
 
 def test_mbt_identical_models():
@@ -324,6 +366,18 @@ def test_sigma_sampling_refuses_a_slice_too_thin_to_fill(monkeypatch):
         sigma_sampling_assessment(all_accepting(3), b_power(12, 3), 12, 150, "precision", seed=1)
     # 150 * 3^12 / 1 expected draws
     assert info.value.estimate == 79_716_150
+
+
+def test_a_refusal_quotes_an_estimate_past_the_int_to_str_limit():
+    # 1000 * 2^15000 expected draws has 4,519 digits: the message gives it
+    # in scientific notation, the estimate stays exact
+    with pytest.raises(SizeGuardError, match=r"about 2\.81e4518 draws") as info:
+        sigma_sampling_assessment(all_accepting(2), b_power(15_000, 2), 15_000, 1000, "precision", seed=1)
+    assert info.value.estimate == 1000 * 2**15_000
+    nines = 10**2500 - 1
+    with pytest.raises(SizeGuardError, match=r"would take about 6\.25e4998 bytes") as info:
+        check_horizon(nines, 2)
+    assert info.value.estimate == (nines + 1) * 64 + nines * nines // 16
 
 
 def test_sigma_sampling_agrees_with_exact_single_length():

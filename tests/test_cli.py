@@ -11,7 +11,7 @@ import pytest
 
 import langcard
 from langcard import automata, baselines, cli, counting, polynomials
-from langcard.automata import MAX_STATES, serialize_dfa
+from langcard.automata import MAX_STATES, Alphabet, Dfa, serialize_dfa
 from langcard.cli import BUDGET_ENV, main
 from langcard.metrics import confusion_counts
 from helpers import all_accepting, b_power, binary_tree, cycle, empty_language, signature_models
@@ -784,6 +784,34 @@ def test_a_horizon_over_the_memory_cap_is_refused(tmp_path, monkeypatch, capsys,
         capsys.readouterr().err
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["all.dfa"]
+
+
+HUGE_ESTIMATE_CALLS = [
+    ["count", "P", "--max-length", "9" * 2500],
+    ["assess", "P", "P", "--max-length", "9" * 2500],
+    ["baseline", "mbt", "P", "P", "--m-bound", "20000"],
+    ["baseline", "sigma-sample", "A", "A", "--length", "15000"],
+]
+
+
+@pytest.mark.parametrize(
+    "call", HUGE_ESTIMATE_CALLS, ids=["count", "assess", "mbt", "sigma-sample"]
+)
+def test_a_refusal_past_the_int_to_str_limit_exits_4(tmp_path, capsys, call):
+    # each estimate has more than CPython's 4,300 digits (mbt's, unless its
+    # sum stops at the cap); the message must quote it without str()
+    ab = Alphabet(("a", "b"))
+    models = {
+        "P": Dfa(ab, ((1, 0), (0, 1)), 0, frozenset([0])),  # even number of a's
+        "A": Dfa(ab, ((0, 1), (1, 1)), 0, frozenset([0])),  # a^n: one trace per length
+    }
+    for name, model in models.items():
+        (tmp_path / f"{name}.dfa").write_text(serialize_dfa(model))
+    out = tmp_path / "o.csv"
+    argv = [str(tmp_path / f"{arg}.dfa") if arg in models else arg for arg in call]
+    assert run(*argv, "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("refused: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A.dfa", "P.dfa"]
 
 
 def test_the_horizon_cap_admits_the_benchmark_horizons():
