@@ -6,7 +6,7 @@ large k barely generalizes (big model, high precision, low recall).  The
 exact cumulative assessment quantifies both sides of the trade.
 """
 
-from langcard import RandomWalkConfig, generate_training_set, k_tails
+from langcard import RandomWalkConfig, WorkBudget, generate_training_set, k_tails
 from langcard.metrics import confusion_counts, cumulative_assessment
 from langcard.regexes import alt, seq, star, sym, to_dfa
 
@@ -16,8 +16,8 @@ reference = to_dfa(
     ("open", "read", "close"),
 )
 
-cfg = RandomWalkConfig(termination_probability=0.2, seed=31, time_limit_s=60.0)
-training = generate_training_set(reference, cfg)
+cfg = RandomWalkConfig(termination_probability=0.2, seed=31)
+training = generate_training_set(reference, cfg, budget=WorkBudget(time_limit_s=60.0))
 longest = training.max_trace_length
 print(f"training set: {len(training.traces)} traces, longest {longest}")
 

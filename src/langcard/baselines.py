@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,7 +74,6 @@ class RandomWalkConfig:
     termination_probability: float = 0.1
     target_trace_count: int = 100_000
     min_transition_coverage: int = 10
-    time_limit_s: float = 1800.0
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -151,7 +149,7 @@ def _walk(tables, cfg, rng, track_steps):
         restarts += 1
 
 
-def _generate_multiset(d, cfg, rng, deadline):
+def _generate_multiset(d, cfg, rng, budget):
     tables = _WalkTables(d)
     need = cfg.min_transition_coverage
     # walks take only the choices out of reachable states, so a count of
@@ -172,7 +170,7 @@ def _generate_multiset(d, cfg, rng, deadline):
                     uncovered -= 1
         if generated >= cfg.target_trace_count and not uncovered:
             break
-        if generated % 256 == 0 and time.monotonic() > deadline:
+        if generated % 256 == 0 and budget.passed():
             break
     return multiset
 
@@ -195,21 +193,23 @@ def _judged_by_length(multiset, judge):
     return per_len
 
 
-def _walked_and_judged(reference, inferred, cfg):
+def _walked_and_judged(reference, inferred, cfg, budget):
     """The walk multisets on ``inferred`` and on ``reference``, each judged
-    by the other model, length by length; both sets are walked within one
-    ``cfg.time_limit_s``."""
-    deadline = time.monotonic() + cfg.time_limit_s
-    e_prec = _generate_multiset(inferred, cfg, derive_rng(cfg.seed, 0), deadline)
-    e_rec = _generate_multiset(reference, cfg, derive_rng(cfg.seed, 1), deadline)
+    by the other model, length by length; both sets stop walking once
+    ``budget`` (a fresh ``WorkBudget`` if None) has passed."""
+    budget = budget or WorkBudget()
+    e_prec = _generate_multiset(inferred, cfg, derive_rng(cfg.seed, 0), budget)
+    e_rec = _generate_multiset(reference, cfg, derive_rng(cfg.seed, 1), budget)
     return e_prec, e_rec, _judged_by_length(e_prec, reference), _judged_by_length(e_rec, inferred)
 
 
-def trace_similarity(reference, inferred, cfg: RandomWalkConfig) -> TraceSimilarityResult:
+def trace_similarity(
+    reference, inferred, cfg: RandomWalkConfig, budget: WorkBudget | None = None
+) -> TraceSimilarityResult:
     """Classic statistical assessment: precision is the fraction of traces
     walked on the inferred model that the reference accepts; recall swaps the
     roles."""
-    e_prec, e_rec, p_part, r_part = _walked_and_judged(reference, inferred, cfg)
+    e_prec, e_rec, p_part, r_part = _walked_and_judged(reference, inferred, cfg, budget)
     precision = Fraction(sum(hits for hits, _ in p_part.values()), e_prec.total)
     recall = Fraction(sum(hits for hits, _ in r_part.values()), e_rec.total)
     return TraceSimilarityResult(precision, recall, e_prec, e_rec)
@@ -224,13 +224,15 @@ class ConditionedRow:
     recall_samples: int
 
 
-def trace_similarity_conditioned(reference, inferred, cfg) -> list[ConditionedRow]:
+def trace_similarity_conditioned(
+    reference, inferred, cfg, budget: WorkBudget | None = None
+) -> list[ConditionedRow]:
     """Trace similarity partitioned by trace length.
 
     Lengths never sampled get the undefined marker, mirroring the gaps such
     plots show in practice.
     """
-    _, _, p_part, r_part = _walked_and_judged(reference, inferred, cfg)
+    _, _, p_part, r_part = _walked_and_judged(reference, inferred, cfg, budget)
     rows = []
     for n in range(max(itertools.chain(p_part, r_part), default=-1) + 1):
         p_hits, p_total = p_part.get(n, (0, 0))
@@ -375,7 +377,7 @@ def _trie(words):
     return children, ends
 
 
-def _test_automaton(alpha, k, cover, dist):
+def _test_automaton(alpha, k, cover, dist, check):
     """A DFA accepting exactly the W-method test set C (eps|...|Sigma^{k+1}) D.
 
     It is the subset construction of an NFA whose positions are the nodes
@@ -383,7 +385,8 @@ def _test_automaton(alpha, k, cover, dist):
     A whole cover string moves on epsilon to middle length 0, and every
     middle length to the root of D's trie; a subset accepts when it holds
     the end of a whole D word.  The set is finite, so the DFA is acyclic but
-    for its sink, the empty subset."""
+    for its sink, the empty subset.  ``check`` is called on every step of
+    a subset."""
     cover_kids, cover_ends = _trie(cover)
     dist_kids, dist_ends = _trie(dist)
     middle = len(cover_kids)  # position of middle length 0
@@ -391,6 +394,7 @@ def _test_automaton(alpha, k, cover, dist):
     last = root - 1  # position of middle length k + 1
 
     def step(subset, s):
+        check()
         nxt = set()
         for pos in subset:
             if pos < middle:
@@ -412,7 +416,7 @@ def _test_automaton(alpha, k, cover, dist):
     return subset_construction(alpha, start, step, lambda subset: not ends.isdisjoint(subset))
 
 
-def mbt_assessment(reference, inferred, m):
+def mbt_assessment(reference, inferred, m, budget: WorkBudget | None = None):
     """Precision and recall over the W-method test set of the reference for
     the state bound ``m``.
 
@@ -420,8 +424,12 @@ def mbt_assessment(reference, inferred, m):
     of a state of the test set's DFA (``_test_automaton``) and a state of
     R x H, in a topological order of the DFA, and sums the tests ending in
     each product state.  The DFA is deterministic, so every distinct test is
-    one path, and the sums are those of running each test once."""
-    tests = _test_automaton(reference.alphabet, *_w_method_parts(reference, m))
+    one path, and the sums are those of running each test once.  The
+    deadline of ``budget`` is checked on every step of a subset and once per
+    DFA state of the DP."""
+    budget = budget or WorkBudget()
+    parts = _w_method_parts(reference, m)
+    tests = _test_automaton(reference.alphabet, *parts, budget.check("test automaton"))
     product, classes = confusion_product(reference, inferred)
     columns = tuple(zip(*product.transitions))  # columns[s][p]: p's successor on s
     rows = tests.transitions
@@ -434,7 +442,9 @@ def mbt_assessment(reference, inferred, m):
     reached = [0] * product.state_count
     counts = {tests.initial: {0: 1}}  # test DFA state -> product state -> tests
     order = [tests.initial]  # the start has no edge into it; grows while walked
+    check = budget.check("counting tests")
     for q in order:
+        check()
         here = counts.pop(q)
         if q in tests.accepting:
             for p, c in here.items():
@@ -508,7 +518,7 @@ def sigma_sampling_assessment(
     n_target: int,
     metric: str,
     seed: int,
-    time_limit_s: float = 3600.0,
+    budget: WorkBudget | None = None,
 ) -> Fraction:
     """Estimate one accuracy value from uniform random traces of one length.
 
@@ -517,14 +527,14 @@ def sigma_sampling_assessment(
     one for precision, the reference for recall), then returns the fraction
     of those that the other model also accepts.  Refuses before the first
     draw when the expected number of draws exceeds ``MAX_EXPECTED_DRAWS``.
-    The count of the conditioning slice and the draws share one
-    ``time_limit_s``.
+    The count of the conditioning slice and the draws share ``budget``'s
+    deadline, checked once per 4,096 draws.
     """
     if metric not in ("precision", "recall"):
         raise ValueError("metric must be 'precision' or 'recall'")
     conditioning = inferred if metric == "precision" else reference
-    deadline = time.monotonic() + time_limit_s
-    size = count_dp(conditioning, length, WorkBudget(time_limit_s=time_limit_s))[length]
+    budget = budget or WorkBudget()
+    size = count_dp(conditioning, length, budget)[length]
     if size == 0:
         raise UnsuitableModelError(f"conditioning language has no trace of length {length}")
     estimate = n_target * len(reference.alphabet) ** length // size
@@ -540,13 +550,14 @@ def sigma_sampling_assessment(
     rows = product.transitions
     draw = _symbol_draws(len(reference.alphabet))
     rng = random.Random(seed)
+    check = budget.check("sampling")
     true_positives = 0
     accepted = 0
     checks = 0
     while accepted < n_target:
         checks += 1
-        if checks % 4096 == 0 and time.monotonic() > deadline:
-            raise ResourceLimitError("sampling hit the time limit")
+        if checks % 4096 == 0:
+            check()
         q = 0
         for s in draw(rng, length):
             q = rows[q][s]

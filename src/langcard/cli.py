@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -36,7 +35,6 @@ from .baselines import (
     trace_similarity,
     trace_similarity_conditioned,
 )
-from . import counting
 from .counting import WorkBudget, check_horizon, compute_ogf, coefficients, count_dp
 from .errors import LangcardError, ModelParseError
 from .inference import TrainingSet, generate_training_set, k_tails
@@ -144,11 +142,13 @@ def _load_pair(ref_path, inf_path):
 
 
 def _budget_from_env():
+    """The command's work budget, started now: the defaults, or what
+    ``LANGCARD_WORK_BUDGET`` sets."""
+    budget = WorkBudget()
     raw = os.environ.get(BUDGET_ENV)
     if not raw:
-        return None
+        return budget
     seconds, _, degree = raw.partition(":")
-    budget = WorkBudget()
     try:
         if seconds:
             budget.time_limit_s = float(seconds)
@@ -307,20 +307,16 @@ def _cmd_assess(args):
 
 def _cmd_count(args):
     model = _load_model(args.model)
-    budget = _budget_from_env() or WorkBudget()
+    budget = _budget_from_env()
     extra = {}
     if args.oracle == "dp":
         counts = count_dp(model, args.max_length, budget)
     else:
         check_horizon(args.max_length, len(model.alphabet))
-        # one budget for both stages, read on the clock that counting reads
-        started = counting.time.monotonic()
         ogf = compute_ogf(model, budget)
-        spent = counting.time.monotonic() - started
-        rest = replace(budget, time_limit_s=max(0.0, budget.time_limit_s - spent))
         # Decimals, whose text is linear in their length where an int's is
         # quadratic
-        counts = coefficients(ogf, args.max_length, rest, number=Decimal)
+        counts = coefficients(ogf, args.max_length, budget, number=Decimal)
         extra["ogf"] = str(ogf)
         print(f"OGF: {ogf}")
     return _Output(
@@ -339,13 +335,13 @@ def _baseline_rows(args, reference, inferred):
         termination_probability=args.pa,
         target_trace_count=args.target_traces,
         min_transition_coverage=args.min_coverage,
-        time_limit_s=args.time_limit,
         seed=args.seed,
     )
+    budget = WorkBudget(time_limit_s=args.time_limit)
     und = "undefined"
     digits = args.digits
     if args.method == "trace-sim":
-        res = trace_similarity(reference, inferred, cfg)
+        res = trace_similarity(reference, inferred, cfg, budget)
         n = max(
             max((len(t) for t in res.e_precision.traces), default=0),
             max((len(t) for t in res.e_recall.traces), default=0),
@@ -353,7 +349,7 @@ def _baseline_rows(args, reference, inferred):
         row = f"{n},{und},{und},{format_value(res.precision, digits)},{format_value(res.recall, digits)}"
         return [row], {"traces_precision": res.e_precision.total, "traces_recall": res.e_recall.total}
     if args.method == "trace-sim-conditioned":
-        rows = trace_similarity_conditioned(reference, inferred, cfg)
+        rows = trace_similarity_conditioned(reference, inferred, cfg, budget)
         return [
             f"{row.n},{format_value(row.precision, digits)},"
             f"{format_value(row.recall, digits)},{und},{und}"
@@ -367,19 +363,13 @@ def _baseline_rows(args, reference, inferred):
                 f"--m-bound {args.m_bound} is below the reference's "
                 f"{reference.state_count} states"
             )
-        precision, recall = mbt_assessment(reference, inferred, args.m_bound)
+        precision, recall = mbt_assessment(reference, inferred, args.m_bound, budget)
         return [f"0,{und},{und},{format_value(precision, digits)},{format_value(recall, digits)}"], {}
     # sigma-sample, the last of the parser's choices
     if args.length is None:
         raise _UsageError("sigma-sample needs --length")
     value = sigma_sampling_assessment(
-        reference,
-        inferred,
-        args.length,
-        args.samples,
-        args.metric,
-        args.seed,
-        time_limit_s=args.time_limit,
+        reference, inferred, args.length, args.samples, args.metric, args.seed, budget
     )
     cell = format_value(value, digits)
     if args.metric == "precision":
@@ -440,13 +430,13 @@ def _cmd_infer(args):
 
 def _cmd_gen_traces(args):
     model = _load_model(args.model)
-    cfg = RandomWalkConfig(
-        termination_probability=args.pa,
-        seed=args.seed,
-        time_limit_s=args.time_limit,
-    )
+    cfg = RandomWalkConfig(termination_probability=args.pa, seed=args.seed)
     ts = generate_training_set(
-        model, cfg, min_traces=args.min_traces, min_state_visits=args.min_state_visits
+        model,
+        cfg,
+        min_traces=args.min_traces,
+        min_state_visits=args.min_state_visits,
+        budget=WorkBudget(time_limit_s=args.time_limit),
     )
     return _Output(
         args.out,

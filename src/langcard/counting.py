@@ -103,14 +103,34 @@ CardinalitySequence = list[int]
 
 @dataclass
 class WorkBudget:
-    """Wall-clock ceiling for one counting computation, and the degree
-    ceiling of a generating function it solves for."""
+    """The work one command may do: a wall-clock limit, and the degree
+    ceiling of a generating function it solves for.
+
+    The clock starts when the budget is made, and every stage it is passed
+    to shares its one deadline.  A stage that raises binds ``check(stage)``
+    once and calls it per step or block; one that stops and returns asks
+    ``passed()``."""
 
     max_degree: int = 50_000
     time_limit_s: float = 600.0
 
+    def __post_init__(self):
+        self._started = time.monotonic()
 
-DEFAULT_BUDGET = WorkBudget()
+    def check(self, stage):
+        """A function of no arguments that raises ``ResourceLimitError``,
+        naming ``stage``, once the deadline has passed."""
+        deadline = self._started + self.time_limit_s
+
+        def check():
+            if time.monotonic() > deadline:
+                raise ResourceLimitError(f"{stage}: time limit exceeded {self.time_limit_s} s")
+
+        return check
+
+    def passed(self):
+        return time.monotonic() > self._started + self.time_limit_s
+
 
 # the most memory, in bytes, that the counts of one computation may be
 # estimated to take (``check_horizon``); the peak of a command that writes
@@ -246,11 +266,10 @@ def compute_ogf(d, budget: WorkBudget | None = None) -> RationalFunction:
     every step of the DP, of Berlekamp-Massey and of the exact check; the
     degree of the result is checked against ``budget.max_degree``.
     """
-    budget = budget or DEFAULT_BUDGET
-    check = _deadline(budget)
+    budget = budget or WorkBudget()
     q = _live_count(d)
-    (terms,) = _dp_terms(d, (d.accepting,), 2 * q + 1, check("counting terms"))
-    return _solve(terms, q, budget, check)
+    (terms,) = _dp_terms(d, (d.accepting,), 2 * q + 1, budget.check("counting terms"))
+    return _solve(terms, q, budget)
 
 
 def count_by_class(
@@ -272,12 +291,11 @@ def count_by_class(
         if not d.accepting.issuperset(members):
             raise ValueError("count_by_class counts sets of accepting states")
     check_horizon(n_max, len(d.alphabet), len(classes))
-    budget = budget or DEFAULT_BUDGET
-    check = _deadline(budget)
-    check_extending = check("extending")
+    budget = budget or WorkBudget()
+    check_extending = budget.check("extending")
     q = _live_count(d)
     top = 2 * q + 1
-    seqs = _dp_terms(d, classes, min(n_max, top), check("counting terms"))
+    seqs = _dp_terms(d, classes, min(n_max, top), budget.check("counting terms"))
     if n_max > top:
         extended = {}  # prefix -> its sequence extended to n_max
         for i, terms in enumerate(seqs):
@@ -289,7 +307,7 @@ def count_by_class(
             if not any(terms):
                 terms += [0] * (n_max - top)
                 continue
-            den = _solve(terms, q, budget, check).den
+            den = _solve(terms, q, budget).den
             # c_0 = 1 and deg N < q, so a_n = -sum_{j>=1} c_j a_{n-j} for n >= q
             taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
             for block in _blocks(top + 1, n_max + 1, check_extending):
@@ -314,29 +332,12 @@ def _blocks(start, stop, check):
         yield range(first, min(first + _STEPS_PER_CHECK, stop))
 
 
-def _deadline(budget):
-    """The deadline of one computation under ``budget``, started now: a
-    function from a stage name to the check that raises once it has passed."""
-    deadline = time.monotonic() + budget.time_limit_s
-
-    def check_deadline(stage):
-        def check():
-            if time.monotonic() > deadline:
-                raise ResourceLimitError(
-                    f"{stage}: time limit exceeded {budget.time_limit_s} s"
-                )
-
-        return check
-
-    return check_deadline
-
-
 def _live_count(d):
     dead = d.error_states
     return sum(1 for s in d.reachable_states() if s not in dead)
 
 
-def _solve(terms, q, budget, check_deadline):
+def _solve(terms, q, budget):
     """The generating function N/D of a count sequence, D(0) = 1, proved
     to equal the series of ``terms`` = a_0..a_{2q+1} for a language of at
     most q live states, and in lowest terms.
@@ -356,8 +357,8 @@ def _solve(terms, q, budget, check_deadline):
         start = top - n
         return sum(map(mul, den, rev[start : start + len(den)]))
 
-    check_bm = check_deadline("berlekamp-massey")
-    check_exact = check_deadline("exact check")
+    check_bm = budget.check("berlekamp-massey")
+    check_exact = budget.check("exact check")
     best = -1  # longest recurrence seen; shorter ones come from unlucky primes
     residues = previous = None
     modulus = 1
@@ -401,9 +402,9 @@ def elimination_ogf(d, budget: WorkBudget | None = None, order=None) -> Rational
     ends in the node id.  Every order yields the same canonical result as
     ``compute_ogf``.
     """
-    budget = budget or DEFAULT_BUDGET
+    budget = budget or WorkBudget()
     g, _, _ = digraph_construction(d)
-    check_deadline = _deadline(budget)("node elimination")
+    check_deadline = budget.check("node elimination")
 
     def cheapest():
         return min(g.interior_nodes(), key=g.elimination_cost, default=None)
@@ -419,11 +420,7 @@ def elimination_ogf(d, budget: WorkBudget | None = None, order=None) -> Rational
     return g.label(INITIAL, FINAL)
 
 
-def _unbounded():
-    pass
-
-
-def _berlekamp_massey_mod(seq, p, check=_unbounded):
+def _berlekamp_massey_mod(seq, p, check):
     """Shortest linear recurrence of ``seq`` over GF(p).
 
     Returns ``(c, length)``: ascending coefficients of the connection
@@ -482,7 +479,7 @@ def coefficients(
         raise ZeroConstantDenominatorError(
             "series extraction needs a nonzero constant term in the denominator"
         )
-    check = _deadline(budget or DEFAULT_BUDGET)("extending")
+    check = (budget or WorkBudget()).check("extending")
     exact = decimal.localcontext(_EXACT) if number is Decimal else contextlib.nullcontext()
     with exact:
         b = list(map(number, f.num.coeffs))
@@ -518,8 +515,8 @@ def count_dp(d, n_max: int, budget: WorkBudget | None = None) -> CardinalitySequ
     refused first.
     """
     check_horizon(n_max, len(d.alphabet))
-    check = _deadline(budget or DEFAULT_BUDGET)
-    (counts,) = _dp_terms(d, (d.accepting,), n_max, check("counting terms"))
+    check = (budget or WorkBudget()).check("counting terms")
+    (counts,) = _dp_terms(d, (d.accepting,), n_max, check)
     return counts
 
 

@@ -22,12 +22,11 @@ are the minimal DFA, numbered like every minimized model by
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .automata import Alphabet, Dfa, Trace, canonical_dfa, subset_construction
-from .baselines import RandomWalkConfig, _walk, _WalkTables, derive_rng
-from .errors import ResourceLimitError
+from .baselines import RandomWalkConfig, _trie, _walk, _WalkTables, derive_rng
+from .counting import WorkBudget
 
 
 @dataclass(frozen=True)
@@ -52,18 +51,8 @@ class _Trie:
     def __init__(self, ts: TrainingSet):
         if not ts.traces:
             raise ValueError("training set must not be empty")
-        self.children = [{}]  # node -> {symbol: node}
-        self.accepting = set()
-        for trace in ts.traces:
-            node = 0
-            for s in trace:
-                nxt = self.children[node].get(s)
-                if nxt is None:
-                    nxt = len(self.children)
-                    self.children.append({})
-                    self.children[node][s] = nxt
-                node = nxt
-            self.accepting.add(node)
+        # nodes are numbered in insertion order, children after parents
+        self.children, self.accepting = _trie(ts.traces)
 
     def __len__(self):
         return len(self.children)
@@ -135,10 +124,12 @@ def generate_training_set(
     cfg: RandomWalkConfig,
     min_traces: int = 100,
     min_state_visits: int = 4,
+    budget: WorkBudget | None = None,
 ) -> TrainingSet:
     """Random-walk training material with a coverage-based stopping rule:
     keep walking until at least ``min_traces`` traces exist and every
-    visitable state was visited ``min_state_visits`` times."""
+    visitable state was visited ``min_state_visits`` times.  The deadline
+    of ``budget`` is checked once per trace."""
     tables = _WalkTables(reference)
     rng = derive_rng(cfg.seed, 2)
     target = [t for row in reference.transitions for t in row]  # step id -> state
@@ -150,7 +141,7 @@ def generate_training_set(
     if min_state_visits > 0:
         short = len(set(reference.reachable_states()) - reference.error_states)
     traces = []
-    deadline = time.monotonic() + cfg.time_limit_s
+    check = (budget or WorkBudget()).check("training walks")
     while True:
         trace, steps = _walk(tables, cfg, rng, track_steps=short > 0)
         traces.append(trace)
@@ -161,8 +152,5 @@ def generate_training_set(
                     short -= 1
         if len(traces) >= min_traces and not short:
             break
-        if time.monotonic() > deadline:
-            raise ResourceLimitError(
-                "state coverage not reached within the time limit"
-            )
+        check()
     return TrainingSet(tuple(traces), reference.alphabet)

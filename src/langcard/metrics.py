@@ -41,7 +41,7 @@ from itertools import accumulate, islice
 from operator import add, sub
 
 from .automata import confusion_product
-from .counting import coefficients, compute_ogf, count_by_class
+from .counting import WorkBudget, coefficients, compute_ogf, count_by_class
 
 
 class ConfusionCounts:
@@ -229,11 +229,13 @@ def assess(counts: ConfusionCounts) -> AssessmentResult:
 
 def bounded_jaccard(reference, inferred, n_max, budget=None) -> Fraction | None:
     """Jaccard distance between the two languages restricted to traces of
-    length at most n_max; undefined (None) when the union is empty."""
+    length at most n_max; undefined (None) when the union is empty.  Both
+    solves and both extensions share ``budget``'s deadline."""
+    budget = budget or WorkBudget()
     inter = reference.intersect(inferred).minimize()
     union = reference.union(inferred).minimize()
-    inter_total = sum(coefficients(compute_ogf(inter, budget), n_max))
-    union_total = sum(coefficients(compute_ogf(union, budget), n_max))
+    inter_total = sum(coefficients(compute_ogf(inter, budget), n_max, budget))
+    union_total = sum(coefficients(compute_ogf(union, budget), n_max, budget))
     if union_total == 0:
         return None
     return 1 - Fraction(inter_total, union_total)

@@ -87,8 +87,7 @@ def test_criterion_2_signature_exact_precision(capsys):
 def test_criterion_3_trace_similarity_sensitivity(capsys):
     started = time.monotonic()
     reference, inferred = signature_models()
-    base = dict(target_trace_count=50_000, min_transition_coverage=0,
-                time_limit_s=120.0, seed=424242)
+    base = dict(target_trace_count=50_000, min_transition_coverage=0, seed=424242)
     res_high = trace_similarity(
         reference, inferred, RandomWalkConfig(termination_probability=1.0, **base)
     )
@@ -294,9 +293,7 @@ def test_criterion_9_k_tails_degenerate(capsys):
     rng = seeded(9090)
     for i in range(20):
         reference = random_nonempty_dfa(rng, rng.randrange(3, 6), rng.randrange(2, 4), accept_p=0.5)
-        cfg = RandomWalkConfig(
-            termination_probability=0.25, seed=rng.randrange(2**32), time_limit_s=60.0
-        )
+        cfg = RandomWalkConfig(termination_probability=0.25, seed=rng.randrange(2**32))
         ts = generate_training_set(reference, cfg)
         assert len(ts.traces) >= 100
         k = ts.max_trace_length + 1

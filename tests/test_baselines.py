@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langcard import Alphabet, Dfa, baselines
+from langcard import Alphabet, Dfa, baselines, counting
 from langcard.baselines import (
     _symbol_draws,
     RandomWalkConfig,
@@ -21,7 +21,7 @@ from langcard.baselines import (
     trace_similarity_conditioned,
     w_method_test_set,
 )
-from langcard.counting import check_horizon, count_dp
+from langcard.counting import WorkBudget, check_horizon, count_dp
 from langcard.errors import IndistinguishableStatesError, ResourceLimitError, SizeGuardError
 from langcard.inference import generate_training_set
 from langcard.metrics import confusion_counts, single_length_assessment
@@ -49,7 +49,6 @@ def cfg(**kw):
         termination_probability=0.3,
         target_trace_count=200,
         min_transition_coverage=0,
-        time_limit_s=30.0,
         seed=7,
     )
     base.update(kw)
@@ -546,23 +545,25 @@ def test_bulk_symbols_are_the_per_call_symbols(sigma, length):
 
 
 def test_sigma_sampling_past_its_deadline_raises(monkeypatch):
-    # the clock reads 0 when the deadline is set and far past it afterwards;
-    # 10,000 samples of the all-accepting model need a check at draw 4096
+    # the clock reads 0 when the budget starts and at the 3 steps of the
+    # slice's count, and far past the deadline afterwards; 10,000 samples of
+    # the all-accepting model need a check at draw 4096
     readings = []
 
     def monotonic():
         readings.append(None)
-        return 0.0 if len(readings) == 1 else 1e9
+        return 0.0 if len(readings) <= 4 else 1e9
 
-    monkeypatch.setattr(baselines, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
     top = all_accepting(2)
-    with pytest.raises(ResourceLimitError, match="sampling hit the time limit"):
-        sigma_sampling_assessment(top, top, 3, 10_000, "precision", seed=1, time_limit_s=1.0)
+    budget = WorkBudget(time_limit_s=1.0)
+    with pytest.raises(ResourceLimitError, match=r"^sampling: time limit exceeded 1\.0 s$"):
+        sigma_sampling_assessment(top, top, 3, 10_000, "precision", seed=1, budget=budget)
 
 
 @pytest.mark.parametrize("method", [trace_similarity, trace_similarity_conditioned])
 def test_both_walk_sets_share_one_time_limit(monkeypatch, method):
-    # the clock reads 0 when the deadline is set and 1.5 s at every later
+    # the clock reads 0 when the budget starts and 1.5 s at every later
     # reading: past the 1 s limit, yet inside one started afresh; so each
     # walk set stops at its first check, after 256 walks
     readings = []
@@ -571,9 +572,10 @@ def test_both_walk_sets_share_one_time_limit(monkeypatch, method):
         readings.append(None)
         return 0.0 if len(readings) == 1 else 1.5
 
-    monkeypatch.setattr(baselines, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
     top = all_accepting(2)
-    result = method(top, top, cfg(target_trace_count=1000, time_limit_s=1.0))
+    budget = WorkBudget(time_limit_s=1.0)
+    result = method(top, top, cfg(target_trace_count=1000), budget)
     if method is trace_similarity:
         walked = result.e_precision.total, result.e_recall.total
     else:

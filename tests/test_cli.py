@@ -693,26 +693,76 @@ def test_sigma_sample_past_its_deadline_exits_3(tmp_path, monkeypatch, capsys):
     readings = []
 
     def monotonic():
+        # 0 when the budget starts and at the 3 steps of the slice's count,
+        # far past the deadline at the draws' first check
         readings.append(None)
-        return 0.0 if len(readings) == 1 else 1e9
+        return 0.0 if len(readings) <= 4 else 1e9
 
-    monkeypatch.setattr(baselines, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
     out = tmp_path / "o.csv"
     argv = ["baseline", "sigma-sample", str(model), str(model), "--length", "3", "--samples", "10000"]
     assert run(*argv, "--time-limit", "1", "--out", str(out)) == 3
-    assert "resource limit: sampling hit the time limit" in capsys.readouterr().err
+    assert "resource limit: sampling: time limit exceeded 1.0 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_traces_past_its_time_limit_exits_3(tmp_path, monkeypatch, capsys):
+    # the clock reads 0 when the command's budget starts and far past its
+    # 1 s at the check after the first trace, long before 1,000 traces
+    model = tmp_path / "top.dfa"
+    model.write_text(serialize_dfa(all_accepting(2)))
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1e9
+
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    out = tmp_path / "t.traces"
+    argv = ["gen-traces", str(model), "--min-traces", "1000", "--time-limit", "1"]
+    assert run(*argv, "--out", str(out)) == 3
+    assert "resource limit: training walks: time limit exceeded 1.0 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["test automaton", "counting tests"])
+def test_mbt_past_its_time_limit_exits_3(tmp_path, monkeypatch, capsys, stage):
+    # the clock reads 0 when the command's budget starts, and jumps past its
+    # 1 s as ``stage`` begins: at the first step of the test automaton's
+    # subset construction, or once that automaton is built
+    model = tmp_path / "one.dfa"
+    model.write_text(serialize_dfa(all_accepting(1)))
+    readings, late = [], [stage == "test automaton"]
+    build = baselines._test_automaton
+
+    def test_automaton(*args):
+        result = build(*args)
+        late[0] = True
+        return result
+
+    def monotonic():
+        readings.append(None)
+        return 1e9 if late[0] and len(readings) > 1 else 0.0
+
+    monkeypatch.setattr(baselines, "_test_automaton", test_automaton)
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    out = tmp_path / "o.csv"
+    argv = ["baseline", "mbt", str(model), str(model), "--m-bound", "50"]
+    assert run(*argv, "--time-limit", "1", "--out", str(out)) == 3
+    assert f"resource limit: {stage}: time limit exceeded 1.0 s" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("budget, step", [("1", 0.6), (None, 360.0)])
 def test_count_solves_and_extends_within_one_budget(tmp_path, monkeypatch, capsys, budget, step):
-    # counting's clock reads 0 until compute_ogf returns, then ``step`` more
-    # at every reading: the solve leaves 0.4 of the budget's seconds (1 s, or
-    # the default 600 s when the variable is unset), and the extension's
-    # first check finds them spent; a budget started afresh would still hold
+    # counting's clock reads 0 when the budget starts, ``step`` during the
+    # solve and twice ``step`` once compute_ogf returns: the solve spends 0.6
+    # of the budget's seconds (1 s, or the default 600 s when the variable is
+    # unset), and the extension's first check finds them all spent; a budget
+    # started afresh after the solve would still hold
     model = tmp_path / "two.dfa"
     model.write_text(TWO_STATES)
-    now, solved = [0.0], [False]
+    readings, solved = [], [False]
     solve = cli.compute_ogf
 
     def compute_ogf(*args):
@@ -721,8 +771,8 @@ def test_count_solves_and_extends_within_one_budget(tmp_path, monkeypatch, capsy
         return result
 
     def monotonic():
-        now[0] += step if solved[0] else 0.0
-        return now[0]
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else step * (1 + solved[0])
 
     monkeypatch.setattr(cli, "compute_ogf", compute_ogf)
     monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))

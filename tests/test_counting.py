@@ -1,10 +1,13 @@
+import ast
 import decimal
 import math
+import pathlib
 from decimal import Decimal
 from types import SimpleNamespace
 
 import pytest
 
+import langcard
 from langcard import Alphabet, Dfa, counting, polynomials
 from langcard.automata import confusion_automata, confusion_product, serialize_dfa
 from langcard.cli import BUDGET_ENV, main
@@ -303,6 +306,35 @@ def test_deadline_message_gives_the_limit_as_configured(monkeypatch):
         compute_ogf(all_accepting(2), WorkBudget(time_limit_s=0.05))
 
 
+def test_only_the_work_budget_and_main_read_the_clock():
+    # a stage that reads the clock itself starts a deadline of its own; the
+    # one clock is the command's WorkBudget, and main times the manifest
+    readers = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "monotonic"
+                or isinstance(child, ast.Name) and child.id == "monotonic"
+                or isinstance(child, ast.alias) and child.name.endswith("monotonic")
+            ):
+                readers.append((path.name, scope))
+            if scope is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path, child.name)  # scope: the top-level definition
+            else:
+                visit(child, path, scope)
+
+    for path in sorted(pathlib.Path(langcard.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert sorted(readers) == [
+        ("cli.py", "main"),  # the start of the manifest's duration_s
+        ("cli.py", "main"),  # and its end
+        ("counting.py", "WorkBudget"),  # the budget's start
+        ("counting.py", "WorkBudget"),  # check
+        ("counting.py", "WorkBudget"),  # passed
+    ]
+
+
 def _readings_when_time_stands_still(monkeypatch, run):
     readings = _clock_jumping_after(monkeypatch, math.inf)
     run()
@@ -317,13 +349,12 @@ def _checks(steps):
 @pytest.mark.parametrize("number", [int, Decimal])
 def test_coefficients_check_the_deadline_while_extending(monkeypatch, number):
     f = compute_ogf(all_accepting(2))
-    budget = WorkBudget(time_limit_s=1.0)
 
     def extend():
-        return coefficients(f, 300, budget, number=number)
+        return coefficients(f, 300, WorkBudget(time_limit_s=1.0), number=number)
 
     readings = _readings_when_time_stands_still(monkeypatch, extend)
-    assert readings == 1 + _checks(301)  # the deadline set, then a check per block
+    assert readings == 1 + _checks(301)  # the budget started, then a check per block
     _clock_jumping_after(monkeypatch, readings - 1)
     with pytest.raises(ResourceLimitError, match=r"^extending: .* exceeded 1\.0 s$"):
         extend()
@@ -332,10 +363,10 @@ def test_coefficients_check_the_deadline_while_extending(monkeypatch, number):
 def test_count_by_class_checks_the_deadline_while_extending(monkeypatch):
     rng = seeded(60)
     product, (tp, fp, fn) = confusion_product(random_dfa(rng, 5, 2), random_dfa(rng, 5, 2))
-    budget = WorkBudget(time_limit_s=1.0)
     top = 2 * counting._live_count(product) + 1  # the DP alone answers up to here
 
     def count(steps=200):
+        budget = WorkBudget(time_limit_s=1.0)
         return count_by_class(product, (tp, tp | fp, tp | fn), top + steps, budget)
 
     # the three sequences are distinct and nonzero, so each is extended
@@ -424,16 +455,20 @@ def test_count_writes_the_integer_coefficients(tmp_path, capsys):
             assert out.read_text() == counts_csv(coefficients(f, n_max))
 
 
+def _unbounded():
+    """A deadline check that never raises."""
+
+
 def test_berlekamp_massey_mod_finds_the_shortest_recurrence():
     p = 2147483647
     # Fibonacci: a_n = a_{n-1} + a_{n-2}
     fib = [1, 1]
     for _ in range(10):
         fib.append(fib[-1] + fib[-2])
-    assert _berlekamp_massey_mod(fib, p) == ([1, p - 1, p - 1], 2)
-    assert _berlekamp_massey_mod([0] * 6, p) == ([1], 0)
+    assert _berlekamp_massey_mod(fib, p, _unbounded) == ([1, p - 1, p - 1], 2)
+    assert _berlekamp_massey_mod([0] * 6, p, _unbounded) == ([1], 0)
     # epsilon only: a_n = 0 for n >= 1 is a recurrence of length 1
-    assert _berlekamp_massey_mod([1, 0, 0, 0], p)[1] == 1
+    assert _berlekamp_massey_mod([1, 0, 0, 0], p, _unbounded)[1] == 1
 
 
 @pytest.mark.parametrize("p", [polynomials._PRIMES[0], 2**31 - 1, 2, 3])
@@ -449,7 +484,7 @@ def test_berlekamp_massey_mod_matches_the_oracle(p):
         d = random_dfa(rng, rng.randrange(1, 9), rng.randrange(1, 4))
         seqs.append([a % p for a in count_dp(d, rng.randrange(40))])
     for s in seqs:
-        assert _berlekamp_massey_mod(s, p) == berlekamp_massey_mod_oracle(s, p)
+        assert _berlekamp_massey_mod(s, p, _unbounded) == berlekamp_massey_mod_oracle(s, p)
 
 
 def test_bm_engine_survives_unlucky_primes_and_rejected_candidates(monkeypatch):
@@ -465,8 +500,10 @@ def test_bm_engine_survives_unlucky_primes_and_rejected_candidates(monkeypatch):
         frozenset({0, 1}),
     )
     everything = all_accepting(3)
-    assert _berlekamp_massey_mod([a % 3 for a in count_dp(abc_then_d, 7)], 3) == ([1, 2], 1)
-    assert _berlekamp_massey_mod([a % 3 for a in count_dp(everything, 3)], 3) == ([1, 0], 1)
+    residues = [a % 3 for a in count_dp(abc_then_d, 7)]
+    assert _berlekamp_massey_mod(residues, 3, _unbounded) == ([1, 2], 1)
+    residues = [a % 3 for a in count_dp(everything, 3)]
+    assert _berlekamp_massey_mod(residues, 3, _unbounded) == ([1, 0], 1)
     expected = [elimination_ogf(d) for d in (abc_then_d, everything)]
     assert expected[0] == RationalFunction(ONE_POLY, Polynomial([1, -4, 3]))
     # a tiny prime in front of the real ones; the list must keep its tail,

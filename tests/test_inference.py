@@ -18,7 +18,7 @@ def training(*name_traces):
 
 
 def walk_cfg(**kw):
-    base = dict(termination_probability=0.25, seed=11, time_limit_s=60.0)
+    base = dict(termination_probability=0.25, seed=11)
     base.update(kw)
     return RandomWalkConfig(**base)
 

@@ -1,13 +1,15 @@
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langcard import Alphabet, Dfa, confusion_automata, confusion_product, counting, metrics
-from langcard.counting import coefficients, compute_ogf, count_dp, elimination_ogf
+from langcard.counting import WorkBudget, coefficients, compute_ogf, count_dp, elimination_ogf
+from langcard.errors import ResourceLimitError
 from langcard.metrics import (
     AssessmentResult,
     AssessmentRow,
@@ -407,6 +409,25 @@ def test_bounded_jaccard_symmetry():
         r = random_dfa(rng, 5, 2)
         h = random_dfa(rng, 5, 2)
         assert bounded_jaccard(r, h, 9) == bounded_jaccard(h, r, 9)
+
+
+def test_bounded_jaccard_solves_and_extends_within_one_budget(monkeypatch):
+    # the clock stands still but in the two solves, each of which spends 0.8
+    # of the 1 s budget: a deadline started afresh by each call would hold,
+    # while the one deadline has passed by the second extension's check
+    now = [0.0]
+    solve = metrics.compute_ogf
+
+    def compute_ogf(*args):
+        result = solve(*args)
+        now[0] += 0.8
+        return result
+
+    monkeypatch.setattr(metrics, "compute_ogf", compute_ogf)
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    reference, inferred = signature_models()
+    with pytest.raises(ResourceLimitError, match="^extending: "):
+        bounded_jaccard(reference, inferred, 10, WorkBudget(time_limit_s=1.0))
 
 
 def test_format_value():
