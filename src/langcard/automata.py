@@ -19,9 +19,9 @@ from .errors import AlphabetMismatchError, ModelParseError, SizeGuardError
 
 Trace = tuple[int, ...]
 
-# the most states a model file may declare, and the most reachable pairs a
-# product may have; parse_dfa refuses a larger ``states:`` header before it
-# allocates a row per state, and _product_table a larger product
+# the most states of any automaton: parse_dfa refuses a larger ``states:``
+# header before it allocates a row per state, and _numbered, which numbers
+# the states of every automaton built here, refuses to number one more
 MAX_STATES = 100_000
 
 
@@ -124,10 +124,11 @@ class Dfa:
         return order
 
     def intersect(self, other) -> "Dfa":
-        return _product(self, other, lambda a, b: a and b)
+        product, (tp, _, _) = confusion_product(self, other)
+        return Dfa(self.alphabet, product.transitions, 0, tp)
 
     def union(self, other) -> "Dfa":
-        return _product(self, other, lambda a, b: a or b)
+        return confusion_product(self, other)[0]
 
     def minimize(self) -> "Dfa":
         return _minimize(self)
@@ -150,47 +151,43 @@ def _check_alphabets(a, b):
         )
 
 
-def _product_table(a, b):
-    """Reachable part of ``a`` x ``b``: transition rows over pair ids (the
-    start pair is 0, pairs numbered in BFS order) and the pair of each id.
+def _numbered(start, successors, name):
+    """Number the keys reachable from ``start`` in BFS order, ``start`` 0,
+    the successors of a key taken in the order ``successors(key)`` lists
+    them.  Returns ``(rows, order)``: ``rows[i]`` holds the ids of the
+    successors of ``order[i]``.
 
-    Refuses (``SizeGuardError``) a product of more than ``MAX_STATES``
-    pairs when it numbers the first pair past the cap, so nothing larger
-    is ever built."""
-    _check_alphabets(a, b)
-    width = b.state_count  # the pair (qa, qb) is keyed qa * width + qb
-    rows_a, rows_b = a.transitions, b.transitions
+    Refuses (``SizeGuardError``) more than ``MAX_STATES`` keys when it would
+    number the first key past the cap, so nothing larger is ever built."""
     cap = MAX_STATES
-    ids = {a.initial * width + b.initial: 0}
-    order = [(a.initial, b.initial)]
+    ids = {start: 0}
+    order = [start]
     rows = []
-    for qa, qb in order:  # grows while it is walked
+    for key in order:  # grows while it is walked
         row = []
-        for ta, tb in zip(rows_a[qa], rows_b[qb]):
-            key = ta * width + tb
-            i = ids.get(key)
+        for nxt in successors(key):
+            i = ids.get(nxt)
             if i is None:
                 i = len(order)
                 if i == cap:
-                    raise SizeGuardError(
-                        f"the product of a {a.state_count}-state and a "
-                        f"{b.state_count}-state model has more than {cap} "
-                        "reachable states"
-                    )
-                ids[key] = i
-                order.append((ta, tb))
+                    raise SizeGuardError(f"{name} has more than {cap} reachable states")
+                ids[nxt] = i
+                order.append(nxt)
             row.append(i)
         rows.append(tuple(row))
     return tuple(rows), order
 
 
-def _product(a, b, combine):
-    rows, order = _product_table(a, b)
-    acc = frozenset(
-        i for i, (qa, qb) in enumerate(order)
-        if combine(qa in a.accepting, qb in b.accepting)
+def _product_table(a, b):
+    """Reachable part of ``a`` x ``b``: transition rows over pair ids (the
+    start pair is 0, pairs numbered in BFS order) and the pair of each id."""
+    _check_alphabets(a, b)
+    rows_a, rows_b = a.transitions, b.transitions
+    return _numbered(
+        (a.initial, b.initial),
+        lambda pair: zip(rows_a[pair[0]], rows_b[pair[1]]),
+        f"the product of a {a.state_count}-state and a {b.state_count}-state model",
     )
-    return Dfa(a.alphabet, rows, 0, acc)
 
 
 def _minimize(d):
@@ -254,20 +251,8 @@ def canonical_dfa(alpha: Alphabet, rows, initial, accepting) -> Dfa:
     When no two of its states accept the same language, equal languages
     give equal automata: this is the numbering of every minimal DFA.
     """
-    ids = [-1] * len(rows)
-    ids[initial] = 0
-    order = [initial]
-    out = []
-    for q in order:  # grows while it is walked
-        row = []
-        for t in rows[q]:
-            i = ids[t]
-            if i < 0:
-                i = ids[t] = len(order)
-                order.append(t)
-            row.append(i)
-        out.append(tuple(row))
-    return Dfa(alpha, tuple(out), 0, frozenset(ids[q] for q in accepting if ids[q] >= 0))
+    out, order = _numbered(initial, rows.__getitem__, "the minimal DFA")
+    return Dfa(alpha, out, 0, frozenset(i for i, q in enumerate(order) if q in accepting))
 
 
 def subset_construction(alpha: Alphabet, start, step, is_accepting) -> Dfa:
@@ -278,21 +263,14 @@ def subset_construction(alpha: Alphabet, start, step, is_accepting) -> Dfa:
     order, ``start`` first, symbols visited in id order, and a subset
     accepts when ``is_accepting(subset)`` holds.
     """
-    sink = frozenset()
-    ids = {start: 0}
-    order = [start]
-    rows = []
-    for subset in order:  # grows while it is walked
-        row = []
-        for s in alpha:
-            nxt = step(subset, s) if subset else sink
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-            row.append(ids[nxt])
-        rows.append(tuple(row))
+    sinks = (frozenset(),) * len(alpha)
+    rows, order = _numbered(
+        start,
+        lambda subset: [step(subset, s) for s in alpha] if subset else sinks,
+        "the subset construction",
+    )
     accepting = frozenset(i for i, subset in enumerate(order) if is_accepting(subset))
-    return Dfa(alpha, tuple(rows), 0, accepting)
+    return Dfa(alpha, rows, 0, accepting)
 
 
 def confusion_product(reference, inferred):

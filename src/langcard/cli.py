@@ -417,7 +417,7 @@ def _cmd_infer(args):
     traces = parse_traces(text, alpha)
     if not traces:
         raise ModelParseError("trace file holds no traces")
-    model = k_tails(TrainingSet(tuple(traces), alpha), args.k)
+    model = k_tails(TrainingSet(tuple(traces), alpha), args.k, _budget_from_env())
     return _Output(
         args.out_model,
         serialize_dfa(model),

@@ -90,9 +90,10 @@ class _Trie:
         return canonical_dfa(alpha, rows, cls[0], accepting)
 
 
-def k_tails(ts: TrainingSet, k: int) -> Dfa:
+def k_tails(ts: TrainingSet, k: int, budget: WorkBudget | None = None) -> Dfa:
     """Infer a DFA by merging the prefix-tree states whose accepting
-    suffixes of length at most ``k`` (at least 1) coincide."""
+    suffixes of length at most ``k`` (at least 1) coincide.  The deadline
+    of ``budget`` is checked on every step of a subset of the quotient."""
     if k < 1:
         raise ValueError("k must be at least 1")
     trie = _Trie(ts)
@@ -103,17 +104,23 @@ def k_tails(ts: TrainingSet, k: int) -> Dfa:
     cls = []
     for node in range(len(trie)):
         cls.append(classes.setdefault(tails[node], len(classes)))
-    # quotient NFA over classes
-    n_classes = len(classes)
-    moves = [{} for _ in range(n_classes)]
+    # quotient NFA over classes: moves[s][c], the classes class c moves to on s
+    moves = [[set() for _ in classes] for _ in ts.alphabet]
     for node, kids in enumerate(trie.children):
         for s, nxt in kids.items():
-            moves[cls[node]].setdefault(s, set()).add(cls[nxt])
+            moves[s][cls[node]].add(cls[nxt])
+    moves = [list(map(frozenset, per_class)) for per_class in moves]
     accepting_classes = {cls[node] for node in trie.accepting}
+    check = (budget or WorkBudget()).check("k-tails")
+
+    def step(subset, s):
+        check()
+        return frozenset().union(*map(moves[s].__getitem__, subset))
+
     dfa = subset_construction(
         ts.alphabet,
         frozenset([cls[0]]),
-        lambda subset, s: frozenset().union(*(moves[q].get(s, ()) for q in subset)),
+        step,
         lambda subset: not accepting_classes.isdisjoint(subset),
     )
     return dfa.minimize()

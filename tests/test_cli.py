@@ -646,6 +646,56 @@ def test_assess_refuses_a_product_over_the_states_cap(tmp_path, monkeypatch, cap
     assert sorted(tmp_path.iterdir()) == sorted(paths)
 
 
+# a^i b for i < 12: the exact route's minimal DFA has 14 states, and at k=3
+# the quotient's subset construction numbers 5 subsets
+A_STAR_B = "".join("a " * i + "b\n" for i in range(12))
+
+
+@pytest.mark.parametrize(
+    "argv, construction",
+    [
+        (["infer", "train.traces", "--k", "12", "--out-model"], "the minimal DFA"),
+        (["infer", "train.traces", "--k", "3", "--out-model"], "the subset construction"),
+        (["baseline", "mbt", "one.dfa", "one.dfa", "--m-bound", "100", "--out"],
+         "the subset construction"),  # the test DFA has m + 2 states
+    ],
+    ids=["infer-exact", "infer-quotient", "mbt"],
+)
+def test_a_construction_over_the_states_cap_is_refused(
+    tmp_path, monkeypatch, capsys, argv, construction
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "train.traces").write_text(A_STAR_B)
+    (tmp_path / "one.dfa").write_text(serialize_dfa(all_accepting(1)))
+    inputs = sorted(tmp_path.iterdir())
+    assert run(*argv, "out") == 0
+    for written in ("out", "out.manifest.json"):
+        (tmp_path / written).unlink()
+    monkeypatch.setattr(automata, "MAX_STATES", 4)
+    assert run(*argv, "out") == 4
+    assert f"refused: {construction} has more than 4 reachable states" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_infer_past_its_work_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # the clock reads 0 when the command's budget starts and far past it at
+    # the first step of the quotient's subset construction
+    traces = tmp_path / "train.traces"
+    traces.write_text(A_STAR_B)
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1e9
+
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    out = tmp_path / "m.dfa"
+    assert run("infer", str(traces), "--k", "3", "--out-model", str(out)) == 3
+    assert "resource limit: k-tails: time limit exceeded 600.0 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["counting terms", "berlekamp-massey", "exact check"])
 def test_assess_past_its_deadline_in_any_counting_stage_exits_3(
     tmp_path, signature_files, monkeypatch, capsys, stage

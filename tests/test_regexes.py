@@ -1,3 +1,7 @@
+import pytest
+
+from langcard import automata
+from langcard.errors import SizeGuardError
 from langcard.regexes import EMPTY, EPSILON, alt, one_of, seq, star, sym, to_dfa
 
 from helpers import enumerate_language, seeded, random_trace
@@ -44,3 +48,11 @@ def test_compiled_dfa_is_complete_and_minimal():
     d = to_dfa(seq(sym("a"), star(sym("b"))), AB)
     assert all(len(row) == 2 for row in d.transitions)
     assert d.minimize().state_count == d.state_count
+
+
+def test_a_regex_whose_subset_construction_passes_the_states_cap_is_refused(monkeypatch):
+    a12 = seq(*[sym("a")] * 12)  # 14 subsets: 13 positions and the sink
+    assert to_dfa(a12, AB).state_count == 14
+    monkeypatch.setattr(automata, "MAX_STATES", 13)
+    with pytest.raises(SizeGuardError, match="the subset construction has more than 13"):
+        to_dfa(a12, AB)
