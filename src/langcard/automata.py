@@ -69,8 +69,9 @@ class Dfa:
             raise ValueError("automaton needs at least one state")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
+        width = len(self.alphabet)
         for row in self.transitions:
-            if len(row) != len(self.alphabet):
+            if len(row) != width:
                 raise ValueError("transition row does not cover the alphabet")
             for t in row:
                 if not 0 <= t < n:
@@ -313,17 +314,17 @@ def build_dfa(symbols, n_states, initial, accepting, edges) -> Dfa:
     table = [[None] * len(alpha) for _ in range(n_states)]
     for src, name, dst in edges:
         table[src][alpha.index[name]] = dst
-    missing = any(t is None for row in table for t in row)
-    if missing:
-        sink = n_states
+    return _completed(alpha, table, initial, accepting)
+
+
+def _completed(alpha, table, initial, accepting) -> Dfa:
+    """The DFA of ``table``, rows of targets with ``None`` for an omitted
+    pair; when a pair is omitted, all of them go to one appended sink."""
+    sink = len(table)
+    if any(None in row for row in table):
+        table = [[sink if t is None else t for t in row] for row in table]
         table.append([sink] * len(alpha))
-        rows = tuple(
-            tuple(sink if t is None else t for t in row) for row in table
-        )
-        n_states += 1
-    else:
-        rows = tuple(tuple(row) for row in table)
-    return Dfa(alpha, rows, initial, frozenset(accepting))
+    return Dfa(alpha, tuple(map(tuple, table)), initial, frozenset(accepting))
 
 
 # ---------------------------------------------------------------------------
@@ -334,51 +335,62 @@ def parse_dfa(text) -> Dfa:
     """Parse the line-oriented DFA format.
 
     Header lines ``alphabet:``, ``states:``, ``initial:`` and ``accepting:``
-    come first (in any order), followed by one ``src symbol dst`` line per
-    transition.  Omitted (state, symbol) pairs go to an implicit sink.
-    ``#`` starts a comment.
+    come in any order, but ``alphabet`` and ``states`` before the first
+    transition.  A transition is a ``src symbol dst`` line, at most one per
+    (state, symbol); omitted pairs go to an implicit sink.  A line is a
+    header when no space comes before its first ``:``.  ``#`` starts a
+    comment.
+
+    Each line is read once, its transition written straight into the table,
+    so a filled cell is a duplicate.  The checks of a transition line come in
+    this order: its three fields, the alphabet/states headers, the source,
+    the symbol, the target, and last the duplicate.
     """
     header = {}
-    edges = []
-    seen_edges = set()
-    alpha = None
-    n_states = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        if sep and " " not in key:
-            key = key.strip()
-            if key not in ("alphabet", "states", "initial", "accepting"):
-                raise ModelParseError(f"unknown header {key!r}", lineno)
-            if key in header:
-                raise ModelParseError(f"duplicate {key!r} header", lineno)
-            header[key] = (rest.split(), lineno)
-            continue
+    table = None  # targets by state and symbol, allocated at the first transition
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
-        if len(parts) != 3:
-            raise ModelParseError("expected 'src symbol dst'", lineno)
-        if alpha is None:
-            if "alphabet" not in header or "states" not in header:
-                raise ModelParseError(
-                    "transitions before alphabet/states headers", lineno
-                )
-            alpha, n_states = _parse_headers(header)
-        src = _parse_state(parts[0], n_states, lineno)
-        if parts[1] not in alpha.index:
-            raise ModelParseError(f"unknown symbol {parts[1]!r}", lineno)
-        dst = _parse_state(parts[2], n_states, lineno, dangling=True)
-        if (src, parts[1]) in seen_edges:
-            raise ModelParseError(
-                f"duplicate transition for state {src} on {parts[1]!r}", lineno
-            )
-        seen_edges.add((src, parts[1]))
-        edges.append((src, parts[1], dst))
-    if alpha is None:
-        if "alphabet" not in header or "states" not in header:
-            raise ModelParseError("missing alphabet/states headers")
-        alpha, n_states = _parse_headers(header)
+        if not parts:
+            continue
+        if ":" in line:
+            key, _, rest = line.strip().partition(":")
+            if " " not in key:
+                key = key.strip()
+                if key not in ("alphabet", "states", "initial", "accepting"):
+                    raise ModelParseError(f"unknown header {key!r}", lineno)
+                if key in header:
+                    raise ModelParseError(f"duplicate {key!r} header", lineno)
+                header[key] = (rest.split(), lineno)
+                continue
+        try:
+            src, name, dst = parts
+        except ValueError:
+            raise ModelParseError("expected 'src symbol dst'", lineno) from None
+        if table is None:
+            alpha, table = _empty_table(header, lineno)
+            n_states = len(table)
+            index = alpha.index
+        try:
+            q, t = int(src), int(dst)
+        except ValueError:
+            q = t = -1
+        s = index.get(name)
+        if s is None or not (0 <= q < n_states and 0 <= t < n_states):
+            # one of these checks fails: the first, in the documented order
+            _parse_state(src, n_states, lineno)
+            if s is None:
+                raise ModelParseError(f"unknown symbol {name!r}", lineno)
+            _parse_state(dst, n_states, lineno, dangling=True)
+        row = table[q]
+        if row[s] is not None:
+            raise ModelParseError(f"duplicate transition for state {q} on {name!r}", lineno)
+        row[s] = t
+    if table is None:
+        alpha, table = _empty_table(header)
+        n_states = len(table)
     if "initial" not in header:
         raise ModelParseError("missing initial state")
     tokens, lineno = header["initial"]
@@ -390,10 +402,17 @@ def parse_dfa(text) -> Dfa:
         tokens, lineno = header["accepting"]
         for tok in tokens:
             accepting.add(_parse_state(tok, n_states, lineno))
-    return build_dfa(alpha.symbols, n_states, initial, accepting, edges)
+    return _completed(alpha, table, initial, accepting)
 
 
-def _parse_headers(header):
+def _empty_table(header, lineno=None):
+    """The alphabet and a table of ``None`` rows, one per state, read off the
+    headers at the first transition, on line ``lineno``, or at the end of a
+    file without one.  The state count is checked before a row is made."""
+    if "alphabet" not in header or "states" not in header:
+        if lineno is None:
+            raise ModelParseError("missing alphabet/states headers")
+        raise ModelParseError("transitions before alphabet/states headers", lineno)
     tokens, lineno = header["alphabet"]
     if not tokens:
         raise ModelParseError("empty alphabet", lineno)
@@ -409,7 +428,7 @@ def _parse_headers(header):
     n_states = int(tokens[0])
     if n_states < 1:
         raise ModelParseError("need at least one state", lineno)
-    return alpha, n_states
+    return alpha, [[None] * len(alpha) for _ in range(n_states)]
 
 
 def _parse_state(token, n_states, lineno, dangling=False):

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import automata
 from .automata import Alphabet, Dfa, Trace, canonical_dfa, subset_construction
 from .baselines import RandomWalkConfig, _trie, _walk, _WalkTables, derive_rng
-from .counting import WorkBudget
+from .counting import _STEPS_PER_CHECK, WorkBudget
+from .errors import SizeGuardError
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,9 @@ class TrainingSet:
     alphabet: Alphabet
 
     def __post_init__(self):
-        n = len(self.alphabet)
-        for t in self.traces:
-            if any(not 0 <= s < n for s in t):
-                raise ValueError("trace symbol outside the alphabet")
+        used = set().union(*self.traces)
+        if used and not (min(used) >= 0 and max(used) < len(self.alphabet)):
+            raise ValueError("trace symbol outside the alphabet")
 
     @property
     def max_trace_length(self):
@@ -57,32 +58,45 @@ class _Trie:
     def __len__(self):
         return len(self.children)
 
-    def tails(self, k):
-        """Per-node set of suffixes of length <= k that reach acceptance."""
+    def tails(self, k, check):
+        """Per-node set of suffixes of length <= k that reach acceptance.
+        ``check`` is called once per ``_STEPS_PER_CHECK`` nodes."""
         # children have larger ids than their parents, so a reverse sweep
         # sees every child's set before its parent's
         sets = [None] * len(self.children)
         for node in range(len(self.children) - 1, -1, -1):
+            if not node % _STEPS_PER_CHECK:
+                check()
             tails = {()} if node in self.accepting else set()
             for s, nxt in self.children[node].items():
                 tails.update((s,) + t for t in sets[nxt] if len(t) < k)
             sets[node] = frozenset(tails)
         return sets
 
-    def minimal_dfa(self, alpha: Alphabet) -> Dfa:
+    def minimal_dfa(self, alpha: Alphabet, check) -> Dfa:
         """The minimal DFA of the training set, one class per distinct
-        right language of the tree (module docstring)."""
+        right language of the tree (module docstring).  ``check`` is called
+        once per ``_STEPS_PER_CHECK`` nodes.
+
+        Every class is reachable, so the register is refused as soon as it
+        opens one class more than ``automata.MAX_STATES``, with the refusal
+        ``canonical_dfa`` would give."""
+        cap = automata.MAX_STATES
         symbols = range(len(alpha))
         rows = [(0,) * len(alpha)]  # class 0 is the sink
         accepting = set()
         register = {}  # signature -> class
         cls = [0] * (len(self.children) + 1)  # cls[-1], a missing child's, stays 0
         for node in range(len(self.children) - 1, -1, -1):
+            if not node % _STEPS_PER_CHECK:
+                check()
             kids = self.children[node]
             signature = (node in self.accepting, *[cls[kids.get(s, -1)] for s in symbols])
             c = register.get(signature)
             if c is None:
                 c = register[signature] = len(rows)
+                if c == cap:
+                    raise SizeGuardError(f"the minimal DFA has more than {cap} reachable states")
                 rows.append(signature[1:])
                 if signature[0]:
                     accepting.add(c)
@@ -93,13 +107,15 @@ class _Trie:
 def k_tails(ts: TrainingSet, k: int, budget: WorkBudget | None = None) -> Dfa:
     """Infer a DFA by merging the prefix-tree states whose accepting
     suffixes of length at most ``k`` (at least 1) coincide.  The deadline
-    of ``budget`` is checked on every step of a subset of the quotient."""
+    of ``budget`` is checked once per ``_STEPS_PER_CHECK`` nodes of the
+    prefix tree and on every step of a subset of the quotient."""
     if k < 1:
         raise ValueError("k must be at least 1")
     trie = _Trie(ts)
+    check = (budget or WorkBudget()).check("k-tails")
     if k >= ts.max_trace_length:
-        return trie.minimal_dfa(ts.alphabet)
-    tails = trie.tails(k)
+        return trie.minimal_dfa(ts.alphabet, check)
+    tails = trie.tails(k, check)
     classes = {}
     cls = []
     for node in range(len(trie)):
@@ -111,7 +127,6 @@ def k_tails(ts: TrainingSet, k: int, budget: WorkBudget | None = None) -> Dfa:
             moves[s][cls[node]].add(cls[nxt])
     moves = [list(map(frozenset, per_class)) for per_class in moves]
     accepting_classes = {cls[node] for node in trie.accepting}
-    check = (budget or WorkBudget()).check("k-tails")
 
     def step(subset, s):
         check()

@@ -350,7 +350,8 @@ def counts_csv(counts) -> str:
         sys.set_int_max_str_digits(0)
     try:
         lines = ["length,count\n"]
-        lines += [f"{n},{c}\n" for n, c in enumerate(counts)]
+        # !s calls str() itself, skipping Decimal.__format__
+        lines += [f"{n},{c!s}\n" for n, c in enumerate(counts)]
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -23,7 +23,9 @@ from langcard import (
     confusion_product,
     state_cover,
 )
+from langcard.automata import MAX_STATES
 from langcard.baselines import _walk, _WalkTables
+from langcard.errors import ModelParseError, SizeGuardError
 from langcard.inference import _Trie
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
 
@@ -387,6 +389,102 @@ def mbt_by_enumeration(reference, inferred, m):
     precision = Fraction(tp, tp + fp) if tp + fp else None
     recall = Fraction(tp, tp + fn) if tp + fn else None
     return precision, recall
+
+
+def parse_dfa_by_lines(text):
+    """The line-oriented DFA format the way ``automata.parse_dfa`` once
+    parsed it: an edge list and a set of the edges seen, the headers checked
+    at the first transition, the table filled by ``build_dfa``.  Oracle for
+    the one-pass parser, its messages and line numbers included.
+
+    Header lines ``alphabet:``, ``states:``, ``initial:`` and ``accepting:``
+    come first (in any order), followed by one ``src symbol dst`` line per
+    transition.  Omitted (state, symbol) pairs go to an implicit sink.
+    ``#`` starts a comment.
+    """
+    header = {}
+    edges = []
+    seen_edges = set()
+    alpha = None
+    n_states = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, rest = line.partition(":")
+        if sep and " " not in key:
+            key = key.strip()
+            if key not in ("alphabet", "states", "initial", "accepting"):
+                raise ModelParseError(f"unknown header {key!r}", lineno)
+            if key in header:
+                raise ModelParseError(f"duplicate {key!r} header", lineno)
+            header[key] = (rest.split(), lineno)
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ModelParseError("expected 'src symbol dst'", lineno)
+        if alpha is None:
+            if "alphabet" not in header or "states" not in header:
+                raise ModelParseError(
+                    "transitions before alphabet/states headers", lineno
+                )
+            alpha, n_states = _headers_by_lines(header)
+        src = _state_by_lines(parts[0], n_states, lineno)
+        if parts[1] not in alpha.index:
+            raise ModelParseError(f"unknown symbol {parts[1]!r}", lineno)
+        dst = _state_by_lines(parts[2], n_states, lineno, dangling=True)
+        if (src, parts[1]) in seen_edges:
+            raise ModelParseError(
+                f"duplicate transition for state {src} on {parts[1]!r}", lineno
+            )
+        seen_edges.add((src, parts[1]))
+        edges.append((src, parts[1], dst))
+    if alpha is None:
+        if "alphabet" not in header or "states" not in header:
+            raise ModelParseError("missing alphabet/states headers")
+        alpha, n_states = _headers_by_lines(header)
+    if "initial" not in header:
+        raise ModelParseError("missing initial state")
+    tokens, lineno = header["initial"]
+    if len(tokens) != 1:
+        raise ModelParseError("initial takes exactly one state", lineno)
+    initial = _state_by_lines(tokens[0], n_states, lineno)
+    accepting = set()
+    if "accepting" in header:
+        tokens, lineno = header["accepting"]
+        for tok in tokens:
+            accepting.add(_state_by_lines(tok, n_states, lineno))
+    return build_dfa(alpha.symbols, n_states, initial, accepting, edges)
+
+
+def _headers_by_lines(header):
+    tokens, lineno = header["alphabet"]
+    if not tokens:
+        raise ModelParseError("empty alphabet", lineno)
+    if len(set(tokens)) != len(tokens):
+        raise ModelParseError("duplicate symbol in alphabet", lineno)
+    alpha = Alphabet(tuple(tokens))
+    tokens, lineno = header["states"]
+    if len(tokens) != 1 or not tokens[0].isdecimal():
+        raise ModelParseError("states header takes one number", lineno)
+    # compared as text first: int() refuses numbers of over 4300 digits
+    if len(tokens[0].lstrip("0")) > len(str(MAX_STATES)) or int(tokens[0]) > MAX_STATES:
+        raise SizeGuardError(f"line {lineno}: more than {MAX_STATES} states")
+    n_states = int(tokens[0])
+    if n_states < 1:
+        raise ModelParseError("need at least one state", lineno)
+    return alpha, n_states
+
+
+def _state_by_lines(token, n_states, lineno, dangling=False):
+    try:
+        q = int(token)
+    except ValueError:
+        raise ModelParseError(f"bad state id {token!r}", lineno) from None
+    if not 0 <= q < n_states:
+        kind = "dangling transition target" if dangling else "state id out of range"
+        raise ModelParseError(f"{kind}: {q}", lineno)
+    return q
 
 
 def seeded(seed):

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from langcard import (
 from langcard import automata
 from langcard.automata import MAX_STATES
 from langcard.counting import count_dp
-from langcard.errors import AlphabetMismatchError, ModelParseError, SizeGuardError
+from langcard.errors import AlphabetMismatchError, LangcardError, ModelParseError, SizeGuardError
 
 from helpers import (
     SYMS,
@@ -26,6 +29,7 @@ from helpers import (
     enumerate_counts,
     equivalent,
     moore_minimize,
+    parse_dfa_by_lines,
     product_table_oracle,
     random_dfa,
     random_trace,
@@ -74,14 +78,18 @@ def test_parse_missing_initial():
 
 
 @pytest.mark.parametrize("states", [str(MAX_STATES + 1), "9" * 5000])
-def test_parse_refuses_a_states_header_over_the_cap_before_building(monkeypatch, states):
-    built = []
-    monkeypatch.setattr(automata, "build_dfa", lambda *args: built.append(args))
-    with pytest.raises(SizeGuardError, match=f"line 2: more than {MAX_STATES} states"):
-        parse_dfa(f"alphabet: a\nstates: {states}\ninitial: 0\n0 a 0\n")
-    assert built == []
-    parse_dfa(f"alphabet: a\nstates: {MAX_STATES}\ninitial: 0\n")
-    assert len(built) == 1
+def test_parse_refuses_a_states_header_over_the_cap_before_building(states):
+    # a row per state would take tens of bytes each; the refusal comes first
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=f"line 2: more than {MAX_STATES} states"):
+            parse_dfa(f"alphabet: a\nstates: {states}\ninitial: 0\n0 a 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_STATES  # under a byte per state
+    d = parse_dfa(f"alphabet: a\nstates: {MAX_STATES}\ninitial: 0\n")
+    assert d.state_count == MAX_STATES + 1  # the states and the sink
 
 
 def test_parse_states_header_takes_decimal_digits_only():
@@ -100,8 +108,91 @@ def test_roundtrip_preserves_language():
     rng = seeded(101)
     for _ in range(100):
         d = random_dfa(rng, rng.randrange(1, 7), rng.randrange(1, 4))
-        back = parse_dfa(serialize_dfa(d))
-        assert equivalent(back, d)
+        assert parse_dfa(serialize_dfa(d)) == d
+
+
+# the example of the README's "File formats"
+README_EXAMPLE = """\
+# strings of a's, over {a, b}
+alphabet: a b
+states: 1
+initial: 0
+accepting: 0
+0 a 0
+"""
+
+# what a mutation puts in place of a token: comments, colons, signs,
+# underscores, non-ASCII digits, a number past int()'s 4300-digit limit
+TOKENS = (
+    "#", ":", "a:b", "+1", "1_0", "\u0663", "\u00b2", "-1", "9" * 5000, "0", "2", "7", "z", "a", "",
+)
+
+
+def _mutated(rng, text):
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        kind = rng.randrange(6)
+        if kind == 0:  # a character put anywhere in the line
+            j = rng.randrange(len(line) + 1)
+            lines[i] = line[:j] + rng.choice(("#", ":", "\t", " ")) + line[j:]
+        elif kind == 1:  # a token replaced
+            tokens = line.split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(TOKENS)
+            lines[i] = rng.choice((" ", "\t")).join(tokens)
+        elif kind == 2:  # a duplicate line
+            lines.insert(rng.randrange(len(lines) + 1), line)
+        elif kind == 3 and len(lines) > 1:  # a missing line
+            del lines[i]
+        elif kind == 4:  # a line moved to the end, so a header comes late
+            lines.append(lines.pop(i))
+        else:  # a token appended
+            lines[i] = line + " " + rng.choice(TOKENS)
+    return "\n".join(lines) + "\n"
+
+
+# the message of every check of the parser, less its details
+CHECKS = {
+    "unknown header", "duplicate", "expected", "transitions before alphabet/states headers",
+    "missing alphabet/states headers", "empty alphabet", "duplicate symbol in alphabet",
+    "states header takes one number", "more than", "need at least one state", "bad state id",
+    "state id out of range", "unknown symbol", "dangling transition target",
+    "duplicate transition for state", "missing initial state", "initial takes exactly one state",
+}
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except LangcardError as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_agrees_with_the_line_parser_on_mutated_files():
+    rng = seeded(18)
+    seen = set()
+    for case in range(10_000):
+        if case % 10 == 0:
+            text = README_EXAMPLE
+        else:
+            d = random_dfa(rng, rng.randrange(1, 6), rng.randrange(1, 4))
+            if case % 7 == 0:  # a symbol with a colon in its name
+                alpha = Alphabet(("a:b",) + d.alphabet.symbols[1:])
+                d = Dfa(alpha, d.transitions, d.initial, d.accepting)
+            lines = serialize_dfa(d).splitlines()
+            body = [line for line in lines[4:] if rng.random() < 0.8]  # a partial table
+            rng.shuffle(body)
+            text = "\n".join(lines[:4] + body) + "\n"
+        text = _mutated(rng, text)
+        outcome = _outcome(parse_dfa, text)
+        assert outcome == _outcome(parse_dfa_by_lines, text), text
+        if isinstance(outcome, Dfa):
+            seen.add("a model")
+        else:
+            seen.add(re.match(r"(line \d+: )?([a-z /]*)", outcome[1])[2].strip())
+    # every check of the parser refused some file, and some files parsed
+    assert seen == CHECKS | {"a model"}
 
 
 def test_completion_never_changes_the_language():

@@ -677,9 +677,9 @@ def test_a_construction_over_the_states_cap_is_refused(
     assert sorted(tmp_path.iterdir()) == inputs
 
 
-def test_infer_past_its_work_budget_exits_3(tmp_path, monkeypatch, capsys):
+def _infer_past_its_work_budget(tmp_path, monkeypatch, capsys, k):
     # the clock reads 0 when the command's budget starts and far past it at
-    # the first step of the quotient's subset construction
+    # the first check of k-tails
     traces = tmp_path / "train.traces"
     traces.write_text(A_STAR_B)
     readings = []
@@ -691,9 +691,18 @@ def test_infer_past_its_work_budget_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
     monkeypatch.delenv(BUDGET_ENV, raising=False)
     out = tmp_path / "m.dfa"
-    assert run("infer", str(traces), "--k", "3", "--out-model", str(out)) == 3
+    assert run("infer", str(traces), "--k", k, "--out-model", str(out)) == 3
     assert "resource limit: k-tails: time limit exceeded 600.0 s" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_infer_past_its_work_budget_exits_3(tmp_path, monkeypatch, capsys):
+    _infer_past_its_work_budget(tmp_path, monkeypatch, capsys, "3")
+
+
+def test_infer_by_the_exact_route_past_its_work_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # k at least the longest trace: no quotient, the prefix tree's sweep checks
+    _infer_past_its_work_budget(tmp_path, monkeypatch, capsys, "12")
 
 
 @pytest.mark.parametrize("stage", ["counting terms", "berlekamp-massey", "exact check"])

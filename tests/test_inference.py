@@ -1,7 +1,9 @@
 import pytest
 
-from langcard import Alphabet, serialize_dfa
+from langcard import Alphabet, automata, inference, serialize_dfa
+from langcard.automata import canonical_dfa
 from langcard.baselines import RandomWalkConfig
+from langcard.errors import SizeGuardError
 from langcard.inference import TrainingSet, _Trie, generate_training_set, k_tails
 from langcard.metrics import confusion_counts, single_length_assessment
 from langcard.regexes import alt, seq, star, sym, to_dfa
@@ -94,11 +96,30 @@ def test_k_tails_at_the_longest_trace_builds_no_tail_sets(monkeypatch):
     ts = training(["a", "b"], ["b"], [])
     expected = serialize_dfa(build_pta(ts).minimize())
 
-    def tails(self, k):
+    def tails(self, k, check):
         raise AssertionError("tail sets built")
 
     monkeypatch.setattr(_Trie, "tails", tails)
     assert serialize_dfa(k_tails(ts, 2)) == expected
+
+
+def test_the_exact_register_is_refused_once_it_passes_the_states_cap(monkeypatch):
+    # a^i b for i < 12: 14 classes, the sink among them
+    ts = training(*(["a"] * i + ["b"] for i in range(12)))
+    numbered = []
+
+    def spy(*args):
+        numbered.append(args)
+        return canonical_dfa(*args)
+
+    monkeypatch.setattr(inference, "canonical_dfa", spy)
+    monkeypatch.setattr(automata, "MAX_STATES", 14)
+    assert k_tails(ts, 12).state_count == 14
+    numbered.clear()
+    monkeypatch.setattr(automata, "MAX_STATES", 13)
+    with pytest.raises(SizeGuardError, match="^the minimal DFA has more than 13 reachable states$"):
+        k_tails(ts, 12)
+    assert numbered == []  # refused in the sweep, before the numbering
 
 
 def test_k_tails_never_drops_training_traces():
@@ -137,7 +158,7 @@ def test_tails_are_the_short_accepted_suffixes_of_each_prefix():
             for s, nxt in kids.items():
                 prefixes[nxt] = prefixes[node] + (s,)
         for k in (1, 2, 3, 12):
-            tails = trie.tails(k)
+            tails = trie.tails(k, lambda: None)
             for node, prefix in prefixes.items():
                 expected = {
                     t[len(prefix):] for t in ts.traces
