@@ -131,8 +131,10 @@ class Dfa:
     def union(self, other) -> "Dfa":
         return confusion_product(self, other)[0]
 
-    def minimize(self) -> "Dfa":
-        return _minimize(self)
+    def minimize(self, check=None) -> "Dfa":
+        """The minimal DFA of the language, canonically numbered; ``check``,
+        if given, is called once per splitter block of the refinement."""
+        return _minimize(self, check)
 
     def reindex_to(self, target: Alphabet) -> "Dfa":
         """Re-map symbol ids onto ``target``; the name sets must coincide."""
@@ -191,7 +193,7 @@ def _product_table(a, b):
     )
 
 
-def _minimize(d):
+def _minimize(d, check):
     # Hopcroft partition refinement on the reachable part (Hopcroft 1971;
     # Valmari & Lehtinen, STACS 2008), then the canonical numbering of
     # ``canonical_dfa`` so that equal languages give equal automata.
@@ -214,6 +216,8 @@ def _minimize(d):
     pending = [min(range(len(blocks)), key=lambda b: len(blocks[b]))]
     waiting = set(pending)
     while pending:
+        if check:
+            check()
         splitter = pending.pop()
         waiting.discard(splitter)
         members = list(blocks[splitter])

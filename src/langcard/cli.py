@@ -50,7 +50,6 @@ from .metrics import (
 )
 from .report import render_chart, series_from_csv
 
-BUDGET_ENV = "LANGCARD_WORK_BUDGET"
 # the most decimal places --digits accepts: a rendered value of up to 1,001
 # digits stays well inside CPython's int-to-str limit of 4,300
 MAX_DIGITS = 1000
@@ -141,32 +140,6 @@ def _load_pair(ref_path, inf_path):
     return reference, inferred
 
 
-def _budget_from_env():
-    """The command's work budget, started now: the defaults, or what
-    ``LANGCARD_WORK_BUDGET`` sets."""
-    budget = WorkBudget()
-    raw = os.environ.get(BUDGET_ENV)
-    if not raw:
-        return budget
-    seconds, _, degree = raw.partition(":")
-    try:
-        if seconds:
-            budget.time_limit_s = float(seconds)
-        if degree:
-            budget.max_degree = int(degree)
-    except ValueError:
-        raise _UsageError(
-            f"{BUDGET_ENV} must look like 'SECONDS' or 'SECONDS:MAXDEGREE'"
-        ) from None
-    # nan and inf seconds would switch the deadline off; zero is a deadline
-    # already passed
-    if not 0 <= budget.time_limit_s < math.inf or budget.max_degree < 0:
-        raise _UsageError(
-            f"{BUDGET_ENV} needs finite seconds >= 0 and a maximum degree >= 0, got {raw!r}"
-        )
-    return budget
-
-
 def _parse_range(text):
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -217,12 +190,14 @@ def build_parser():
     p.add_argument("--range", dest="length_range", default=None, metavar="A..B")
     p.add_argument("--mode", choices=("single", "cumulative", "both"), default="both")
     p.add_argument("--digits", type=_digits, default=6, help=f"decimal places, at most {MAX_DIGITS}")
+    p.add_argument("--time-limit", type=_seconds, default=600.0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("count", help="count accepted traces per length")
     p.add_argument("model")
     p.add_argument("--max-length", type=_nonnegative_int, default=200)
     p.add_argument("--oracle", choices=("dp",), default=None)
+    p.add_argument("--time-limit", type=_seconds, default=600.0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("baseline", help="run a comparison assessment method")
@@ -248,6 +223,7 @@ def build_parser():
     p.add_argument("traces")
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--alphabet", type=_symbols, default=None, help="space-separated symbols (default: from traces)")
+    p.add_argument("--time-limit", type=_seconds, default=600.0)
     p.add_argument("--out-model", required=True)
 
     p = sub.add_parser("gen-traces", help="random-walk training traces from a model")
@@ -285,7 +261,8 @@ def _cmd_assess(args):
         n_max, assessment = args.max_length, cumulative_assessment
     else:
         n_max, assessment = max(args.max_length, hi), assess
-    result = assessment(confusion_counts(reference, inferred, n_max, _budget_from_env()))
+    budget = WorkBudget(time_limit_s=args.time_limit)
+    result = assessment(confusion_counts(reference, inferred, n_max, budget))
     # slices of the row views: no row is built, the CSV reads the counts
     if result.per_length is not None:
         result.per_length = result.per_length[lo : hi + 1]
@@ -301,13 +278,14 @@ def _cmd_assess(args):
             "range": [lo, hi],
             "mode": args.mode,
             "digits": args.digits,
+            "time_limit": args.time_limit,
         },
     )
 
 
 def _cmd_count(args):
     model = _load_model(args.model)
-    budget = _budget_from_env()
+    budget = WorkBudget(time_limit_s=args.time_limit)
     extra = {}
     if args.oracle == "dp":
         counts = count_dp(model, args.max_length, budget)
@@ -324,7 +302,7 @@ def _cmd_count(args):
         counts_csv(counts),
         "count",
         {"model": args.model},
-        {"max_length": args.max_length, "oracle": args.oracle},
+        {"max_length": args.max_length, "oracle": args.oracle, "time_limit": args.time_limit},
         extra,
     )
 
@@ -417,13 +395,14 @@ def _cmd_infer(args):
     traces = parse_traces(text, alpha)
     if not traces:
         raise ModelParseError("trace file holds no traces")
-    model = k_tails(TrainingSet(tuple(traces), alpha), args.k, _budget_from_env())
+    budget = WorkBudget(time_limit_s=args.time_limit)
+    model = k_tails(TrainingSet(tuple(traces), alpha), args.k, budget)
     return _Output(
         args.out_model,
         serialize_dfa(model),
         "infer",
         {"traces": args.traces},
-        {"k": args.k, "alphabet": list(symbols)},
+        {"k": args.k, "alphabet": list(symbols), "time_limit": args.time_limit},
         {"states": model.state_count},
     )
 
@@ -448,6 +427,7 @@ def _cmd_gen_traces(args):
             "seed": args.seed,
             "min_traces": args.min_traces,
             "min_state_visits": args.min_state_visits,
+            "time_limit": args.time_limit,
         },
         {"traces": len(ts.traces)},
     )

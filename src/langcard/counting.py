@@ -103,15 +103,13 @@ CardinalitySequence = list[int]
 
 @dataclass
 class WorkBudget:
-    """The work one command may do: a wall-clock limit, and the degree
-    ceiling of a generating function it solves for.
+    """The work one command may do: a wall-clock limit.
 
     The clock starts when the budget is made, and every stage it is passed
     to shares its one deadline.  A stage that raises binds ``check(stage)``
     once and calls it per step or block; one that stops and returns asks
     ``passed()``."""
 
-    max_degree: int = 50_000
     time_limit_s: float = 600.0
 
     def __post_init__(self):
@@ -172,7 +170,6 @@ class LabeledDigraph:
         self.labels = {}  # (src, dst) -> RationalFunction, never zero
         self.succ = {}  # node -> set of successors
         self.pred = {}  # node -> set of predecessors
-        self.peak_degree = 0  # largest degree ever written to an edge
 
     def add_node(self, n):
         if n not in self.nodes:
@@ -192,8 +189,6 @@ class LabeledDigraph:
             self.labels[(u, v)] = f
             self.succ[u].add(v)
             self.pred[v].add(u)
-            if f.degree > self.peak_degree:
-                self.peak_degree = f.degree
 
     def add_to_label(self, u, v, f):
         self.set_label(u, v, self.label(u, v) + f)
@@ -262,12 +257,14 @@ def compute_ogf(d, budget: WorkBudget | None = None) -> RationalFunction:
     """Generating function of the cardinality sequence of L(d).
 
     Berlekamp-Massey on the first 2q + 2 DP terms, q the number of live
-    states, proved exact before it is returned.  The deadline is checked on
-    every step of the DP, of Berlekamp-Massey and of the exact check; the
-    degree of the result is checked against ``budget.max_degree``.
+    states, proved exact before it is returned.  A horizon 2q + 1 that
+    ``check_horizon`` refuses is refused before anything is counted, which
+    bounds q, and so the degree of the result.  The deadline is checked on
+    every step of the DP, of Berlekamp-Massey and of the exact check.
     """
     budget = budget or WorkBudget()
     q = _live_count(d)
+    check_horizon(2 * q + 1, len(d.alphabet))
     (terms,) = _dp_terms(d, (d.accepting,), 2 * q + 1, budget.check("counting terms"))
     return _solve(terms, q, budget)
 
@@ -345,9 +342,9 @@ def _solve(terms, q, budget):
     Berlekamp-Massey modulo primes below 2^30 gives the connection
     polynomial of the longest length L <= q seen, lifted to the integers by
     CRT.  A candidate D with N = (D * a) mod z^L is returned only once
-    coefficients L..2q+1 of D * a are checked to vanish in integers, and
-    only if its degree is within ``budget.max_degree``.  The check proves
-    L minimal, which makes N/D canonical with no GCD (module docstring).
+    coefficients L..2q+1 of D * a are checked to vanish in integers.  The
+    check proves L minimal, which makes N/D canonical with no GCD (module
+    docstring).
     """
     rev = terms[::-1]
     top = 2 * q + 1
@@ -380,16 +377,10 @@ def _solve(terms, q, budget):
                 if product_coefficient(sym, n):
                     break
             else:
-                f = RationalFunction._reduced(
+                return RationalFunction._reduced(
                     Polynomial([product_coefficient(sym, n) for n in range(length)]),
                     Polynomial(sym),
                 )
-                # the zero series has no degree
-                if f and f.degree > budget.max_degree:
-                    raise ResourceLimitError(
-                        f"degree {f.degree} exceeded budget {budget.max_degree}"
-                    )
-                return f
         previous = sym
 
 
@@ -412,10 +403,6 @@ def elimination_ogf(d, budget: WorkBudget | None = None, order=None) -> Rational
     for n in iter(cheapest, None) if order is None else order:
         g.eliminate(n)
         check_deadline()
-        if g.peak_degree > budget.max_degree:
-            raise ResourceLimitError(
-                f"intermediate degree {g.peak_degree} exceeded budget {budget.max_degree}"
-            )
     assert not g.interior_nodes(), "elimination order must cover every state"
     return g.label(INITIAL, FINAL)
 

@@ -67,7 +67,7 @@ class NonIntegerCoefficientError(LangcardError):
 
 
 class ResourceLimitError(LangcardError):
-    """A configured work budget (degree, time, restarts, steps) was exceeded."""
+    """A configured work budget (time, restarts, steps) was exceeded."""
 
     exit_code = 3
     label = "resource limit"

@@ -108,7 +108,8 @@ def k_tails(ts: TrainingSet, k: int, budget: WorkBudget | None = None) -> Dfa:
     """Infer a DFA by merging the prefix-tree states whose accepting
     suffixes of length at most ``k`` (at least 1) coincide.  The deadline
     of ``budget`` is checked once per ``_STEPS_PER_CHECK`` nodes of the
-    prefix tree and on every step of a subset of the quotient."""
+    prefix tree, on every step of a subset of the quotient and once per
+    splitter of its minimization."""
     if k < 1:
         raise ValueError("k must be at least 1")
     trie = _Trie(ts)
@@ -138,7 +139,7 @@ def k_tails(ts: TrainingSet, k: int, budget: WorkBudget | None = None) -> Dfa:
         step,
         lambda subset: not accepting_classes.isdisjoint(subset),
     )
-    return dfa.minimize()
+    return dfa.minimize(check)
 
 
 def generate_training_set(

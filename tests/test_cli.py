@@ -12,7 +12,7 @@ import pytest
 import langcard
 from langcard import automata, baselines, cli, counting, polynomials
 from langcard.automata import MAX_STATES, Alphabet, Dfa, serialize_dfa
-from langcard.cli import BUDGET_ENV, main
+from langcard.cli import main
 from langcard.metrics import confusion_counts
 from helpers import all_accepting, b_power, binary_tree, cycle, empty_language, signature_models
 
@@ -29,6 +29,18 @@ def signature_files(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def _clock_past_the_deadline(monkeypatch):
+    """Fake clock: 0 when the command's budget starts, far past any
+    deadline at every later reading."""
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1e9
+
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
 
 
 def test_assess_signature(tmp_path, signature_files):
@@ -249,11 +261,11 @@ def test_exit_codes(tmp_path, signature_files, monkeypatch):
         "baseline", "mbt", r_path, h_path, "--m-bound", "60",
         "--out", str(tmp_path / "y.csv"),
     ) == 4
-    # resource limit: near-zero work budget
-    monkeypatch.setenv("LANGCARD_WORK_BUDGET", "0.0:100000")
+    # usage: a time limit that is not a number
+    assert run("count", h_path, "--time-limit", "junk", "--out", str(tmp_path / "w.csv")) == 1
+    # resource limit: the clock past the deadline at the first check
+    _clock_past_the_deadline(monkeypatch)
     assert run("count", h_path, "--out", str(tmp_path / "z.csv")) == 3
-    monkeypatch.setenv("LANGCARD_WORK_BUDGET", "junk")
-    assert run("count", h_path, "--out", str(tmp_path / "w.csv")) == 1
 
 
 def test_missing_input_file(tmp_path):
@@ -329,14 +341,24 @@ def test_unencodable_output_exits_with_output_code(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.traces"]
 
 
-def test_count_budgets_the_degree_not_the_states_of_an_unminimized_model(tmp_path, monkeypatch):
+def test_count_checks_the_horizon_of_its_own_solve(tmp_path, monkeypatch, capsys):
+    # 256 states, 255 of them live, and an OGF of degree 7: the solve counts
+    # to 2q + 1 = 511 whatever --max-length asks
     model = tmp_path / "tree.dfa"
-    model.write_text(serialize_dfa(binary_tree(7)))  # 256 states, OGF degree 7
+    model.write_text(serialize_dfa(binary_tree(7)))
     out = tmp_path / "o.csv"
-    monkeypatch.setenv("LANGCARD_WORK_BUDGET", "60:100")
     assert run("count", str(model), "--max-length", "9", "--out", str(out)) == 0
     counts = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
     assert counts == [str(2**n) for n in range(8)] + ["0", "0"]
+    out.unlink()
+    (tmp_path / "o.csv.manifest.json").unlink()
+    # length 1 is under the cap, length 511 is not
+    monkeypatch.setattr(counting, "MAX_COUNT_BYTES", 20_000)
+    assert run("count", str(model), "--max-length", "1", "--out", str(out)) == 4
+    assert "refused: counting to length 511 over an alphabet of 2 would take about " in (
+        capsys.readouterr().err
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.dfa"]
 
 
 TWO_STATES = "alphabet: a b\nstates: 2\ninitial: 0\naccepting: 1\n0 a 1\n1 b 0\n"
@@ -595,24 +617,47 @@ def test_a_manifest_that_cannot_be_renamed_takes_its_result_with_it(tmp_path, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["two.dfa"]
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-@pytest.mark.parametrize("command", ["baseline", "gen-traces"])
-def test_time_limit_must_be_positive_and_finite(tmp_path, signature_files, command, value):
+# every command that takes --time-limit, with its default
+TIME_LIMITS = {"assess": 600.0, "count": 600.0, "baseline": 1800.0, "infer": 600.0,
+               "gen-traces": 1800.0}
+
+
+def _timed_call(tmp_path, signature_files, command):
+    """A cheap call of ``command`` that ends in its output option."""
     r_path, h_path = signature_files
+    traces = tmp_path / "t.traces"
+    traces.write_text("a b\n")
+    return {
+        "assess": ["assess", r_path, h_path, "--out"],
+        "count": ["count", r_path, "--out"],
+        "baseline": ["baseline", "trace-sim", r_path, h_path, "--target-traces", "50", "--out"],
+        "infer": ["infer", str(traces), "--k", "1", "--out-model"],
+        "gen-traces": ["gen-traces", r_path, "--out"],
+    }[command]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", TIME_LIMITS)
+def test_time_limit_must_be_positive_and_finite(tmp_path, signature_files, command, value):
     out = tmp_path / "o.txt"
-    if command == "baseline":
-        argv = ["baseline", "trace-sim", r_path, h_path, "--target-traces", "5000"]
-    else:
-        argv = ["gen-traces", r_path]
-    assert run(*argv, "--time-limit", value, "--out", str(out)) == 1
+    assert run(*_timed_call(tmp_path, signature_files, command), str(out), "--time-limit", value) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", TIME_LIMITS)
+def test_the_manifest_records_the_time_limit(tmp_path, signature_files, command):
+    argv = [*_timed_call(tmp_path, signature_files, command), str(tmp_path / "o.txt")]
+    for extra, seconds in (([], TIME_LIMITS[command]), (["--time-limit", "7.5"], 7.5)):
+        assert run(*argv, *extra) == 0
+        manifest = json.loads((tmp_path / "o.txt.manifest.json").read_text())
+        assert manifest["config"]["time_limit"] == seconds
 
 
 def test_count_dp_oracle_keeps_the_work_budget(tmp_path, monkeypatch, capsys):
     model = tmp_path / "two.dfa"
     model.write_text(TWO_STATES)
     out = tmp_path / "o.csv"
-    monkeypatch.setenv(BUDGET_ENV, "0.0")
+    _clock_past_the_deadline(monkeypatch)
     assert run("count", str(model), "--oracle", "dp", "--max-length", "5", "--out", str(out)) == 3
     assert "resource limit: counting terms" in capsys.readouterr().err
     assert not out.exists()
@@ -682,14 +727,7 @@ def _infer_past_its_work_budget(tmp_path, monkeypatch, capsys, k):
     # the first check of k-tails
     traces = tmp_path / "train.traces"
     traces.write_text(A_STAR_B)
-    readings = []
-
-    def monotonic():
-        readings.append(None)
-        return 0.0 if len(readings) == 1 else 1e9
-
-    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    _clock_past_the_deadline(monkeypatch)
     out = tmp_path / "m.dfa"
     assert run("infer", str(traces), "--k", k, "--out-model", str(out)) == 3
     assert "resource limit: k-tails: time limit exceeded 600.0 s" in capsys.readouterr().err
@@ -705,12 +743,37 @@ def test_infer_by_the_exact_route_past_its_work_budget_exits_3(tmp_path, monkeyp
     _infer_past_its_work_budget(tmp_path, monkeypatch, capsys, "12")
 
 
+def test_infer_past_its_work_budget_in_the_quotients_minimization_exits_3(
+    tmp_path, monkeypatch, capsys
+):
+    # the clock reads 0 until the quotient's minimization begins and far past
+    # the deadline from then on, so the check of its first splitter raises
+    traces = tmp_path / "train.traces"
+    traces.write_text(A_STAR_B)
+    late, returned = [False], [False]
+    minimize = automata._minimize
+
+    def minimizing(*args):
+        late[0] = True
+        result = minimize(*args)
+        returned[0] = True
+        return result
+
+    monkeypatch.setattr(automata, "_minimize", minimizing)
+    clock = SimpleNamespace(monotonic=lambda: 1e9 if late[0] else 0.0)
+    monkeypatch.setattr(counting, "time", clock)
+    out = tmp_path / "m.dfa"
+    assert run("infer", str(traces), "--k", "2", "--time-limit", "1", "--out-model", str(out)) == 3
+    assert "resource limit: k-tails: time limit exceeded 1.0 s" in capsys.readouterr().err
+    assert late[0] and not returned[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.traces"]
+
+
 @pytest.mark.parametrize("stage", ["counting terms", "berlekamp-massey", "exact check"])
 def test_assess_past_its_deadline_in_any_counting_stage_exits_3(
     tmp_path, signature_files, monkeypatch, capsys, stage
 ):
     r_path, h_path = signature_files
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
     # the clock reads 0 when the deadline is set, and jumps past it once the
     # pass reaches ``stage``: at once for the DP, on entering Berlekamp-Massey,
     # or on leaving it for the exact check that follows
@@ -732,17 +795,6 @@ def test_assess_past_its_deadline_in_any_counting_stage_exits_3(
     out = tmp_path / "o.csv"
     assert run("assess", r_path, h_path, "--max-length", "60", "--out", str(out)) == 3
     assert f"resource limit: {stage}: " in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-5", "60:-1"])
-def test_work_budget_needs_finite_seconds_and_a_nonnegative_degree(tmp_path, monkeypatch, capsys, value):
-    model = tmp_path / "two.dfa"
-    model.write_text(TWO_STATES)
-    out = tmp_path / "o.csv"
-    monkeypatch.setenv(BUDGET_ENV, value)
-    assert run("count", str(model), "--max-length", "5", "--out", str(out)) == 1
-    assert f"usage error: {BUDGET_ENV} needs finite seconds >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -770,13 +822,7 @@ def test_gen_traces_past_its_time_limit_exits_3(tmp_path, monkeypatch, capsys):
     # 1 s at the check after the first trace, long before 1,000 traces
     model = tmp_path / "top.dfa"
     model.write_text(serialize_dfa(all_accepting(2)))
-    readings = []
-
-    def monotonic():
-        readings.append(None)
-        return 0.0 if len(readings) == 1 else 1e9
-
-    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    _clock_past_the_deadline(monkeypatch)
     out = tmp_path / "t.traces"
     argv = ["gen-traces", str(model), "--min-traces", "1000", "--time-limit", "1"]
     assert run(*argv, "--out", str(out)) == 3
@@ -816,9 +862,9 @@ def test_mbt_past_its_time_limit_exits_3(tmp_path, monkeypatch, capsys, stage):
 def test_count_solves_and_extends_within_one_budget(tmp_path, monkeypatch, capsys, budget, step):
     # counting's clock reads 0 when the budget starts, ``step`` during the
     # solve and twice ``step`` once compute_ogf returns: the solve spends 0.6
-    # of the budget's seconds (1 s, or the default 600 s when the variable is
-    # unset), and the extension's first check finds them all spent; a budget
-    # started afresh after the solve would still hold
+    # of the budget's seconds (1 s, or the default 600 s when --time-limit is
+    # not given), and the extension's first check finds them all spent; a
+    # budget started afresh after the solve would still hold
     model = tmp_path / "two.dfa"
     model.write_text(TWO_STATES)
     readings, solved = [], [False]
@@ -835,12 +881,9 @@ def test_count_solves_and_extends_within_one_budget(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(cli, "compute_ogf", compute_ogf)
     monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
-    if budget is None:
-        monkeypatch.delenv(BUDGET_ENV, raising=False)
-    else:
-        monkeypatch.setenv(BUDGET_ENV, budget)
     out = tmp_path / "o.csv"
-    assert run("count", str(model), "--max-length", "50", "--out", str(out)) == 3
+    argv = ["count", str(model), "--max-length", "50", "--out", str(out)]
+    assert run(*argv, *(["--time-limit", budget] if budget else [])) == 3
     assert "resource limit: extending: " in capsys.readouterr().err
     assert not out.exists()
 

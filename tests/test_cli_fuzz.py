@@ -3,23 +3,23 @@ malformed and missing options, over small model, trace and CSV files with
 junk lines mixed in, ends in a documented exit code and never raises.
 
 Every example stays cheap: at most 20 states in any ``states:`` header,
-lengths of at most 40, at most 50 traces or samples, and a time limit of one
-second wherever a command takes one, or else one that must be refused
-(negative, zero, ``nan`` or ``inf``).  Among the output names are one
-whose manifest's temporary name is too long and one too long for any file.
+lengths of at most 40, at most 50 traces or samples, and a time limit of at
+most one second on every command that takes one, or else one that must be
+refused (negative, zero, ``nan``, ``inf`` or not a number).  Among the
+output names are one whose manifest's temporary name is too long and one too
+long for any file.
 One model file in ten declares more states than the parser's cap instead;
 the parser refuses such a header before it allocates anything.
 """
 
 import os
 import tempfile
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langcard.automata import MAX_STATES, serialize_dfa
-from langcard.cli import BUDGET_ENV, main
+from langcard.cli import main
 from helpers import all_accepting, empty_language, signature_models
 
 MODELS = [serialize_dfa(m) for m in (*signature_models(), all_accepting(2), empty_language(2))] + [
@@ -65,6 +65,9 @@ def option(valid, invalid=BAD_NUMBER):
     return st.integers(0, 9).flatmap(lambda i: valid if i < 9 else invalid)
 
 
+SECONDS = option(st.sampled_from(["1", "0.5", "1e-3"]), BAD_SECONDS)
+
+
 def choice(*names):
     return option(st.sampled_from(names), st.just("none"))
 
@@ -86,13 +89,13 @@ COMMANDS = {
             "--mode": choice("single", "cumulative", "both"),
             "--digits": option(ints(0, 40)),
         },
-        {},
+        {"--time-limit": SECONDS},
         "--out",
     ),
     "count": (
         ["model"],
         {"--oracle": choice("dp")},
-        {"--max-length": option(ints(0, 40))},
+        {"--max-length": option(ints(0, 40)), "--time-limit": SECONDS},
         "--out",
     ),
     "baseline": (
@@ -109,14 +112,14 @@ COMMANDS = {
         {
             "--target-traces": option(ints(0, 50)),
             "--samples": option(ints(1, 50)),
-            "--time-limit": option(st.just("1"), BAD_SECONDS),
+            "--time-limit": SECONDS,
         },
         "--out",
     ),
     "infer": (
         ["traces"],
         {"--alphabet": st.sampled_from(["a b", "b a c", "a a", "x", " "])},
-        {"--k": option(ints(1, 5))},
+        {"--k": option(ints(1, 5)), "--time-limit": SECONDS},
         "--out-model",
     ),
     "gen-traces": (
@@ -126,7 +129,7 @@ COMMANDS = {
             "--seed": option(ints(0, 99)),
             "--min-state-visits": option(ints(0, 50)),
         },
-        {"--min-traces": option(ints(0, 50)), "--time-limit": option(st.just("1"), BAD_SECONDS)},
+        {"--min-traces": option(ints(0, 50)), "--time-limit": SECONDS},
         "--out",
     ),
     "report": (
@@ -163,8 +166,7 @@ def test_any_command_line_ends_in_a_documented_exit_code(data):
     draw = data.draw
     command = draw(st.sampled_from(sorted(COMMANDS)))
     kinds, optional, always, out_flag = COMMANDS[command]
-    with tempfile.TemporaryDirectory() as directory, mock.patch.dict(os.environ):
-        os.environ.pop(BUDGET_ENV, None)
+    with tempfile.TemporaryDirectory() as directory:
         argv = [command]
         for index, kind in enumerate(kinds):
             if kind == "method":

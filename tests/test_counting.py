@@ -10,7 +10,7 @@ import pytest
 import langcard
 from langcard import Alphabet, Dfa, counting, polynomials
 from langcard.automata import confusion_automata, confusion_product, serialize_dfa
-from langcard.cli import BUDGET_ENV, main
+from langcard.cli import main
 from langcard.counting import (
     FINAL,
     INITIAL,
@@ -166,15 +166,11 @@ def _model_and_shuffled_order(seed):
     return d, order
 
 
-# the least intermediate-degree budget that node elimination accepts, in its
-# own order and in a shuffled one; a change to the order moves one of them
-@pytest.mark.parametrize("seed, own, shuffled", [(85, 5, 5), (92, 8, 9), (94, 8, 9), (98, 5, 6)])
-def test_elimination_accepts_the_same_least_degree_budget(seed, own, shuffled):
+@pytest.mark.parametrize("seed", [85, 92, 94, 98])
+def test_elimination_in_its_own_and_a_shuffled_order_equals_compute_ogf(seed):
     d, order = _model_and_shuffled_order(seed)
-    for given, least in ((None, own), (order, shuffled)):
-        assert elimination_ogf(d, WorkBudget(max_degree=least), order=given) == compute_ogf(d)
-        with pytest.raises(ResourceLimitError, match="^intermediate degree"):
-            elimination_ogf(d, WorkBudget(max_degree=least - 1), order=given)
+    for given in (None, order):
+        assert elimination_ogf(d, order=given) == compute_ogf(d)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -252,21 +248,11 @@ def test_time_budget_is_enforced():
         compute_ogf(d, WorkBudget(time_limit_s=0.0))
 
 
-def test_degree_budget_is_enforced():
-    rng = seeded(27)
-    d = random_dfa(rng, 40, 2, accept_p=0.5).minimize()
-    assert d.state_count > 12
-    with pytest.raises(ResourceLimitError):
-        compute_ogf(d, WorkBudget(max_degree=3))
-
-
-def test_degree_budget_bounds_the_result_not_the_state_count():
+def test_compute_ogf_solves_an_unminimized_tree_to_its_degree_7_ogf():
     d = binary_tree(7)
     assert d.state_count == 256
     tree_ogf = RationalFunction(Polynomial([2**n for n in range(8)]))
-    assert compute_ogf(d, WorkBudget(max_degree=7)) == tree_ogf
-    with pytest.raises(ResourceLimitError, match="degree 7 exceeded budget 6"):
-        compute_ogf(d, WorkBudget(max_degree=6))
+    assert compute_ogf(d) == tree_ogf
 
 
 def _clock_jumping_after(monkeypatch, n_readings):
@@ -388,8 +374,8 @@ def test_cli_past_its_deadline_while_extending_exits_3(tmp_path, monkeypatch, ca
         paths.append(tmp_path / f"{name}.dfa")
         paths[-1].write_text(serialize_dfa(model))
     out = tmp_path / "o.csv"
-    argv = [command, *map(str, paths), "--max-length", "300", "--out", str(out)]
-    monkeypatch.setenv(BUDGET_ENV, "1")
+    argv = [command, *map(str, paths), "--max-length", "300", "--time-limit", "1"]
+    argv += ["--out", str(out)]
     readings = _readings_when_time_stands_still(monkeypatch, lambda: main(argv))
     out.unlink()
     (tmp_path / "o.csv.manifest.json").unlink()

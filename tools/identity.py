@@ -13,8 +13,9 @@ directory, so that the manifests can be compared too.
 
 Compared: the exit code of every call, the ``OGF:`` lines each call prints,
 every file the corpus directory ends up holding, and each manifest less its
-``duration_s``.  Prints each difference and exits 1 if there is any, 0 if
-there is none.  Stdlib only.
+``duration_s``.  Prints each difference, a manifest's as each key path whose
+values differ (``h000.csv.manifest.json: config.time_limit: missing against
+600.0``), and exits 1 if there is any, 0 if there is none.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -92,8 +93,31 @@ def run_both(checkouts, workload, seed, ops):
     return [json.loads(out) for out in outputs]
 
 
+MISSING = object()  # the side of a key or file that one record lacks
+
+
+def key_differences(was, now, path=""):
+    """``path: was against now`` for each key path at which two JSON values
+    differ, dicts compared key by key; a key that one side lacks is shown as
+    ``missing``.  Two values that are not both dicts give one line at most,
+    without a path when ``path`` is empty."""
+    if isinstance(was, dict) and isinstance(now, dict):
+        return [
+            line
+            for key in sorted(was.keys() | now.keys())
+            for line in key_differences(
+                was.get(key, MISSING), now.get(key, MISSING), f"{path}.{key}" if path else key
+            )
+        ]
+    if was == now:
+        return []
+    shown = " against ".join("missing" if v is MISSING else json.dumps(v) for v in (was, now))
+    return [f"{path}: {shown}" if path else shown]
+
+
 def differences(parent, change):
-    """One line per call or file on which the two records differ."""
+    """One line per call or file on which the two records differ, and per
+    key path on which two manifests differ."""
     found = []
     if len(parent["calls"]) != len(change["calls"]):
         found.append(f"{len(parent['calls'])} calls against {len(change['calls'])}")
@@ -101,9 +125,8 @@ def differences(parent, change):
         if was != now:
             found.append(f"{' '.join(argv[:3])}: exit and OGF {was} against {now}")
     for name in sorted(parent["files"].keys() | change["files"].keys()):
-        was, now = parent["files"].get(name), change["files"].get(name)
-        if was != now:
-            found.append(f"{name}: {was} against {now}")
+        was, now = parent["files"].get(name, MISSING), change["files"].get(name, MISSING)
+        found += [f"{name}: {line}" for line in key_differences(was, now)]
     return found
 
 
