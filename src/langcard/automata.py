@@ -84,8 +84,8 @@ class Dfa:
     def state_count(self):
         return len(self.transitions)
 
-    def run(self, trace, start=None):
-        state = self.initial if start is None else start
+    def run(self, trace):
+        state = self.initial
         for s in trace:
             state = self.transitions[state][s]
         return state
@@ -465,15 +465,20 @@ def parse_traces(text, alpha: Alphabet) -> list[Trace]:
     empty trace; ``#`` starts a comment (a comment-only line is skipped, not
     read as an empty trace)."""
     traces = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.lstrip().startswith("#"):
-            continue
-        names = raw.split("#", 1)[0].split()
+    for lineno, names in _trace_names(text):
         try:
             traces.append(alpha.trace_from_names(names))
         except KeyError as exc:
             raise ModelParseError(f"unknown symbol {exc.args[0]!r}", lineno) from None
     return traces
+
+
+def _trace_names(text):
+    """``(line number, symbol names)`` of each trace of a trace file, by the
+    rules of ``parse_traces``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.lstrip().startswith("#"):
+            yield lineno, raw.split("#", 1)[0].split()
 
 
 def format_traces(traces, alpha: Alphabet) -> str:

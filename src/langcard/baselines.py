@@ -87,9 +87,6 @@ class EvaluationMultiset:
 
     traces: Counter = field(default_factory=Counter)
 
-    def add(self, trace):
-        self.traces[trace] += 1
-
     @property
     def total(self):
         return sum(self.traces.values())

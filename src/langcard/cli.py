@@ -26,7 +26,7 @@ from decimal import Decimal
 from typing import NamedTuple
 
 from . import __version__
-from .automata import Alphabet, Dfa, format_traces, parse_dfa, parse_traces, serialize_dfa
+from .automata import Alphabet, Dfa, _trace_names, format_traces, parse_dfa, parse_traces, serialize_dfa
 from .baselines import (
     DEFAULT_SEED,
     RandomWalkConfig,
@@ -384,11 +384,7 @@ def _cmd_infer(args):
     if args.alphabet:
         symbols = tuple(args.alphabet.split())
     else:
-        symbols = tuple(
-            sorted({tok for line in text.splitlines()
-                    if not line.lstrip().startswith("#")
-                    for tok in line.split("#", 1)[0].split()})
-        )
+        symbols = tuple(sorted({tok for _, names in _trace_names(text) for tok in names}))
         if not symbols:
             raise ModelParseError("trace file holds no symbols; pass --alphabet")
     alpha = Alphabet(symbols)

@@ -38,34 +38,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
-from operator import add, sub
+from operator import sub
 
 from .automata import confusion_product
-from .counting import WorkBudget, coefficients, compute_ogf, count_by_class
+from .counting import WorkBudget, check_horizon, coefficients, compute_ogf, count_by_class
 
 
+@dataclass(frozen=True)
 class ConfusionCounts:
-    """Per-length counts of true-positive, false-positive and false-negative
-    traces for one (reference, inferred) pair; immutable.
+    """Per-length counts for one (reference, inferred) pair: tp, and the
+    traces in the inferred and in the reference language, |L(H)| = tp + fp
+    and |L(R)| = tp + fn, the denominators of precision and recall.  fp and
+    fn are the differences, taken the first time they are read."""
 
-    ``h`` and ``r`` count the traces in the inferred and in the reference
-    language, tp + fp and tp + fn, the denominators of precision and recall.
-    Built from (tp, fp, fn), or from (tp, h, r) by ``from_denominators``; the
-    other two sequences are derived the first time they are read.
-    """
+    tp: tuple
+    h: tuple
+    r: tuple
 
-    def __init__(self, tp, fp, fn, alphabet_size):
-        if not len(tp) == len(fp) == len(fn):
+    def __post_init__(self):
+        if not len(self.tp) == len(self.h) == len(self.r):
             raise ValueError("count sequences must share a length")
-        vars(self).update(tp=tp, fp=fp, fn=fn, alphabet_size=alphabet_size)
-
-    @classmethod
-    def from_denominators(cls, tp, h, r, alphabet_size):
-        if not len(tp) == len(h) == len(r):
-            raise ValueError("count sequences must share a length")
-        counts = cls.__new__(cls)
-        vars(counts).update(tp=tp, h=h, r=r, alphabet_size=alphabet_size)
-        return counts
 
     @cached_property
     def fp(self):
@@ -74,31 +66,6 @@ class ConfusionCounts:
     @cached_property
     def fn(self):
         return tuple(map(sub, self.r, self.tp))
-
-    @cached_property
-    def h(self):
-        return tuple(map(add, self.tp, self.fp))
-
-    @cached_property
-    def r(self):
-        return tuple(map(add, self.tp, self.fn))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self):
-        return self.tp, self.fp, self.fn, self.alphabet_size
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "ConfusionCounts(tp={!r}, fp={!r}, fn={!r}, alphabet_size={!r})".format(*self._key())
 
     @property
     def max_length(self):
@@ -150,9 +117,6 @@ class AssessmentRows(Sequence):
             return NotImplemented
         return len(self) == len(other) and list(self) == list(other)
 
-    def __add__(self, other):
-        return list(self) + list(other)
-
     def __repr__(self):
         return f"AssessmentRows({list(self)!r})"
 
@@ -160,24 +124,11 @@ class AssessmentRows(Sequence):
 @dataclass
 class AssessmentResult:
     """Per-length and/or cumulative precision and recall rows over one set of
-    counts; a part left out is None.  ``c_tp``, ``c_fp`` and ``c_fn`` total
-    the counts over every length they cover."""
+    counts; a part left out is None."""
 
     counts: ConfusionCounts
     per_length: AssessmentRows | None = None
     cumulative: AssessmentRows | None = None
-
-    @property
-    def c_tp(self):
-        return sum(self.counts.tp)
-
-    @property
-    def c_fp(self):
-        return sum(self.counts.fp)
-
-    @property
-    def c_fn(self):
-        return sum(self.counts.fn)
 
 
 def confusion_counts(reference, inferred, n_max, budget=None) -> ConfusionCounts:
@@ -187,7 +138,7 @@ def confusion_counts(reference, inferred, n_max, budget=None) -> ConfusionCounts
     product, (tp_states, fp_states, fn_states) = confusion_product(reference, inferred)
     sets = (tp_states, tp_states | fp_states, tp_states | fn_states)
     tp, h, r = map(tuple, count_by_class(product, sets, n_max, budget))
-    return ConfusionCounts.from_denominators(tp, h, r, len(reference.alphabet))
+    return ConfusionCounts(tp, h, r)
 
 
 def _ratios(nums, dens, ns: range, cumulative: bool):
@@ -230,7 +181,10 @@ def assess(counts: ConfusionCounts) -> AssessmentResult:
 def bounded_jaccard(reference, inferred, n_max, budget=None) -> Fraction | None:
     """Jaccard distance between the two languages restricted to traces of
     length at most n_max; undefined (None) when the union is empty.  Both
-    solves and both extensions share ``budget``'s deadline."""
+    solves and both extensions share ``budget``'s deadline.  It holds one
+    coefficient list at a time, so ``check_horizon`` bounds one sequence,
+    before either product is built."""
+    check_horizon(n_max, len(reference.alphabet))
     budget = budget or WorkBudget()
     inter = reference.intersect(inferred).minimize()
     union = reference.union(inferred).minimize()

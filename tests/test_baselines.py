@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -206,12 +207,10 @@ def test_characterization_separates_every_pair():
     for _ in range(30):
         d = random_dfa(rng, rng.randrange(2, 8), 2).minimize()
         dist = characterization_set(d)
+        starts = [replace(d, initial=q) for q in range(d.state_count)]
         for p in range(d.state_count):
             for q in range(p + 1, d.state_count):
-                assert any(
-                    (d.run(w, p) in d.accepting) != (d.run(w, q) in d.accepting)
-                    for w in dist
-                )
+                assert any(starts[p].accepts(w) != starts[q].accepts(w) for w in dist)
 
 
 def test_characterization_rejects_redundant_states():

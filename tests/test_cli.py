@@ -219,6 +219,18 @@ def test_infer_single_trace(tmp_path):
     assert model.accepts(model.alphabet.trace_from_names(["a", "b", "a"]))
 
 
+def test_infer_without_an_alphabet_reads_it_from_the_traces_alone(tmp_path):
+    traces = tmp_path / "t.traces"
+    traces.write_text("# header: z names no symbol\nb a # c is not one either\n\na\n")
+    model_out = tmp_path / "m.dfa"
+    assert run("infer", str(traces), "--k", "1", "--out-model", str(model_out)) == 0
+    manifest = json.loads((tmp_path / "m.dfa.manifest.json").read_text())
+    assert manifest["config"]["alphabet"] == ["a", "b"]
+    model = automata.parse_dfa(model_out.read_text())
+    assert model.alphabet.symbols == ("a", "b")
+    assert model.accepts(())
+
+
 def test_report_flat_line_and_gaps(tmp_path):
     csv = tmp_path / "flat.csv"
     csv.write_text(

@@ -1,15 +1,16 @@
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from operator import add
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langcard import Alphabet, Dfa, confusion_automata, confusion_product, counting, metrics
+from langcard import Alphabet, Dfa, automata, confusion_automata, confusion_product, counting, metrics
 from langcard.counting import WorkBudget, coefficients, compute_ogf, count_dp, elimination_ogf
-from langcard.errors import ResourceLimitError
+from langcard.errors import ResourceLimitError, SizeGuardError
 from langcard.metrics import (
     AssessmentResult,
     AssessmentRow,
@@ -284,20 +285,19 @@ def test_single_length_signature_precision():
 
 
 def test_counts_from_denominators_equal_the_counts_they_imply():
-    by_class = ConfusionCounts((1, 2, 0), (0, 3, 4), (5, 0, 6), 2)
-    by_denominator = ConfusionCounts.from_denominators((1, 2, 0), (1, 5, 4), (6, 2, 6), 2)
-    assert by_denominator == by_class and hash(by_denominator) == hash(by_class)
-    assert (by_denominator.fp, by_denominator.fn) == (by_class.fp, by_class.fn)
-    assert (by_class.h, by_class.r) == (by_denominator.h, by_denominator.r)
-    assert repr(by_denominator) == "ConfusionCounts(tp=(1, 2, 0), fp=(0, 3, 4), fn=(5, 0, 6), alphabet_size=2)"
+    counts = ConfusionCounts((1, 2, 0), (1, 5, 4), (6, 2, 6))
+    assert (counts.fp, counts.fn) == ((0, 3, 4), (5, 0, 6))
+    same = ConfusionCounts((1, 2, 0), (1, 5, 4), (6, 2, 6))
+    assert same == counts and hash(same) == hash(counts)
+    assert counts != ConfusionCounts((1, 2, 0), (1, 5, 4), (6, 2, 7))
     with pytest.raises(AttributeError):
-        by_class.tp = (0, 0, 0)
+        counts.tp = (0, 0, 0)
     with pytest.raises(ValueError):
-        ConfusionCounts.from_denominators((1,), (1, 2), (1,), 2)
+        ConfusionCounts((1,), (1, 2), (1,))
 
 
 def test_single_length_zero_over_zero_is_undefined():
-    c = ConfusionCounts(tp=(0,), fp=(0,), fn=(0,), alphabet_size=2)
+    c = ConfusionCounts(tp=(0,), h=(0,), r=(0,))
     row = single_length_assessment(c).per_length[0]
     assert row.precision is None
     assert row.recall is None
@@ -330,7 +330,6 @@ def test_cumulative_running_sums():
         denom = running + sum(c.fp[: n + 1])
         expected = Fraction(running, denom) if denom else None
         assert row.precision == expected
-    assert result.c_tp == sum(c.tp)
 
 
 def test_results_are_model_independent():
@@ -351,7 +350,7 @@ def test_defined_values_live_in_unit_interval():
         r = random_dfa(rng, 4, 2)
         h = random_dfa(rng, 4, 2)
         result = assess(confusion_counts(r, h, 10))
-        for row in result.per_length + result.cumulative:
+        for row in [*result.per_length, *result.cumulative]:
             for value in (row.precision, row.recall):
                 assert value is None or 0 <= value <= 1
 
@@ -383,7 +382,7 @@ def test_empty_false_positive_language_forces_precision_one():
         _, fp, _ = confusion_automata(r, h)
         assert all(q not in fp.accepting for q in range(fp.state_count))
         result = assess(confusion_counts(r, h, 12))
-        for row in result.per_length + result.cumulative:
+        for row in [*result.per_length, *result.cumulative]:
             assert row.precision in (None, 1)
 
 
@@ -428,6 +427,16 @@ def test_bounded_jaccard_solves_and_extends_within_one_budget(monkeypatch):
     reference, inferred = signature_models()
     with pytest.raises(ResourceLimitError, match="^extending: "):
         bounded_jaccard(reference, inferred, 10, WorkBudget(time_limit_s=1.0))
+
+
+def test_bounded_jaccard_refuses_a_horizon_before_building_a_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(automata, "confusion_product", refuse)
+    even = Dfa(Alphabet(("a", "b")), ((1, 1), (0, 0)), 0, frozenset([0]))
+    with pytest.raises(SizeGuardError, match="^counting to length 60000 over an alphabet of 2 "):
+        bounded_jaccard(all_accepting(2), even, 60_000)
 
 
 def test_format_value():
@@ -508,7 +517,7 @@ def _window(counts, mode, lo, hi, max_length):
 )
 def test_assessment_csv_equals_fraction_row_oracle(triples, mode, window, digits):
     tp, fp, fn = (tuple(column) for column in zip(*triples))
-    counts = ConfusionCounts(tp=tp, fp=fp, fn=fn, alphabet_size=2)
+    counts = ConfusionCounts(tp, tuple(map(add, tp, fp)), tuple(map(add, tp, fn)))
     lo, width, max_length = window
     hi = lo + width
     text = assessment_csv(_window(counts, mode, lo, hi, max_length), digits)
@@ -569,8 +578,10 @@ def test_row_views_slice_like_lists():
             assert rows[window] == listed[window]
             assert len(rows[window]) == len(listed[window])
         assert rows[-1] == listed[-1]
-        assert rows + [] == listed
-    assert (result.c_tp, result.c_fp, result.c_fn) == tuple(map(sum, (counts.tp, counts.fp, counts.fn)))
+    c_tp, c_fp, c_fn = map(sum, (counts.tp, counts.fp, counts.fn))
+    assert result.cumulative[-1] == AssessmentRow(
+        12, Fraction(c_tp, c_tp + c_fp), Fraction(c_tp, c_tp + c_fn)
+    )
 
 
 def test_assessment_csv_builds_no_fraction(monkeypatch):
@@ -585,6 +596,15 @@ def test_assessment_csv_builds_no_fraction(monkeypatch):
     result = _window(counts, "both", 5, 20, 9)
     assert (len(result.per_length), len(result.cumulative)) == (16, 10)
     assert assessment_csv(result, 4) == expected
+
+
+def test_assessment_csv_reads_only_the_counted_triple():
+    rng = seeded(41)
+    counts = confusion_counts(random_dfa(rng, 5, 2), random_dfa(rng, 5, 2), 20)
+    assert assessment_csv(assess(counts)) == fraction_rows_csv(
+        ConfusionCounts(counts.tp, counts.h, counts.r)
+    )
+    assert "fp" not in vars(counts) and "fn" not in vars(counts)
 
 
 def test_assessment_csv_layout():
