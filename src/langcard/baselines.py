@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .automata import confusion_product, subset_construction
-from .counting import WorkBudget, count_dp
+from .counting import _STEPS_PER_CHECK, WorkBudget, count_dp
 from .errors import (
     IndistinguishableStatesError,
     ResourceLimitError,
@@ -60,6 +60,9 @@ MAX_EXPECTED_DRAWS = 5_000_000
 # from a state with nothing live to follow
 MAX_WALK_STEPS = 1_000_000
 MAX_WALK_RESTARTS = 1_000_000
+# refusal threshold on the slots the walked traces hold: one per symbol and
+# one per trace, where a multiset holds a repeated trace once
+MAX_HELD_SLOTS = 2**24
 
 
 @dataclass
@@ -96,79 +99,87 @@ def derive_rng(seed, stream) -> random.Random:
     return random.Random((seed ^ (stream * 0x9E3779B97F4A7C15)) & (2**64 - 1))
 
 
-class _WalkTables:
-    """Per-state walk choices, transitions into error states pruned.
+def _walk_until_covered(d, cfg, rng, least, need, hold, budget, stage, by_state=False):
+    """Random walks on ``d`` until at least ``least`` traces are walked and
+    each unit that walks can cover was covered ``need`` times.
 
-    A choice is ``(symbol, step, target)``, where the step id
-    ``state * sigma + symbol`` indexes per-transition counters; acceptance
-    is a list of bools over the states."""
-
-    def __init__(self, d):
-        errors = d.error_states
-        if d.initial in errors:
-            raise UnsuitableModelError("random walk needs a model with a nonempty language")
-        sigma = len(d.alphabet)
-        self.initial = d.initial
-        self.accepting = [q in d.accepting for q in range(d.state_count)]
-        self.choices = [
-            [(s, q * sigma + s, t) for s, t in enumerate(row) if t not in errors]
-            for q, row in enumerate(d.transitions)
-        ]
-
-
-def _walk(tables, cfg, rng, track_steps):
-    """One accepted trace and the step ids it took (``None`` without
-    ``track_steps``); the walk itself is identical either way."""
+    A step covers its id ``state * sigma + symbol``, or with ``by_state``
+    its target, every walk then also covering the initial state.
+    ``hold(trace)`` keeps each trace and returns the slots it newly holds:
+    one per symbol and one per trace, none for a trace already held.  Past
+    ``MAX_HELD_SLOTS`` in all the walks are refused; the deadline of
+    ``budget`` (a fresh ``WorkBudget`` if None) is checked once per
+    ``_STEPS_PER_CHECK`` walks."""
+    errors = d.error_states
+    if d.initial in errors:
+        raise UnsuitableModelError("random walk needs a model with a nonempty language")
+    sigma = len(d.alphabet)
+    accepting = [q in d.accepting for q in range(d.state_count)]
+    # (symbol, unit covered, target) per step out of each state
+    choices = [
+        [(s, t if by_state else q * sigma + s, t) for s, t in enumerate(row) if t not in errors]
+        for q, row in enumerate(d.transitions)
+    ]
+    start = (d.initial,) if by_state else ()
+    coverage = [0] * (d.state_count * (1 if by_state else sigma))
+    short = 0  # the units still covered fewer than ``need`` times
+    if need > 0:
+        short = len({u for q in d.reachable_states() for _, u, _ in choices[q]}.union(start))
     pa = cfg.termination_probability
-    accepting = tables.accepting
-    choices = tables.choices
     rand = rng.random
-    max_steps = MAX_WALK_STEPS
-    restarts = 0
+    check = (budget or WorkBudget()).check(stage)
+    max_steps, cap = MAX_WALK_STEPS, MAX_HELD_SLOTS
+    held = walked = restarts = 0
     while True:
         if restarts > MAX_WALK_RESTARTS:
             raise ResourceLimitError("random walk exceeded the restart limit")
-        state = tables.initial
+        state = d.initial
         trace = []
-        steps = [] if track_steps else None
+        units = [*start] if short else None
         while True:
             if len(trace) > max_steps:
                 raise ResourceLimitError("random walk exceeded the step limit")
             if accepting[state] and rand() < pa:
-                return tuple(trace), steps
+                break
             options = choices[state]
             if not options:
-                break  # nothing live to follow: discard and restart
-            s, step, state = options[int(rand() * len(options))]
+                trace = None  # nothing live to follow: discard and start over
+                break
+            s, unit, state = options[int(rand() * len(options))]
             trace.append(s)
-            if track_steps:
-                steps.append(step)
-        restarts += 1
+            if units is not None:
+                units.append(unit)
+        if trace is None:
+            restarts += 1
+            continue
+        restarts = 0
+        held += hold(tuple(trace))
+        if held > cap:
+            msg = f"{stage}: the traces held would take {held} slots (cap {cap})"
+            raise SizeGuardError(msg, estimate=held)
+        walked += 1
+        if units:
+            for unit in units:
+                coverage[unit] += 1
+                if coverage[unit] == need:
+                    short -= 1
+        if walked >= least and not short:
+            return
+        if not walked % _STEPS_PER_CHECK:
+            check()
 
 
 def _generate_multiset(d, cfg, rng, budget):
-    tables = _WalkTables(d)
-    need = cfg.min_transition_coverage
-    # walks take only the choices out of reachable states, so a count of
-    # those still short of ``need`` tells when all of them are covered
-    uncovered = sum(len(tables.choices[q]) for q in d.reachable_states()) if need > 0 else 0
-    coverage = [0] * (d.state_count * len(d.alphabet))
     multiset = EvaluationMultiset()
     traces = multiset.traces
-    generated = 0
-    while True:
-        trace, steps = _walk(tables, cfg, rng, track_steps=uncovered > 0)
-        traces[trace] += 1
-        generated += 1
-        if steps:
-            for step in steps:
-                coverage[step] += 1
-                if coverage[step] == need:
-                    uncovered -= 1
-        if generated >= cfg.target_trace_count and not uncovered:
-            break
-        if generated % 256 == 0 and budget.passed():
-            break
+
+    def hold(trace):
+        n = traces.get(trace, 0)
+        traces[trace] = n + 1
+        return 0 if n else len(trace) + 1
+
+    least, need = cfg.target_trace_count, cfg.min_transition_coverage
+    _walk_until_covered(d, cfg, rng, least, need, hold, budget, "evaluation walks")
     return multiset
 
 
@@ -192,8 +203,8 @@ def _judged_by_length(multiset, judge):
 
 def _walked_and_judged(reference, inferred, cfg, budget):
     """The walk multisets on ``inferred`` and on ``reference``, each judged
-    by the other model, length by length; both sets stop walking once
-    ``budget`` (a fresh ``WorkBudget`` if None) has passed."""
+    by the other model, length by length; both sets share the deadline of
+    ``budget`` (a fresh ``WorkBudget`` if None)."""
     budget = budget or WorkBudget()
     e_prec = _generate_multiset(inferred, cfg, derive_rng(cfg.seed, 0), budget)
     e_rec = _generate_multiset(reference, cfg, derive_rng(cfg.seed, 1), budget)

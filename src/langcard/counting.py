@@ -106,9 +106,8 @@ class WorkBudget:
     """The work one command may do: a wall-clock limit.
 
     The clock starts when the budget is made, and every stage it is passed
-    to shares its one deadline.  A stage that raises binds ``check(stage)``
-    once and calls it per step or block; one that stops and returns asks
-    ``passed()``."""
+    to shares its one deadline.  A stage binds ``check(stage)`` once and
+    calls it per step or block."""
 
     time_limit_s: float = 600.0
 
@@ -125,9 +124,6 @@ class WorkBudget:
                 raise ResourceLimitError(f"{stage}: time limit exceeded {self.time_limit_s} s")
 
         return check
-
-    def passed(self):
-        return time.monotonic() > self._started + self.time_limit_s
 
 
 # the most memory, in bytes, that the counts of one computation may be

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import automata
+from . import automata, baselines
 from .automata import Alphabet, Dfa, Trace, canonical_dfa, subset_construction
-from .baselines import RandomWalkConfig, _trie, _walk, _WalkTables, derive_rng
+from .baselines import RandomWalkConfig, _trie, _walk_until_covered, derive_rng
 from .counting import _STEPS_PER_CHECK, WorkBudget
 from .errors import SizeGuardError
 
@@ -152,28 +152,21 @@ def generate_training_set(
     """Random-walk training material with a coverage-based stopping rule:
     keep walking until at least ``min_traces`` traces exist and every
     visitable state was visited ``min_state_visits`` times.  The deadline
-    of ``budget`` is checked once per trace."""
-    tables = _WalkTables(reference)
-    rng = derive_rng(cfg.seed, 2)
-    target = [t for row in reference.transitions for t in row]  # step id -> state
-    visits = [0] * reference.state_count
-    # the initial state and every step's target are visitable, so a count of
-    # the visitable states still short of ``min_state_visits`` tells when
-    # all of them are visited often enough
-    short = 0
-    if min_state_visits > 0:
-        short = len(set(reference.reachable_states()) - reference.error_states)
+    of ``budget`` is checked once per ``_STEPS_PER_CHECK`` walks.  Each
+    trace holds a slot of ``baselines.MAX_HELD_SLOTS``, so a ``min_traces``
+    past it is refused before the first walk."""
+    cap = baselines.MAX_HELD_SLOTS
+    if min_traces > cap:
+        msg = f"training walks: {min_traces} traces would take at least as many slots (cap {cap})"
+        raise SizeGuardError(msg, estimate=min_traces)
     traces = []
-    check = (budget or WorkBudget()).check("training walks")
-    while True:
-        trace, steps = _walk(tables, cfg, rng, track_steps=short > 0)
+
+    def hold(trace):
         traces.append(trace)
-        if short:
-            for q in [reference.initial] + [target[step] for step in steps]:
-                visits[q] += 1
-                if visits[q] == min_state_visits:
-                    short -= 1
-        if len(traces) >= min_traces and not short:
-            break
-        check()
+        return len(trace) + 1
+
+    rng = derive_rng(cfg.seed, 2)
+    _walk_until_covered(
+        reference, cfg, rng, min_traces, min_state_visits, hold, budget, "training walks", by_state=True
+    )
     return TrainingSet(tuple(traces), reference.alphabet)

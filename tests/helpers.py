@@ -24,7 +24,7 @@ from langcard import (
     state_cover,
 )
 from langcard.automata import MAX_STATES
-from langcard.baselines import _walk, _WalkTables
+from langcard.baselines import _walk_until_covered
 from langcard.errors import ModelParseError, SizeGuardError
 from langcard.inference import _Trie
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
@@ -93,8 +93,9 @@ def build_pta(ts):
 
 def random_walk_trace(d, cfg, rng):
     """One random-walk trace of ``d`` as the baselines walk it."""
-    trace, _ = _walk(_WalkTables(d), cfg, rng, track_steps=False)
-    return trace
+    walked = []
+    _walk_until_covered(d, cfg, rng, 1, 0, lambda t: walked.append(t) or 0, None, "walks")
+    return walked[0]
 
 
 def enumerate_counts(d, n_max):

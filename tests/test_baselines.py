@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langcard import Alphabet, Dfa, baselines, counting
+from langcard import Alphabet, Dfa, baselines, counting, inference
 from langcard.baselines import (
     _symbol_draws,
     RandomWalkConfig,
@@ -562,24 +562,56 @@ def test_sigma_sampling_past_its_deadline_raises(monkeypatch):
 
 @pytest.mark.parametrize("method", [trace_similarity, trace_similarity_conditioned])
 def test_both_walk_sets_share_one_time_limit(monkeypatch, method):
-    # the clock reads 0 when the budget starts and 1.5 s at every later
-    # reading: past the 1 s limit, yet inside one started afresh; so each
-    # walk set stops at its first check, after 256 walks
-    readings = []
+    # the clock reads 0 when the budget starts and 1.5 s once it has passed:
+    # past the 1 s limit, yet inside one started afresh.  It passes at once,
+    # or only once the recall set draws its stream, after the precision set
+    # has walked its 1,000 traces; either way the walks raise at their next
+    # check, which shows that the recall set keeps the one deadline
+    derive = baselines.derive_rng
+    for late in (False, True):
+        readings, passed = [], [not late]
 
-    def monotonic():
-        readings.append(None)
-        return 0.0 if len(readings) == 1 else 1.5
+        def derive_rng(seed, stream):
+            passed[0] = passed[0] or stream == 1
+            return derive(seed, stream)
 
-    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+        def monotonic():
+            readings.append(None)
+            return 1.5 if passed[0] and len(readings) > 1 else 0.0
+
+        monkeypatch.setattr(baselines, "derive_rng", derive_rng)
+        monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+        top = all_accepting(2)
+        budget = WorkBudget(time_limit_s=1.0)
+        with pytest.raises(ResourceLimitError, match=r"^evaluation walks: time limit exceeded 1\.0 s$"):
+            method(top, top, cfg(target_trace_count=1000), budget)
+        assert passed[0]
+
+
+def test_training_walks_past_the_held_slots_are_refused_before_walking(monkeypatch):
+    monkeypatch.setattr(baselines, "MAX_HELD_SLOTS", 20)
+    monkeypatch.setattr(inference, "_walk_until_covered", None)  # a walk would fail
+    with pytest.raises(SizeGuardError, match=r"^training walks: 21 traces .*\(cap 20\)$"):
+        generate_training_set(all_accepting(2), cfg(), min_traces=21)
+
+
+def test_a_repeated_trace_holds_no_more_slots(monkeypatch):
+    # the only trace is "a": one multiset entry of 2 slots, however often
+    # it is walked
+    only_a = Dfa(Alphabet(AB), ((1, 2), (2, 2), (2, 2)), 0, frozenset([1]))
+    monkeypatch.setattr(baselines, "MAX_HELD_SLOTS", 20)
+    result = trace_similarity(only_a, only_a, cfg(target_trace_count=1000))
+    assert result.e_precision.traces == {(0,): 1000}
+    assert result.e_recall.traces == {(0,): 1000}
+
+
+@pytest.mark.parametrize("method", [trace_similarity, trace_similarity_conditioned])
+def test_evaluation_walks_past_the_held_slots_are_refused(monkeypatch, method):
+    monkeypatch.setattr(baselines, "MAX_HELD_SLOTS", 20)
     top = all_accepting(2)
-    budget = WorkBudget(time_limit_s=1.0)
-    result = method(top, top, cfg(target_trace_count=1000), budget)
-    if method is trace_similarity:
-        walked = result.e_precision.total, result.e_recall.total
-    else:
-        walked = sum(r.precision_samples for r in result), sum(r.recall_samples for r in result)
-    assert walked == (256, 256)
+    message = r"^evaluation walks: the traces held would take \d+ slots \(cap 20\)$"
+    with pytest.raises(SizeGuardError, match=message):
+        method(top, top, cfg(target_trace_count=1000))
 
 
 def test_walk_keeps_the_restart_limit(monkeypatch):

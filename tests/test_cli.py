@@ -831,7 +831,7 @@ def test_sigma_sample_past_its_deadline_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_gen_traces_past_its_time_limit_exits_3(tmp_path, monkeypatch, capsys):
     # the clock reads 0 when the command's budget starts and far past its
-    # 1 s at the check after the first trace, long before 1,000 traces
+    # 1 s at the first check, after 64 traces, long before 1,000 traces
     model = tmp_path / "top.dfa"
     model.write_text(serialize_dfa(all_accepting(2)))
     _clock_past_the_deadline(monkeypatch)
@@ -839,6 +839,39 @@ def test_gen_traces_past_its_time_limit_exits_3(tmp_path, monkeypatch, capsys):
     argv = ["gen-traces", str(model), "--min-traces", "1000", "--time-limit", "1"]
     assert run(*argv, "--out", str(out)) == 3
     assert "resource limit: training walks: time limit exceeded 1.0 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trace_sim_past_its_time_limit_exits_3(tmp_path, monkeypatch, capsys):
+    # as above: the precision set's first check, after 64 of its 1,000
+    # traces, finds the deadline passed, and nothing is written
+    model = tmp_path / "top.dfa"
+    model.write_text(serialize_dfa(all_accepting(2)))
+    _clock_past_the_deadline(monkeypatch)
+    out = tmp_path / "s.csv"
+    argv = ["baseline", "trace-sim", str(model), str(model), "--target-traces", "1000"]
+    assert run(*argv, "--time-limit", "1", "--out", str(out)) == 3
+    assert "resource limit: evaluation walks: time limit exceeded 1.0 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, held",
+    [
+        (["gen-traces", "M", "--min-traces", "10", "--min-state-visits", "0"], "the traces held"),
+        (["gen-traces", "M", "--min-traces", "21"], "21 traces"),
+        (["baseline", "trace-sim", "M", "M", "--target-traces", "10"], "the traces held"),
+    ],
+    ids=["gen-traces walking", "gen-traces before walking", "trace-sim walking"],
+)
+def test_walks_past_the_held_slots_exit_4(tmp_path, monkeypatch, capsys, argv, held):
+    model = tmp_path / "top.dfa"
+    model.write_text(serialize_dfa(all_accepting(2)))
+    monkeypatch.setattr(baselines, "MAX_HELD_SLOTS", 20)
+    out = tmp_path / "o.txt"
+    assert run(*[str(model) if a == "M" else a for a in argv], "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and held in err and "(cap 20)" in err
     assert not out.exists()
 
 

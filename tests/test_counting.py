@@ -317,7 +317,6 @@ def test_only_the_work_budget_and_main_read_the_clock():
         ("cli.py", "main"),  # and its end
         ("counting.py", "WorkBudget"),  # the budget's start
         ("counting.py", "WorkBudget"),  # check
-        ("counting.py", "WorkBudget"),  # passed
     ]
 
 
