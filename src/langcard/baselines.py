@@ -29,6 +29,17 @@ little-endian bytes, byte 8i+3 is then the top byte of the i-th call's
 symbol boundary (2 of the 256 at sigma = 3) takes the symbol from CPython's
 own float expression over both words.  Past 256 symbols every top byte
 straddles one, so those alphabets call ``random()`` per symbol.
+
+Sampling then runs a whole batch of draws through R x H together, one
+symbol position at a time: one bulk call draws every symbol of the batch,
+and each draw keeps a lane holding q * sigma for its product state q.  A
+step adds the column of the draws' next symbols s to the lanes and reads
+each sum q * sigma + s off a table of successors.  When the product has at
+most 256 / sigma states the lanes are the bytes of one integer, every sum
+fits its byte and so never carries into the next draw's, and a step is one
+integer addition and one ``bytes.translate``.  Wider products, and batches
+too small to pay a step's fixed cost, run one draw at a time through the
+same table.
 """
 
 from __future__ import annotations
@@ -56,6 +67,12 @@ DEFAULT_SEED = 52_4287
 MAX_TEST_SET_SIZE = 5_000_000
 # refusal threshold on the expected draws n_target * sigma**length / |slice|
 MAX_EXPECTED_DRAWS = 5_000_000
+# the most symbols sampling draws in one batch; a trace longer than this is
+# a batch of its own
+MAX_BATCH_SYMBOLS = 2**13
+# the fewest draws a batch steps as byte lanes: below about 24 (CPython
+# 3.11) a lane step's fixed cost outweighs stepping each draw on its own
+_MIN_LANES = 24
 # the most steps one walk may take, and the most times it may start over
 # from a state with nothing live to follow
 MAX_WALK_STEPS = 1_000_000
@@ -122,10 +139,21 @@ def _walk_until_covered(d, cfg, rng, least, need, hold, budget, stage, by_state=
     ]
     start = (d.initial,) if by_state else ()
     coverage = [0] * (d.state_count * (1 if by_state else sigma))
+    pa = cfg.termination_probability
     short = 0  # the units still covered fewer than ``need`` times
     if need > 0:
-        short = len({u for q in d.reachable_states() for _, u, _ in choices[q]}.union(start))
-    pa = cfg.termination_probability
+        # the units of the steps walks can take: at pa = 1 a walk stops at
+        # the first accepting state it meets, so none out of those
+        stops = d.accepting if pa == 1 else ()
+        units, seen, order = set(start), {d.initial}, [d.initial]
+        for q in order:
+            if q not in stops:
+                for _, u, t in choices[q]:
+                    units.add(u)
+                    if t not in seen:
+                        seen.add(t)
+                        order.append(t)
+        short = len(units)
     rand = rng.random
     check = (budget or WorkBudget()).check(stage)
     max_steps, cap = MAX_WALK_STEPS, MAX_HELD_SLOTS
@@ -536,7 +564,7 @@ def sigma_sampling_assessment(
     of those that the other model also accepts.  Refuses before the first
     draw when the expected number of draws exceeds ``MAX_EXPECTED_DRAWS``.
     The count of the conditioning slice and the draws share ``budget``'s
-    deadline, checked once per 4,096 draws.
+    deadline, checked before each batch of draws.
     """
     if metric not in ("precision", "recall"):
         raise ValueError("metric must be 'precision' or 'recall'")
@@ -555,22 +583,55 @@ def sigma_sampling_assessment(
         )
     product, (tp, fp, fn) = confusion_product(reference, inferred)
     counted = tp | (fp if metric == "precision" else fn)
-    rows = product.transitions
-    draw = _symbol_draws(len(reference.alphabet))
+    sigma = len(reference.alphabet)
+    width = product.state_count * sigma
+    # a draw's lane holds q * sigma in product state q, so that the lane plus
+    # the next symbol s indexes flat[q * sigma + s] = delta(q, s) * sigma
+    flat = [t * sigma for row in product.transitions for t in row]
+    # per lane of a finished draw: 0 rejected, 1 counted, 2 true positive
+    grade = bytearray(max(width, 256))
+    for q in counted:
+        grade[q * sigma] = 1 + (q in tp)
+    step = bytes(flat).ljust(256, b"\0") if width <= 256 else None
+    draw = _symbol_draws(sigma)
     rng = random.Random(seed)
     check = budget.check("sampling")
+    space = sigma**length
     true_positives = 0
     accepted = 0
-    checks = 0
     while accepted < n_target:
-        checks += 1
-        if checks % 4096 == 0:
-            check()
-        q = 0
-        for s in draw(rng, length):
-            q = rows[q][s]
-        if q in counted:
-            accepted += 1
-            if q in tp:
-                true_positives += 1
+        check()
+        # at most the draws still expected to be needed, in one call
+        expected = -(-(n_target - accepted) * space // size)
+        count = max(1, min(MAX_BATCH_SYMBOLS // max(length, 1), expected))
+        symbols = draw(rng, count * length)  # draw i is symbols[i * length:][:length]
+        if width <= 256 and count >= _MIN_LANES:
+            # q * sigma + s < width <= 256, so the bytewise sum of the lanes
+            # and a column never carries from one draw into the next
+            lanes = bytes(count)
+            for t in range(length):
+                total = int.from_bytes(lanes, "big") + int.from_bytes(symbols[t::length], "big")
+                lanes = total.to_bytes(count, "big").translate(step)
+            ends = lanes.translate(grade)
+        else:
+            ends = bytearray(count)
+            for i in range(count):
+                q = 0
+                for s in symbols[i * length : (i + 1) * length]:
+                    q = flat[q + s]
+                ends[i] = grade[q]
+        hits = count - ends.count(0)
+        if accepted + hits <= n_target:
+            accepted += hits
+            true_positives += ends.count(2)
+            continue
+        # the batch that crosses n_target: its draws in order, up to the
+        # n_target-th accepted one; the generator is this call's own, so
+        # the draws past it change nothing
+        for g in ends:
+            if g:
+                accepted += 1
+                true_positives += g >> 1
+                if accepted == n_target:
+                    break
     return Fraction(true_positives, accepted)

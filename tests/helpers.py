@@ -392,6 +392,30 @@ def mbt_by_enumeration(reference, inferred, m):
     return precision, recall
 
 
+def sigma_sampling_by_draws(reference, inferred, length, n_target, metric, seed):
+    """Uniform sampling the way ``baselines.sigma_sampling_assessment`` once
+    ran it: one draw at a time, each of ``length`` symbols
+    ``int(rng.random() * sigma)`` stepped through R x H one by one, until
+    ``n_target`` draws end in a state of the conditioning model.  Oracle for
+    the batched loop; the caller checks that the slice is not too thin."""
+    product, (tp, fp, fn) = confusion_product(reference, inferred)
+    counted = tp | (fp if metric == "precision" else fn)
+    rows = product.transitions
+    sigma = len(reference.alphabet)
+    rand = random.Random(seed).random
+    true_positives = 0
+    accepted = 0
+    while accepted < n_target:
+        q = 0
+        for _ in range(length):
+            q = rows[q][int(rand() * sigma)]
+        if q in counted:
+            accepted += 1
+            if q in tp:
+                true_positives += 1
+    return Fraction(true_positives, accepted)
+
+
 def parse_dfa_by_lines(text):
     """The line-oriented DFA format the way ``automata.parse_dfa`` once
     parsed it: an edge list and a set of the edges seen, the headers checked

@@ -6,10 +6,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from langcard import Alphabet, Dfa, baselines, counting, inference
+from langcard import Alphabet, Dfa, baselines, confusion_product, counting, inference
 from langcard.baselines import (
     _symbol_draws,
     RandomWalkConfig,
@@ -39,6 +39,7 @@ from helpers import (
     random_nonempty_dfa,
     random_walk_trace,
     seeded,
+    sigma_sampling_by_draws,
     signature_models,
 )
 
@@ -147,6 +148,30 @@ def test_pa_one_precision_is_one_exactly_when_reference_accepts_epsilon():
     c = cfg(termination_probability=1.0, target_trace_count=100)
     assert trace_similarity(accepts_eps, inferred, c).precision == 1
     assert trace_similarity(rejects_eps, inferred, c).precision == 0
+
+
+def test_walks_at_pa_one_cover_only_what_they_can_reach(monkeypatch):
+    # 0 -a-> 1 (accepting) and 0 -b-> 0, then 1 -a-> 2 -b-> 1: at pa = 1 a
+    # walk stops on entering 1, so it never takes a step out of 1 or 2 and
+    # never visits 2.  The clock passes the deadline at the first check,
+    # after 64 walks: walks that waited on those units would raise there
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1e9
+
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    d = Dfa(Alphabet(AB), ((1, 0), (2, 3), (3, 1), (3, 3)), 0, frozenset([1]))
+    c = cfg(termination_probability=1.0, target_trace_count=2, min_transition_coverage=3)
+    res = trace_similarity(d, d, c, WorkBudget(time_limit_s=1.0))
+    training = generate_training_set(d, c, min_traces=2, min_state_visits=3, budget=WorkBudget(time_limit_s=1.0))
+    walked = [list(res.e_precision.traces.elements()), list(res.e_recall.traces.elements())]
+    for traces in [*walked, training.traces]:
+        assert all(t[-1] == 0 and set(t[:-1]) <= {1} for t in traces)  # b* a
+        assert len(traces) >= 3  # each walk steps on a out of 0 into 1 once
+    for traces in walked:
+        assert sum(t.count(1) for t in traces) >= 3  # the steps on b out of 0
 
 
 def test_conditioned_partition_sizes_sum_to_total():
@@ -539,14 +564,90 @@ def test_bulk_symbols_are_the_per_call_symbols(sigma, length):
         assert bulk.getstate() == single.getstate()
 
 
+@st.composite
+def _sampled_pairs(draw, sigmas, states):
+    """A model pair over one of ``sigmas`` symbols, each model of one of
+    ``states`` states, and a metric, length, sample count and seed whose
+    conditioning slice is neither empty nor so thin that the per-draw
+    oracle would take long."""
+    sigma = draw(st.sampled_from(sigmas))
+    alpha = Alphabet(tuple(f"s{i}" for i in range(sigma)))
+
+    def model():
+        n = draw(st.sampled_from(states))
+        rows = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(sigma)) for _ in range(n))
+        return Dfa(alpha, rows, 0, frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+
+    reference, inferred = model(), model()
+    metric = draw(st.sampled_from(("precision", "recall")))
+    length, n_target = draw(st.integers(0, 12)), draw(st.integers(1, 300))
+    size = count_dp(inferred if metric == "precision" else reference, length)[length]
+    assume(size and n_target * sigma**length <= 20_000 * size)
+    return reference, inferred, length, n_target, metric, draw(st.integers(0, 2**32))
+
+
+@pytest.mark.parametrize(
+    "sigmas, states, fits",
+    [((1, 2, 3, 4), range(1, 9), True), (range(9, 13), (5, 6), False)],
+    ids=["k sigma <= 256", "k sigma > 256"],
+)
+def test_batched_sampling_equals_sampling_draw_by_draw(sigmas, states, fits):
+    # with k * sigma <= 256 a batch of enough draws steps as byte lanes; a
+    # wider product, or a smaller batch, steps one draw at a time
+    @given(_sampled_pairs(sigmas, states))
+    @settings(max_examples=80, deadline=None)
+    def check(case):
+        reference, inferred = case[:2]
+        product, _ = confusion_product(reference, inferred)
+        assume((product.state_count * len(reference.alphabet) <= 256) == fits)
+        assert sigma_sampling_assessment(*case) == sigma_sampling_by_draws(*case)
+
+    check()
+
+
+def test_sampling_past_256_symbols_equals_sampling_draw_by_draw():
+    rng = seeded(61)
+    alpha = Alphabet(tuple(f"s{i}" for i in range(300)))
+    models = [
+        Dfa(alpha, tuple(tuple(rng.randrange(3) for _ in range(300)) for _ in range(3)), 0, frozenset([0, q]))
+        for q in (1, 2)
+    ]
+    for metric in ("precision", "recall"):
+        case = (*models, 3, 200, metric, 7)
+        assert sigma_sampling_assessment(*case) == sigma_sampling_by_draws(*case)
+
+
+@pytest.mark.parametrize("length", [1, 3, 40, 2 * baselines.MAX_BATCH_SYMBOLS + 1])
+def test_sampling_asks_for_at_most_a_batch_of_symbols_per_draw(monkeypatch, length):
+    asked = []
+    symbol_draws = baselines._symbol_draws
+
+    def recorded(sigma):
+        draw = symbol_draws(sigma)
+
+        def record(rng, symbols):
+            asked.append(symbols)
+            return draw(rng, symbols)
+
+        return record
+
+    monkeypatch.setattr(baselines, "_symbol_draws", recorded)
+    # recall conditions on the traces that start with 'a', half of each length
+    reference = to_dfa(seq(sym("a"), star(alt(sym("a"), sym("b")))), AB)
+    case = (reference, all_accepting(2), length, 3 if length > 40 else 2000, "recall", 4)
+    assert sigma_sampling_assessment(*case) == sigma_sampling_by_draws(*case)
+    assert len(asked) > 1
+    assert max(asked) <= max(baselines.MAX_BATCH_SYMBOLS, length)
+
+
 # ---------------------------------------------------------------------------
 # Limits
 
 
 def test_sigma_sampling_past_its_deadline_raises(monkeypatch):
     # the clock reads 0 when the budget starts and at the 3 steps of the
-    # slice's count, and far past the deadline afterwards; 10,000 samples of
-    # the all-accepting model need a check at draw 4096
+    # slice's count, and far past the deadline afterwards, which the check
+    # before each batch of draws finds before the first batch
     readings = []
 
     def monotonic():

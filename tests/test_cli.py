@@ -856,6 +856,29 @@ def test_trace_sim_past_its_time_limit_exits_3(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["baseline", "trace-sim", "M", "M", "--min-coverage", "1", "--target-traces", "1"],
+         "n,precision_eq,recall_eq,precision_le,recall_le\n0,undefined,undefined,1.000000,1.000000\n"),
+        (["gen-traces", "M", "--min-state-visits", "1", "--min-traces", "1"], "\n"),
+    ],
+    ids=["trace-sim", "gen-traces"],
+)
+def test_walks_at_pa_one_stop_after_the_least_walks(tmp_path, monkeypatch, argv, written):
+    # at --pa 1 every walk stops at once in the accepting initial state, so
+    # the step out of it and state 1 can never be covered; the clock passes
+    # the deadline at the first check, after 64 walks, where walks waiting
+    # on them would exit 3
+    model = tmp_path / "m.dfa"
+    model.write_text("alphabet: a b\nstates: 2\ninitial: 0\naccepting: 0\n0 a 1\n1 b 0\n")
+    _clock_past_the_deadline(monkeypatch)
+    out = tmp_path / "o.txt"
+    argv = [str(model) if a == "M" else a for a in argv]
+    assert run(*argv, "--pa", "1", "--time-limit", "1", "--out", str(out)) == 0
+    assert out.read_text() == written
+
+
+@pytest.mark.parametrize(
     "argv, held",
     [
         (["gen-traces", "M", "--min-traces", "10", "--min-state-visits", "0"], "the traces held"),
