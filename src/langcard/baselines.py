@@ -10,13 +10,15 @@ Twister), so identical configurations reproduce identical evaluation sets
 bit for bit.  Walk streams for different purposes derive independent
 generators from (seed, stream id).
 
-Every method runs on precomputed integer tables: walks on per-state choice
-lists, the W-method and sampling on the reachable product R x H, whose state
-classes (``automata.confusion_product``) say which model accepts a trace.
-The W-method's tests are counted, not listed, the way the paper counts any
-finite language: a DFA of the test set, built by subset construction, runs
-against R x H in one DP that sums the distinct tests by the product state
-they end in.
+Every method runs on precomputed integer tables over the reachable product
+R x H, walks included: the pair a trace ends in says which model accepts
+it.  A walk set walks R x H choosing only among the moves live in the model
+it walks, so each trace is judged by the other model where it ends, and no
+trace is run through a model a second time; ``gen-traces`` walks a model's
+own states through the same loop.  The W-method's tests are
+counted, not listed, the way the paper counts any finite language: a DFA of
+the test set, built by subset construction, runs against R x H in one DP
+that sums the distinct tests by the product state they end in.
 
 Sampling draws a trace's symbols in bulk, yet consumes the generator exactly
 as one ``int(rng.random() * sigma)`` per symbol would.  CPython builds each
@@ -26,9 +28,11 @@ returns the same 2L words, the first word in the lowest bits.  In its
 little-endian bytes, byte 8i+3 is then the top byte of the i-th call's
 ``a``, and for most top bytes that byte alone fixes the symbol, read off a
 256-entry table.  A top byte whose range of ``random()`` values straddles a
-symbol boundary (2 of the 256 at sigma = 3) takes the symbol from CPython's
-own float expression over both words.  Past 256 symbols every top byte
-straddles one, so those alphabets call ``random()`` per symbol.
+symbol boundary (2 of the 256 at sigma = 3) takes the symbol off a 256-entry
+table of its own by the next byte of the word, 8i+2; only when those two
+bytes straddle the boundary too (1 in 256 of them) does the symbol come from
+CPython's own float expression over both words.  Past 256 symbols every top
+byte straddles one, so those alphabets call ``random()`` per symbol.
 
 Sampling then runs a whole batch of draws through R x H together, one
 symbol position at a time: one bulk call draws every symbol of the batch,
@@ -46,11 +50,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .automata import confusion_product, subset_construction
+from .automata import _product_table, confusion_product, subset_construction
 from .counting import _STEPS_PER_CHECK, WorkBudget, count_dp
 from .errors import (
     IndistinguishableStatesError,
@@ -116,39 +121,58 @@ def derive_rng(seed, stream) -> random.Random:
     return random.Random((seed ^ (stream * 0x9E3779B97F4A7C15)) & (2**64 - 1))
 
 
-def _walk_until_covered(d, cfg, rng, least, need, hold, budget, stage, by_state=False):
-    """Random walks on ``d`` until at least ``least`` traces are walked and
-    each unit that walks can cover was covered ``need`` times.
+def _walk_table(d, rows, states, initial, by_state=False):
+    """The table random walks on ``d`` take over the automaton ``rows``
+    (``rows[i][s]``: the successor of state i on symbol s), whose state i
+    is ``d``'s state ``states[i]``: ``d`` itself when ``states`` numbers
+    its states, or R x H projected onto one of its components.
 
-    A step covers its id ``state * sigma + symbol``, or with ``by_state``
-    its target, every walk then also covering the initial state.
-    ``hold(trace)`` keeps each trace and returns the slots it newly holds:
-    one per symbol and one per trace, none for a trace already held.  Past
-    ``MAX_HELD_SLOTS`` in all the walks are refused; the deadline of
-    ``budget`` (a fresh ``WorkBudget`` if None) is checked once per
-    ``_STEPS_PER_CHECK`` walks."""
+    Returns ``(initial, entries, size, start)``: per state, whether ``d``
+    accepts there, the count of its live moves and the moves (symbol, unit
+    covered, target); the number of units and the units every walk covers.
+    A move is live when ``d`` can still accept from its target.  It covers
+    ``d``'s step id ``state * sigma + symbol``, or with ``by_state`` the
+    state of ``d`` it enters, every walk then also covering ``d``'s initial
+    state."""
     errors = d.error_states
-    if d.initial in errors:
+    if states[initial] in errors:
         raise UnsuitableModelError("random walk needs a model with a nonempty language")
     sigma = len(d.alphabet)
-    accepting = [q in d.accepting for q in range(d.state_count)]
-    # (symbol, unit covered, target) per step out of each state
-    choices = [
-        [(s, t if by_state else q * sigma + s, t) for s, t in enumerate(row) if t not in errors]
-        for q, row in enumerate(d.transitions)
-    ]
-    start = (d.initial,) if by_state else ()
-    coverage = [0] * (d.state_count * (1 if by_state else sigma))
+    entries = []
+    for q, row in zip(states, rows):
+        moves = [
+            (s, states[t] if by_state else q * sigma + s, t)
+            for s, t in enumerate(row)
+            if states[t] not in errors
+        ]
+        entries.append((q in d.accepting, len(moves), moves))
+    if by_state:
+        return initial, entries, d.state_count, (states[initial],)
+    return initial, entries, d.state_count * sigma, ()
+
+
+def _walk_until_covered(table, cfg, rng, least, need, hold, budget, stage):
+    """Random walks over the walk ``table`` (``_walk_table``) until at least
+    ``least`` traces are walked and each unit that walks can cover was
+    covered ``need`` times.
+
+    ``hold(trace, end)`` keeps each trace, walked to the state ``end``, and
+    returns the slots it newly holds: one per symbol and one per trace, none
+    for a trace already held.  Past ``MAX_HELD_SLOTS`` in all the walks are
+    refused; the deadline of ``budget`` (a fresh ``WorkBudget`` if None) is
+    checked once per ``_STEPS_PER_CHECK`` walks."""
+    initial, entries, size, start = table
+    coverage = [0] * size
     pa = cfg.termination_probability
     short = 0  # the units still covered fewer than ``need`` times
     if need > 0:
         # the units of the steps walks can take: at pa = 1 a walk stops at
         # the first accepting state it meets, so none out of those
-        stops = d.accepting if pa == 1 else ()
-        units, seen, order = set(start), {d.initial}, [d.initial]
+        units, seen, order = set(start), {initial}, [initial]
         for q in order:
-            if q not in stops:
-                for _, u, t in choices[q]:
+            stop, _, moves = entries[q]
+            if pa < 1 or not stop:
+                for _, u, t in moves:
                     units.add(u)
                     if t not in seen:
                         seen.add(t)
@@ -156,32 +180,35 @@ def _walk_until_covered(d, cfg, rng, least, need, hold, budget, stage, by_state=
         short = len(units)
     rand = rng.random
     check = (budget or WorkBudget()).check(stage)
-    max_steps, cap = MAX_WALK_STEPS, MAX_HELD_SLOTS
+    # a walk stops or steps once per pass, so it may take MAX_WALK_STEPS
+    # steps and stop after the last
+    passes = range(MAX_WALK_STEPS + 1)
+    cap = MAX_HELD_SLOTS
     held = walked = restarts = 0
     while True:
         if restarts > MAX_WALK_RESTARTS:
             raise ResourceLimitError("random walk exceeded the restart limit")
-        state = d.initial
+        state = initial
         trace = []
         units = [*start] if short else None
-        while True:
-            if len(trace) > max_steps:
-                raise ResourceLimitError("random walk exceeded the step limit")
-            if accepting[state] and rand() < pa:
+        for _ in passes:
+            stop, n, moves = entries[state]
+            if stop and rand() < pa:
                 break
-            options = choices[state]
-            if not options:
+            if not n:
                 trace = None  # nothing live to follow: discard and start over
                 break
-            s, unit, state = options[int(rand() * len(options))]
+            s, unit, state = moves[int(rand() * n)]
             trace.append(s)
             if units is not None:
                 units.append(unit)
+        else:
+            raise ResourceLimitError("random walk exceeded the step limit")
         if trace is None:
             restarts += 1
             continue
         restarts = 0
-        held += hold(tuple(trace))
+        held += hold(tuple(trace), state)
         if held > cap:
             msg = f"{stage}: the traces held would take {held} slots (cap {cap})"
             raise SizeGuardError(msg, estimate=held)
@@ -197,20 +224,6 @@ def _walk_until_covered(d, cfg, rng, least, need, hold, budget, stage, by_state=
             check()
 
 
-def _generate_multiset(d, cfg, rng, budget):
-    multiset = EvaluationMultiset()
-    traces = multiset.traces
-
-    def hold(trace):
-        n = traces.get(trace, 0)
-        traces[trace] = n + 1
-        return 0 if n else len(trace) + 1
-
-    least, need = cfg.target_trace_count, cfg.min_transition_coverage
-    _walk_until_covered(d, cfg, rng, least, need, hold, budget, "evaluation walks")
-    return multiset
-
-
 @dataclass
 class TraceSimilarityResult:
     precision: Fraction
@@ -219,24 +232,51 @@ class TraceSimilarityResult:
     e_recall: EvaluationMultiset
 
 
-def _judged_by_length(multiset, judge):
-    """Per trace length: (traces that ``judge`` accepts, traces), judging
-    each distinct trace once."""
+def _judged_walks(model, states, judge, judge_states, rows, cfg, rng, budget):
+    """The walk multiset on ``model`` over R x H (``rows``), whose pair i
+    holds ``model``'s state ``states[i]`` and ``judge``'s state
+    ``judge_states[i]``, and per trace length (traces ``judge`` accepts,
+    traces).
+
+    A walk chooses among the moves live in ``model``, stops only where it
+    accepts and covers its step ids; ``judge`` accepts the trace when it
+    accepts in the pair the walk ends in.  Each distinct trace is judged
+    once, when it is first held."""
+    table = _walk_table(model, rows, states, 0)
+    accepted = [q in judge.accepting for q in judge_states]
+    traces = Counter()
+    judged = []  # per distinct trace, in the order ``traces`` holds them
+
+    def hold(trace, end):
+        n = traces.get(trace, 0)
+        traces[trace] = n + 1
+        if n:
+            return 0
+        judged.append(accepted[end])
+        return len(trace) + 1
+
+    least, need = cfg.target_trace_count, cfg.min_transition_coverage
+    _walk_until_covered(table, cfg, rng, least, need, hold, budget, "evaluation walks")
     per_len = {}
-    for t, c in multiset.traces.items():
+    for (t, c), hit in zip(traces.items(), judged):
         hits, total = per_len.get(len(t), (0, 0))
-        per_len[len(t)] = (hits + (c if judge.accepts(t) else 0), total + c)
-    return per_len
+        per_len[len(t)] = (hits + c if hit else hits, total + c)
+    return EvaluationMultiset(traces), per_len
 
 
 def _walked_and_judged(reference, inferred, cfg, budget):
     """The walk multisets on ``inferred`` and on ``reference``, each judged
-    by the other model, length by length; both sets share the deadline of
-    ``budget`` (a fresh ``WorkBudget`` if None)."""
+    by the other model, length by length (``_judged_walks``), both walked
+    over one R x H; both sets share the deadline of ``budget`` (a fresh
+    ``WorkBudget`` if None)."""
     budget = budget or WorkBudget()
-    e_prec = _generate_multiset(inferred, cfg, derive_rng(cfg.seed, 0), budget)
-    e_rec = _generate_multiset(reference, cfg, derive_rng(cfg.seed, 1), budget)
-    return e_prec, e_rec, _judged_by_length(e_prec, reference), _judged_by_length(e_rec, inferred)
+    rows, pairs = _product_table(reference, inferred)
+    in_r, in_h = [qr for qr, _ in pairs], [qh for _, qh in pairs]
+    rng = derive_rng(cfg.seed, 0)
+    e_prec, p_part = _judged_walks(inferred, in_h, reference, in_r, rows, cfg, rng, budget)
+    rng = derive_rng(cfg.seed, 1)
+    e_rec, r_part = _judged_walks(reference, in_r, inferred, in_h, rows, cfg, rng, budget)
+    return e_prec, e_rec, p_part, r_part
 
 
 def trace_similarity(
@@ -518,17 +558,30 @@ def _symbol_draws(sigma):
             return [int(rand() * sigma) for _ in range(length)]
 
         return draw_each
+
+    def at(n):  # the symbol of the random() value n / 2**53
+        return int(n / 2**53 * sigma)
+
     # the random() values whose first word has top byte v lie in
     # [v / 256, (v + 1) / 256 - 2**-53]; float products are monotone, so
     # equal symbols at both ends fix the symbol of every value between
     table = bytearray()
     for v in range(256):
-        low = int(v / 256 * sigma)
-        high = int(((v + 1 << 45) - 1) / 2**53 * sigma)
+        low, high = at(v << 45), at((v + 1 << 45) - 1)
         table.append(low if low == high else _SPLIT)
     table = bytes(table)
     # at sigma = 256 no top byte straddles a boundary and 255 is a symbol
     split = sigma < 256 and _SPLIT in table
+    rows = {}  # per straddling top byte met, its symbols by the next byte
+
+    def resolved(v):
+        # below 256 symbols a top byte's range holds at most one boundary,
+        # so next bytes below ``a`` fix the lower symbol, those from ``b``
+        # the upper one, and the one between (if any) straddles it too
+        low = at(v << 45)
+        a = bisect_left(range(256), low + 1, key=lambda w: at(((v << 8 | w) + 1 << 37) - 1))
+        b = bisect_left(range(256), low + 1, key=lambda w: at((v << 8 | w) << 37))
+        return bytes([low]) * a + bytes([_SPLIT]) * (b - a) + bytes([low + 1]) * (256 - b)
 
     def draw(rng, length):
         raw = rng.getrandbits(64 * length).to_bytes(8 * length, "little")
@@ -538,9 +591,16 @@ def _symbol_draws(sigma):
         symbols = bytearray(symbols)
         i = symbols.find(_SPLIT)
         while i >= 0:
-            a = int.from_bytes(raw[8 * i : 8 * i + 4], "little") >> 5
-            b = int.from_bytes(raw[8 * i + 4 : 8 * i + 8], "little") >> 6
-            symbols[i] = int((a * 67108864.0 + b) * (1.0 / 9007199254740992.0) * sigma)
+            v = raw[8 * i + 3]
+            row = rows.get(v)
+            if row is None:
+                row = rows[v] = resolved(v)
+            s = row[raw[8 * i + 2]]
+            if s == _SPLIT:  # the top two bytes straddle a boundary too
+                a = int.from_bytes(raw[8 * i : 8 * i + 4], "little") >> 5
+                b = int.from_bytes(raw[8 * i + 4 : 8 * i + 8], "little") >> 6
+                s = int((a * 67108864.0 + b) * (1.0 / 9007199254740992.0) * sigma)
+            symbols[i] = s
             i = symbols.find(_SPLIT, i + 1)
         return symbols
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import automata, baselines
 from .automata import Alphabet, Dfa, Trace, canonical_dfa, subset_construction
-from .baselines import RandomWalkConfig, _trie, _walk_until_covered, derive_rng
+from .baselines import RandomWalkConfig, _trie, _walk_table, _walk_until_covered, derive_rng
 from .counting import _STEPS_PER_CHECK, WorkBudget
 from .errors import SizeGuardError
 
@@ -161,12 +161,12 @@ def generate_training_set(
         raise SizeGuardError(msg, estimate=min_traces)
     traces = []
 
-    def hold(trace):
+    def hold(trace, end):
         traces.append(trace)
         return len(trace) + 1
 
     rng = derive_rng(cfg.seed, 2)
-    _walk_until_covered(
-        reference, cfg, rng, min_traces, min_state_visits, hold, budget, "training walks", by_state=True
-    )
+    states = range(reference.state_count)
+    table = _walk_table(reference, reference.transitions, states, reference.initial, by_state=True)
+    _walk_until_covered(table, cfg, rng, min_traces, min_state_visits, hold, budget, "training walks")
     return TrainingSet(tuple(traces), reference.alphabet)

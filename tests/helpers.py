@@ -8,7 +8,7 @@ traces.
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from operator import mul
 
@@ -24,7 +24,7 @@ from langcard import (
     state_cover,
 )
 from langcard.automata import MAX_STATES
-from langcard.baselines import _walk_until_covered
+from langcard.baselines import ConditionedRow, _walk_table, _walk_until_covered, derive_rng
 from langcard.errors import ModelParseError, SizeGuardError
 from langcard.inference import _Trie
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
@@ -94,8 +94,50 @@ def build_pta(ts):
 def random_walk_trace(d, cfg, rng):
     """One random-walk trace of ``d`` as the baselines walk it."""
     walked = []
-    _walk_until_covered(d, cfg, rng, 1, 0, lambda t: walked.append(t) or 0, None, "walks")
+    table = _walk_table(d, d.transitions, range(d.state_count), d.initial)
+    _walk_until_covered(table, cfg, rng, 1, 0, lambda t, end: walked.append(t) or 0, None, "walks")
     return walked[0]
+
+
+def trace_similarity_by_models(reference, inferred, cfg):
+    """Trace similarity with each walk set walked on its model alone and
+    each distinct trace then judged by ``Dfa.accepts`` of the other model:
+    the oracle of the walks over R x H.  Returns the multisets walked on
+    ``inferred`` and on ``reference``, precision, recall and the rows of
+    the conditioned method."""
+    walked, parts = [], []
+    for stream, (model, judge) in enumerate(((inferred, reference), (reference, inferred))):
+        traces = Counter()
+
+        def hold(trace, end):
+            traces[trace] += 1
+            return len(trace) + 1 if traces[trace] == 1 else 0
+
+        table = _walk_table(model, model.transitions, range(model.state_count), model.initial)
+        least, need = cfg.target_trace_count, cfg.min_transition_coverage
+        _walk_until_covered(table, cfg, derive_rng(cfg.seed, stream), least, need, hold, None, "walks")
+        per_len = {}
+        for t, c in traces.items():
+            hits, total = per_len.get(len(t), (0, 0))
+            per_len[len(t)] = (hits + c * judge.accepts(t), total + c)
+        walked.append(traces)
+        parts.append(per_len)
+    precision, recall = (
+        Fraction(sum(h for h, _ in part.values()), sum(t for _, t in part.values())) for part in parts
+    )
+    rows = []
+    for n in range(max(max(part, default=-1) for part in parts) + 1):
+        (p_hits, p_total), (r_hits, r_total) = (part.get(n, (0, 0)) for part in parts)
+        rows.append(
+            ConditionedRow(
+                n,
+                Fraction(p_hits, p_total) if p_total else None,
+                p_total,
+                Fraction(r_hits, r_total) if r_total else None,
+                r_total,
+            )
+        )
+    return *walked, precision, recall, rows
 
 
 def enumerate_counts(d, n_max):

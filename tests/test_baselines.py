@@ -6,7 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from langcard import Alphabet, Dfa, baselines, confusion_product, counting, inference
@@ -23,7 +23,12 @@ from langcard.baselines import (
     w_method_test_set,
 )
 from langcard.counting import WorkBudget, check_horizon, count_dp
-from langcard.errors import IndistinguishableStatesError, ResourceLimitError, SizeGuardError
+from langcard.errors import (
+    AlphabetMismatchError,
+    IndistinguishableStatesError,
+    ResourceLimitError,
+    SizeGuardError,
+)
 from langcard.inference import generate_training_set
 from langcard.metrics import confusion_counts, single_length_assessment
 from langcard.regexes import EPSILON, alt, seq, star, sym, to_dfa
@@ -41,6 +46,7 @@ from helpers import (
     seeded,
     sigma_sampling_by_draws,
     signature_models,
+    trace_similarity_by_models,
 )
 
 AB = ("a", "b")
@@ -206,6 +212,68 @@ def test_conditioned_matches_single_length_for_uniform_walks():
         p = exact.per_length[row.n].precision
         se = math.sqrt(float(p) * (1 - float(p)) / row.precision_samples)
         assert abs(float(row.precision) - float(p)) <= 3 * se + 1e-12
+
+
+@st.composite
+def _walked_pairs(draw):
+    """Two models over 1-4 symbols, each of 1-6 states and a rejecting
+    sink that any move may enter, so that accepting states with no live
+    move, where a walk that does not stop starts over, are common; and a
+    walk configuration."""
+    sigma = draw(st.integers(1, 4))
+    alpha = Alphabet(tuple("abcd"[:sigma]))
+
+    def model():
+        n = draw(st.integers(1, 6))
+        rows = tuple(tuple(draw(st.integers(0, n)) for _ in range(sigma)) for _ in range(n))
+        accepting = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        return Dfa(alpha, rows + ((n,) * sigma,), 0, accepting)
+
+    reference, inferred = model(), model()
+    assume(0 not in reference.error_states and 0 not in inferred.error_states)
+    config = cfg(
+        termination_probability=draw(st.sampled_from((0.1, 0.5, 1.0))),
+        target_trace_count=draw(st.integers(1, 60)),
+        min_transition_coverage=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return reference, inferred, config
+
+
+# the accepting initial state moves on a into an accepting dead end
+_DEAD_END = Dfa(Alphabet(AB), ((1, 2), (2, 2), (2, 2)), 0, frozenset([0, 1]))
+
+
+@given(_walked_pairs())
+@example((_DEAD_END, all_accepting(2), cfg(termination_probability=0.1, min_transition_coverage=2)))
+@example((all_accepting(2), _DEAD_END, cfg(termination_probability=0.5, min_transition_coverage=2)))
+@settings(max_examples=150, deadline=None)
+def test_walks_over_the_product_equal_walks_on_each_model(case):
+    reference, inferred, config = case
+    e_prec, e_rec, precision, recall, rows = trace_similarity_by_models(reference, inferred, config)
+    res = trace_similarity(reference, inferred, config)
+    walked = [list(e.traces.items()) for e in (res.e_precision, res.e_recall)]
+    assert walked == [list(e_prec.items()), list(e_rec.items())]
+    assert (res.precision, res.recall) == (precision, recall)
+    assert trace_similarity_conditioned(reference, inferred, config) == rows
+
+
+def test_trace_similarity_runs_no_trace_through_a_model(monkeypatch):
+    def refuse(self, trace):
+        raise AssertionError("a trace was run through a model")
+
+    reference, inferred = signature_models()
+    monkeypatch.setattr(Dfa, "run", refuse)
+    monkeypatch.setattr(Dfa, "accepts", refuse)
+    res = trace_similarity(reference, inferred, cfg())
+    rows = trace_similarity_conditioned(reference, inferred, cfg())
+    assert res.e_precision.total == sum(row.precision_samples for row in rows)
+
+
+@pytest.mark.parametrize("method", [trace_similarity, trace_similarity_conditioned])
+def test_walks_on_models_over_different_alphabets_are_refused(method):
+    with pytest.raises(AlphabetMismatchError):
+        method(all_accepting(2), all_accepting(3), cfg())
 
 
 def test_state_cover_single_state():
@@ -564,6 +632,23 @@ def test_bulk_symbols_are_the_per_call_symbols(sigma, length):
         assert bulk.getstate() == single.getstate()
 
 
+@pytest.mark.parametrize("sigma", [3, 5, 7, 200, 255])
+def test_symbols_whose_top_two_bytes_straddle_are_the_per_call_symbols(sigma):
+    # about one value in 2**16 lies where the top two bytes of its first
+    # word straddle a symbol boundary, so 2**18 values hold some of those
+    n = 2**18
+    bulk, single = random.Random(sigma), random.Random(sigma)
+    values = [single.random() for _ in range(n)]
+    assert list(_symbol_draws(sigma)(bulk, n)) == [int(x * sigma) for x in values]
+    assert bulk.getstate() == single.getstate()
+
+    def straddles(x):
+        p = int(x * 2**16)
+        return int(p / 2**16 * sigma) != int(((p + 1 << 37) - 1) / 2**53 * sigma)
+
+    assert any(map(straddles, values))
+
+
 @st.composite
 def _sampled_pairs(draw, sigmas, states):
     """A model pair over one of ``sigmas`` symbols, each model of one of
@@ -733,6 +818,21 @@ def test_walk_keeps_the_step_limit(monkeypatch):
     with pytest.raises(ResourceLimitError, match="step limit"):
         for _ in range(100):
             random_walk_trace(d, cfg(termination_probability=0.01), rng)
+
+
+def _chain(k):
+    """The one-symbol acceptor of a^k alone."""
+    rows = tuple((i + 1,) for i in range(k + 1)) + ((k + 1,),)
+    return Dfa(Alphabet(("a",)), rows, 0, frozenset([k]))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_a_walk_may_take_the_step_limit_and_no_more(monkeypatch, k):
+    monkeypatch.setattr(baselines, "MAX_WALK_STEPS", k)
+    rng = derive_rng(10, 0)
+    assert random_walk_trace(_chain(k), cfg(termination_probability=1.0), rng) == (0,) * k
+    with pytest.raises(ResourceLimitError, match="step limit"):
+        random_walk_trace(_chain(k + 1), cfg(termination_probability=1.0), rng)
 
 
 @st.composite

@@ -703,6 +703,28 @@ def test_assess_refuses_a_product_over_the_states_cap(tmp_path, monkeypatch, cap
     assert sorted(tmp_path.iterdir()) == sorted(paths)
 
 
+@pytest.mark.parametrize("method", ["trace-sim", "trace-sim-conditioned"])
+def test_trace_sim_refuses_a_product_over_the_states_cap_before_walking(
+    tmp_path, monkeypatch, capsys, method
+):
+    paths = []
+    for n in (7, 8):  # one-symbol cycles of coprime lengths: 56 product states
+        paths.append(tmp_path / f"cycle{n}.dfa")
+        paths[-1].write_text(serialize_dfa(cycle(n)))
+    out = tmp_path / "o.csv"
+    argv = ["baseline", method, *map(str, paths), "--target-traces", "10", "--out", str(out)]
+    assert run(*argv) == 0
+    out.unlink()
+    (tmp_path / "o.csv.manifest.json").unlink()
+    monkeypatch.setattr(automata, "MAX_STATES", 50)
+    monkeypatch.setattr(baselines, "_walk_until_covered", None)  # a walk would fail
+    assert run(*argv) == 4
+    assert "refused: the product of a 7-state and a 8-state model has more than 50" in (
+        capsys.readouterr().err
+    )
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+
+
 # a^i b for i < 12: the exact route's minimal DFA has 14 states, and at k=3
 # the quotient's subset construction numbers 5 subsets
 A_STAR_B = "".join("a " * i + "b\n" for i in range(12))
