@@ -22,17 +22,21 @@ that sums the distinct tests by the product state they end in.
 
 Sampling draws a trace's symbols in bulk, yet consumes the generator exactly
 as one ``int(rng.random() * sigma)`` per symbol would.  CPython builds each
-``random()`` from two 32-bit Mersenne Twister words a and b as
-``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, and ``getrandbits(64 * L)``
-returns the same 2L words, the first word in the lowest bits.  In its
-little-endian bytes, byte 8i+3 is then the top byte of the i-th call's
-``a``, and for most top bytes that byte alone fixes the symbol, read off a
-256-entry table.  A top byte whose range of ``random()`` values straddles a
-symbol boundary (2 of the 256 at sigma = 3) takes the symbol off a 256-entry
-table of its own by the next byte of the word, 8i+2; only when those two
-bytes straddle the boundary too (1 in 256 of them) does the symbol come from
-CPython's own float expression over both words.  Past 256 symbols every top
-byte straddles one, so those alphabets call ``random()`` per symbol.
+``random()`` as m / 2**53 from two 32-bit Mersenne Twister words a and b,
+with the 53-bit numerator m = (a >> 5) * 2**26 + (b >> 6), and
+``getrandbits(64 * L)`` returns the same 2L words, the first word in the
+lowest bits.  Up to 256 symbols, a draw's symbol is the number of the
+sigma - 1 boundaries at or below its m, boundary k being the least m with
+``int(m / 2**53 * sigma) >= k``, one of the five integers around
+k * 2**53 / sigma.  Bisecting the boundaries gives each of the 256 top bytes
+of m its symbol, and byte 8i+3 of the words' little-endian bytes is the top
+byte of the i-th call's m.  A top byte whose numerators straddle a boundary
+(2 of the 256 at sigma = 3) takes the symbol off a 256-entry row of its own
+by the next byte, 8i+2, built the first time it is met; only when those two
+bytes straddle the boundary too (1 in 256 of them) is the draw's own m
+bisected.  The tables depend on sigma alone and are built once per sigma.
+Past 256 symbols every top byte straddles one, so those alphabets call
+``random()`` per symbol.
 
 Sampling then runs a whole batch of draws through R x H together, one
 symbol position at a time: one bulk call draws every symbol of the batch,
@@ -48,9 +52,11 @@ same table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from bisect import bisect_left
+import struct
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -160,7 +166,7 @@ def _walk_until_covered(table, cfg, rng, least, need, hold, budget, stage):
     returns the slots it newly holds: one per symbol and one per trace, none
     for a trace already held.  Past ``MAX_HELD_SLOTS`` in all the walks are
     refused; the deadline of ``budget`` (a fresh ``WorkBudget`` if None) is
-    checked once per ``_STEPS_PER_CHECK`` walks."""
+    checked once per ``_STEPS_PER_CHECK`` walks, restarted ones included."""
     initial, entries, size, start = table
     coverage = [0] * size
     pa = cfg.termination_probability
@@ -185,9 +191,11 @@ def _walk_until_covered(table, cfg, rng, least, need, hold, budget, stage):
     passes = range(MAX_WALK_STEPS + 1)
     cap = MAX_HELD_SLOTS
     held = walked = restarts = 0
-    while True:
+    for done in itertools.count():  # the walks made, kept or restarted
         if restarts > MAX_WALK_RESTARTS:
             raise ResourceLimitError("random walk exceeded the restart limit")
+        if done and not done % _STEPS_PER_CHECK:
+            check()
         state = initial
         trace = []
         units = [*start] if short else None
@@ -220,8 +228,6 @@ def _walk_until_covered(table, cfg, rng, least, need, hold, budget, stage):
                     short -= 1
         if walked >= least and not short:
             return
-        if not walked % _STEPS_PER_CHECK:
-            check()
 
 
 @dataclass
@@ -347,17 +353,21 @@ def state_cover(d) -> list[tuple[int, ...]]:
     return sorted(paths.values(), key=lambda t: (len(t), t))
 
 
-def characterization_set(d) -> list[tuple[int, ...]]:
+def characterization_set(d, check=None) -> list[tuple[int, ...]]:
     """Traces separating every pair of states by acceptance.
 
     Requires a minimized automaton; raises if some pair cannot be told
     apart.  A single-state automaton gets the conventional {epsilon}.
+    ``check``, if given, is called once per row of the first pass over the
+    pairs and of each sweep.
     """
     n = d.state_count
     if n == 1:
         return [()]
+    check = check or (lambda: None)
     witness = {}
     for p in range(n):
+        check()
         for q in range(p + 1, n):
             if (p in d.accepting) != (q in d.accepting):
                 witness[(p, q)] = ()
@@ -365,6 +375,7 @@ def characterization_set(d) -> list[tuple[int, ...]]:
     while changed:
         changed = False
         for p in range(n):
+            check()
             for q in range(p + 1, n):
                 if (p, q) in witness:
                     continue
@@ -399,15 +410,16 @@ def _test_set_bound(cover, sigma, k, dist):
     return cover * middles * dist, longest
 
 
-def _w_method_parts(d, m):
+def _w_method_parts(d, m, check=None):
     """k = m - |Q|, the state cover C and the characterization set D of the
     W-method test set C (eps|Sigma|...|Sigma^{k+1}) D of ``d``, once the
-    set is known to be within ``MAX_TEST_SET_SIZE``."""
+    set is known to be within ``MAX_TEST_SET_SIZE``; ``check`` is passed to
+    ``characterization_set``."""
     if m < d.state_count:
         raise ValueError("state bound m must be at least the reference size")
     k = m - d.state_count
     cover = state_cover(d)
-    dist = characterization_set(d)
+    dist = characterization_set(d, check)
     estimate, longest = _test_set_bound(len(cover), len(d.alphabet), k, len(dist))
     if estimate > MAX_TEST_SET_SIZE:
         scope = "" if longest > k else (
@@ -501,10 +513,11 @@ def mbt_assessment(reference, inferred, m, budget: WorkBudget | None = None):
     R x H, in a topological order of the DFA, and sums the tests ending in
     each product state.  The DFA is deterministic, so every distinct test is
     one path, and the sums are those of running each test once.  The
-    deadline of ``budget`` is checked on every step of a subset and once per
-    DFA state of the DP."""
+    deadline of ``budget`` is checked once per row of the characterization
+    set's passes, on every step of a subset and once per DFA state of the
+    DP."""
     budget = budget or WorkBudget()
-    parts = _w_method_parts(reference, m)
+    parts = _w_method_parts(reference, m, budget.check("characterization set"))
     tests = _test_automaton(reference.alphabet, *parts, budget.check("test automaton"))
     product, classes = confusion_product(reference, inferred)
     columns = tuple(zip(*product.transitions))  # columns[s][p]: p's successor on s
@@ -544,13 +557,14 @@ def mbt_assessment(reference, inferred, m, budget: WorkBudget | None = None):
 # ---------------------------------------------------------------------------
 # Model-independent sampling of the symbol space
 
-_SPLIT = 255  # table mark of a top byte that straddles a symbol boundary
+_SPLIT = 255  # table mark of a byte whose numerators straddle a symbol boundary
 
 
+@functools.cache
 def _symbol_draws(sigma):
     """``draw(rng, length)``: the symbols ``int(rng.random() * sigma)`` of
     ``length`` successive calls, as a sequence of ints, leaving ``rng`` where
-    those calls would (see the module docstring)."""
+    those calls would (see the module docstring); made once per sigma."""
     if sigma > 256:
 
         def draw_each(rng, length):
@@ -559,47 +573,29 @@ def _symbol_draws(sigma):
 
         return draw_each
 
-    def at(n):  # the symbol of the random() value n / 2**53
-        return int(n / 2**53 * sigma)
+    def boundary(k):  # the least numerator m with int(m / 2**53 * sigma) >= k
+        c = -(-k << 53) // sigma  # the float product rounds by less than two numerators
+        return bisect_left(range(c - 2, c + 3), k, key=lambda m: int(m / 2**53 * sigma)) + c - 2
 
-    # the random() values whose first word has top byte v lie in
-    # [v / 256, (v + 1) / 256 - 2**-53]; float products are monotone, so
-    # equal symbols at both ends fix the symbol of every value between
-    table = bytearray()
-    for v in range(256):
-        low, high = at(v << 45), at((v + 1 << 45) - 1)
-        table.append(low if low == high else _SPLIT)
-    table = bytes(table)
-    # at sigma = 256 no top byte straddles a boundary and 255 is a symbol
-    split = sigma < 256 and _SPLIT in table
-    rows = {}  # per straddling top byte met, its symbols by the next byte
+    def table(base, shift):  # per byte w, the symbol of base + (w << shift) and up, or _SPLIT
+        low = [bisect_right(bounds, base + (w << shift)) for w in range(256)]
+        high = [bisect_right(bounds, base + (w + 1 << shift) - 1) for w in range(256)]
+        return bytes(a if a == b else _SPLIT for a, b in zip(low, high))
 
-    def resolved(v):
-        # below 256 symbols a top byte's range holds at most one boundary,
-        # so next bytes below ``a`` fix the lower symbol, those from ``b``
-        # the upper one, and the one between (if any) straddles it too
-        low = at(v << 45)
-        a = bisect_left(range(256), low + 1, key=lambda w: at(((v << 8 | w) + 1 << 37) - 1))
-        b = bisect_left(range(256), low + 1, key=lambda w: at((v << 8 | w) << 37))
-        return bytes([low]) * a + bytes([_SPLIT]) * (b - a) + bytes([low + 1]) * (256 - b)
+    bounds = [boundary(k) for k in range(1, sigma)]
+    top = table(0, 45)
+    split = sigma < 256 and _SPLIT in top  # at sigma = 256, 255 is a symbol
+    row = functools.cache(lambda v: table(v << 45, 37))  # top byte v's symbols by the next byte
 
     def draw(rng, length):
         raw = rng.getrandbits(64 * length).to_bytes(8 * length, "little")
-        symbols = raw[3::8].translate(table)
-        if not split or _SPLIT not in symbols:
-            return symbols
-        symbols = bytearray(symbols)
-        i = symbols.find(_SPLIT)
+        symbols = bytearray(raw[3::8].translate(top))
+        i = symbols.find(_SPLIT) if split else -1
         while i >= 0:
-            v = raw[8 * i + 3]
-            row = rows.get(v)
-            if row is None:
-                row = rows[v] = resolved(v)
-            s = row[raw[8 * i + 2]]
+            s = row(raw[8 * i + 3])[raw[8 * i + 2]]
             if s == _SPLIT:  # the top two bytes straddle a boundary too
-                a = int.from_bytes(raw[8 * i : 8 * i + 4], "little") >> 5
-                b = int.from_bytes(raw[8 * i + 4 : 8 * i + 8], "little") >> 6
-                s = int((a * 67108864.0 + b) * (1.0 / 9007199254740992.0) * sigma)
+                a, b = struct.unpack_from("<II", raw, 8 * i)
+                s = bisect_right(bounds, a >> 5 << 26 | b >> 6)
             symbols[i] = s
             i = symbols.find(_SPLIT, i + 1)
         return symbols

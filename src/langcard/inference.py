@@ -152,9 +152,9 @@ def generate_training_set(
     """Random-walk training material with a coverage-based stopping rule:
     keep walking until at least ``min_traces`` traces exist and every
     visitable state was visited ``min_state_visits`` times.  The deadline
-    of ``budget`` is checked once per ``_STEPS_PER_CHECK`` walks.  Each
-    trace holds a slot of ``baselines.MAX_HELD_SLOTS``, so a ``min_traces``
-    past it is refused before the first walk."""
+    of ``budget`` is checked once per ``_STEPS_PER_CHECK`` walks, restarted
+    ones included.  Each trace holds a slot of ``baselines.MAX_HELD_SLOTS``,
+    so a ``min_traces`` past it is refused before the first walk."""
     cap = baselines.MAX_HELD_SLOTS
     if min_traces > cap:
         msg = f"training walks: {min_traces} traces would take at least as many slots (cap {cap})"

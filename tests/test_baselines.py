@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import time
@@ -649,6 +650,69 @@ def test_symbols_whose_top_two_bytes_straddle_are_the_per_call_symbols(sigma):
     assert any(map(straddles, values))
 
 
+def _draw_tables(sigma):
+    """The names the draw made for ``sigma`` closes over: its ``bounds``,
+    its ``top`` table and ``row``, the cached next-byte rows."""
+    return inspect.getclosurevars(_symbol_draws(sigma)).nonlocals
+
+
+def _endpoint_table(sigma, base, shift):
+    """Per byte w, the symbol of the numerators from base + (w << shift) to
+    base + (w + 1 << shift) - 1 when the float expression gives both ends
+    one symbol, else 255: the construction of the tables by endpoint
+    evaluation, kept as their oracle."""
+    table = []
+    for w in range(256):
+        low = int((base + (w << shift)) / 2**53 * sigma)
+        high = int((base + (w + 1 << shift) - 1) / 2**53 * sigma)
+        table.append(low if low == high else 255)
+    return bytes(table)
+
+
+def test_each_boundary_is_the_least_numerator_of_its_symbol():
+    for sigma in range(2, 257):
+        bounds = _draw_tables(sigma)["bounds"]
+        assert len(bounds) == sigma - 1
+        for k, m in enumerate(bounds, 1):
+            assert int(m / 2**53 * sigma) >= k > int((m - 1) / 2**53 * sigma)
+
+
+def test_the_top_table_is_the_endpoint_construction():
+    for sigma in range(2, 257):
+        assert _draw_tables(sigma)["top"] == _endpoint_table(sigma, 0, 45)
+    # and the next-byte row of every straddling top byte, at a few sigmas
+    for sigma in (3, 5, 7, 200, 255):
+        tables = _draw_tables(sigma)
+        straddling = [v for v, s in enumerate(tables["top"]) if s == 255]
+        assert straddling
+        for v in straddling:
+            assert tables["row"](v) == _endpoint_table(sigma, v << 45, 37)
+
+
+def test_rows_built_on_first_use_do_not_depend_on_call_order():
+    def symbols(seeds):
+        baselines._symbol_draws.cache_clear()
+        draw = _symbol_draws(3)
+        got = {seed: bytes(draw(random.Random(seed), 2**16)) for seed in seeds}
+        assert _draw_tables(3)["row"].cache_info().currsize == 2  # both straddling top bytes
+        return got
+
+    assert symbols([1, 2, 3]) == symbols([3, 1, 2]) == symbols([2, 3, 1])
+
+
+def test_two_assessments_at_one_sigma_build_the_tables_once():
+    baselines._symbol_draws.cache_clear()
+    top = all_accepting(3)
+    got = [sigma_sampling_assessment(top, top, 8, 2000, "precision", seed=5) for _ in range(2)]
+    assert got == [1, 1]
+    info = baselines._symbol_draws.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    rows = _draw_tables(3)["row"].cache_info()
+    # 16,000 symbols a call meet both straddling top bytes, the second call
+    # the same ones as the first
+    assert (rows.misses, rows.currsize) == (2, 2) and rows.hits > 0
+
+
 @st.composite
 def _sampled_pairs(draw, sigmas, states):
     """A model pair over one of ``sigmas`` symbols, each model of one of
@@ -772,6 +836,51 @@ def test_both_walk_sets_share_one_time_limit(monkeypatch, method):
         with pytest.raises(ResourceLimitError, match=r"^evaluation walks: time limit exceeded 1\.0 s$"):
             method(top, top, cfg(target_trace_count=1000), budget)
         assert passed[0]
+
+
+def test_restarted_walks_answer_to_the_deadline(monkeypatch):
+    # state 0 loops on a and b and moves on c to state 1, which accepts and
+    # has nothing live to follow, so at pa = 1e-9 almost every walk starts
+    # over.  The clock passes the deadline once the budget has started: the
+    # check after the first 64 walks, restarted ones included, raises long
+    # before the (lowered) restart limit
+    monkeypatch.setattr(baselines, "MAX_WALK_RESTARTS", 1000)
+    d = Dfa(Alphabet(("a", "b", "c")), ((0, 0, 1), (2, 2, 2), (2, 2, 2)), 0, frozenset([1]))
+    c = cfg(termination_probability=1e-9, target_trace_count=10)
+    runs = [
+        ("evaluation walks", lambda budget: trace_similarity(d, d, c, budget)),
+        ("training walks", lambda budget: generate_training_set(d, c, min_traces=10, budget=budget)),
+    ]
+    for stage, run in runs:
+        readings = []
+
+        def monotonic():
+            readings.append(None)
+            return 0.0 if len(readings) == 1 else 1e9
+
+        monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+        with pytest.raises(ResourceLimitError, match=rf"^{stage}: time limit exceeded 1\.0 s$"):
+            run(WorkBudget(time_limit_s=1.0))
+        assert len(readings) == 2  # the budget's start and the first check
+
+
+def test_the_characterization_set_answers_to_the_deadline(monkeypatch):
+    # the clock passes the deadline at the sixth reading: the budget's start,
+    # then one check per row of the characterization set's first pass, so
+    # mbt raises on its fifth row, before any later stage
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) <= 5 else 1e9
+
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(baselines, "_test_automaton", None)  # a later stage would fail
+    d = random_dfa(seeded(56), 20, 2).minimize()
+    assert d.state_count > 5
+    with pytest.raises(ResourceLimitError, match=r"^characterization set: time limit exceeded 1\.0 s$"):
+        mbt_assessment(d, d, d.state_count, WorkBudget(time_limit_s=1.0))
+    assert len(readings) == 6
 
 
 def test_training_walks_past_the_held_slots_are_refused_before_walking(monkeypatch):

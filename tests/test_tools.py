@@ -1,6 +1,8 @@
 """``tools/identity.py``, the byte-identity probe, run on a slice of each
 benchmark corpus."""
 
+import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -60,3 +62,109 @@ def test_identity_probe_names_the_manifest_keys_that_differ(tmp_path):
         f"  {name}.manifest.json: config.time_limit: 600.0 against missing"
         for name in ("h000.counts.csv", "h000.csv")
     ]
+
+
+def _pairs_tool():
+    spec = importlib.util.spec_from_file_location("pairs_tool", os.path.join(ROOT, "tools", "pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class FakeBench:
+    """A runner for ``tools/pairs.py`` that times nothing: each run of a
+    side reports the metrics ``values[side](seed)``."""
+
+    def __init__(self, values):
+        self.values = values
+        self.runs = []
+
+    def __call__(self, checkout, workload, seed, seconds):
+        side = "parent" if checkout.endswith("parent") else "change"
+        self.runs.append((side, workload, seed, seconds))
+        return {**self.values[side](seed), "attempted": 100, "failed": int(side == "change")}
+
+
+def _checkouts(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    return str(tmp_path / "parent"), str(tmp_path / "change")
+
+
+def _identity(parent, change, workload):
+    return {"exit": 0, "output": [f"{workload}: 2 calls, 3 files, 0 differences"]}
+
+
+def test_pairs_alternate_which_side_runs_first(tmp_path):
+    pairs = _pairs_tool()
+    fake = FakeBench({side: lambda seed: {"throughput_ops_s": seed} for side in ("parent", "change")})
+    out = tmp_path / "bench.json"
+    argv = [*_checkouts(tmp_path), "--workload", "baselines", "--seeds", "2-5", "--out", str(out)]
+    assert pairs.main(argv, runner=fake, identity=_identity) == 0
+    assert fake.runs == [
+        (side, "baselines", seed, pairs.benchmark()["run_seconds"])
+        for seed, sides in [(2, ("change", "parent")), (3, ("parent", "change")),
+                            (4, ("change", "parent")), (5, ("parent", "change"))]
+        for side in sides
+    ]
+    written = json.loads(out.read_text())
+    entry = written["workloads"]["baselines"]
+    assert [(p["seed"], p["first"]) for p in entry["pairs"]] == [
+        (2, "change"), (3, "parent"), (4, "change"), (5, "parent")
+    ]
+    assert entry["pairs"][0]["parent"] == {"throughput_ops_s": 2, "attempted": 100, "failed": 0}
+    assert entry["failed"] == {"parent": [0, 400], "change": [4, 400]}
+    assert entry["identity"] == _identity(None, None, "baselines")
+    assert set(written) == {"command", "python", "machine", "workloads"}
+
+
+def test_pairs_summarize_each_end_to_end_metric(tmp_path):
+    pairs = _pairs_tool()
+    # the change is faster on 9 seeds of 10 and ties on one; its latency is
+    # higher, which loses, on every seed
+    fake = FakeBench({
+        "parent": lambda seed: {"throughput_ops_s": 10.0 + seed, "latency_p50_ms": 5.0},
+        "change": lambda seed: {"throughput_ops_s": 10.0 + seed + (seed != 7), "latency_p50_ms": 6.0},
+    })
+    out = tmp_path / "bench.json"
+    argv = [*_checkouts(tmp_path), "--workload", "baselines", "--seeds", "1-10", "--out", str(out)]
+    pairs.main(argv, runner=fake, identity=_identity)
+    summary = json.loads(out.read_text())["workloads"]["baselines"]["summary"]
+    assert set(summary) == {"throughput_ops_s", "latency_p50_ms"}
+    throughput = summary["throughput_ops_s"]
+    assert throughput == {
+        "better": "higher",
+        "parent_median": 15.5,
+        "change_median": 16.5,
+        "parent_iqr": 18.25 - 12.75,  # the quartiles of 11..20
+        "wins": 9,
+        "pairs": 10,
+        "sign_p": 2 / 2**9,  # ties left out: 9 wins of 9
+    }
+    latency = summary["latency_p50_ms"]
+    assert (latency["wins"], latency["pairs"], latency["sign_p"]) == (0, 10, 2 / 2**10)
+    assert pairs.sign_test(5, 5) == 1.0
+    assert pairs.sign_test(9, 1) == 2 * 11 / 2**10
+    assert pairs.sign_test(0, 0) == 1.0
+
+
+def test_pairs_merge_into_an_existing_file(tmp_path):
+    pairs = _pairs_tool()
+    out = tmp_path / "bench.json"
+    checkouts = _checkouts(tmp_path)
+    for workload, seeds, shift in [("baselines", "1-3", 0), ("long-horizon", "1", 0), ("baselines", "3-4", 1)]:
+        fake = FakeBench({
+            "parent": lambda seed: {"throughput_ops_s": 1.0},
+            "change": lambda seed, shift=shift: {"throughput_ops_s": 2.0 + shift},
+        })
+        pairs.main([*checkouts, "--workload", workload, "--seeds", seeds, "--out", str(out)],
+                   runner=fake, identity=_identity)
+    written = json.loads(out.read_text())["workloads"]
+    assert set(written) == {"baselines", "long-horizon"}
+    # seed 3 was run again: its pair is replaced, not doubled
+    got = [(p["seed"], p["change"]["throughput_ops_s"]) for p in written["baselines"]["pairs"]]
+    assert got == [(1, 2.0), (2, 2.0), (3, 3.0), (4, 3.0)]
+    assert written["baselines"]["summary"]["throughput_ops_s"]["change_median"] == 2.5
+    assert written["baselines"]["summary"]["throughput_ops_s"]["wins"] == 4
+    assert len(written["long-horizon"]["pairs"]) == 1
