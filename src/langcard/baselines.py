@@ -14,11 +14,16 @@ Every method runs on precomputed integer tables over the reachable product
 R x H, walks included: the pair a trace ends in says which model accepts
 it.  A walk set walks R x H choosing only among the moves live in the model
 it walks, so each trace is judged by the other model where it ends, and no
-trace is run through a model a second time; ``gen-traces`` walks a model's
-own states through the same loop.  The W-method's tests are
-counted, not listed, the way the paper counts any finite language: a DFA of
-the test set, built by subset construction, runs against R x H in one DP
-that sums the distinct tests by the product state they end in.
+trace is run through a model a second time, nor held: a walk is tallied by
+its length and by whether the other model accepts in the pair it ends in.
+It records the units it covers only while the coverage rule still waits on
+one, so most walks take a bare step per symbol, one table read and one
+``random()`` call (two at an accepting state), with nothing appended.
+``gen-traces`` walks a model's own states through the same loop and records
+every trace it keeps.  The W-method's tests are counted, not listed, the
+way the paper counts any finite language: a DFA of the test set, built by
+subset construction, runs against R x H in one DP that sums the distinct
+tests by the product state they end in.
 
 Sampling draws a trace's symbols in bulk, yet consumes the generator exactly
 as one ``int(rng.random() * sigma)`` per symbol would.  CPython builds each
@@ -88,8 +93,11 @@ _MIN_LANES = 24
 # from a state with nothing live to follow
 MAX_WALK_STEPS = 1_000_000
 MAX_WALK_RESTARTS = 1_000_000
-# refusal threshold on the slots the walked traces hold: one per symbol and
-# one per trace, where a multiset holds a repeated trace once
+# the most steps walks take between two deadline checks, but for the walk
+# that passes it
+_WALK_STEPS_PER_CHECK = 2**16
+# refusal threshold on the slots the traces ``gen-traces`` walks hold: one
+# per symbol and one per trace
 MAX_HELD_SLOTS = 2**24
 
 
@@ -157,17 +165,24 @@ def _walk_table(d, rows, states, initial, by_state=False):
     return initial, entries, d.state_count * sigma, ()
 
 
-def _walk_until_covered(table, cfg, rng, least, need, hold, budget, stage):
+def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
     """Random walks over the walk ``table`` (``_walk_table``) until at least
     ``least`` traces are walked and each unit that walks can cover was
     covered ``need`` times.
 
-    ``hold(trace, end)`` keeps each trace, walked to the state ``end``, and
-    returns the slots it newly holds: one per symbol and one per trace, none
-    for a trace already held.  Past ``MAX_HELD_SLOTS`` in all the walks are
-    refused; the deadline of ``budget`` (a fresh ``WorkBudget`` if None) is
-    checked once per ``_STEPS_PER_CHECK`` walks, restarted ones included."""
+    Returns the walks kept per (length, end state), keyed by
+    ``length * len(entries) + end``.  A walk records the units it covers
+    while some unit is still short.  With ``hold``, it also records its
+    trace and hands it to ``hold(trace)`` in place of the tally, taking one
+    slot per symbol and one per trace; past ``MAX_HELD_SLOTS`` slots in all
+    the walks are refused.  A walk that records nothing runs bare, its
+    length the count of its steps.  The deadline of ``budget`` (a fresh ``WorkBudget`` if None)
+    is checked before a walk once ``_STEPS_PER_CHECK`` walks, restarted ones
+    included, or ``_WALK_STEPS_PER_CHECK`` steps have passed since the last
+    check."""
     initial, entries, size, start = table
+    bare = [(stop, n, [t for _, _, t in moves]) for stop, n, moves in entries]
+    width = len(entries)
     coverage = [0] * size
     pa = cfg.termination_probability
     short = 0  # the units still covered fewer than ``need`` times
@@ -190,99 +205,130 @@ def _walk_until_covered(table, cfg, rng, least, need, hold, budget, stage):
     # steps and stop after the last
     passes = range(MAX_WALK_STEPS + 1)
     cap = MAX_HELD_SLOTS
+    ends = {}
     held = walked = restarts = 0
-    for done in itertools.count():  # the walks made, kept or restarted
+    walks = steps = 0  # since the last deadline check
+    while True:
         if restarts > MAX_WALK_RESTARTS:
             raise ResourceLimitError("random walk exceeded the restart limit")
-        if done and not done % _STEPS_PER_CHECK:
+        if walks >= _STEPS_PER_CHECK or steps >= _WALK_STEPS_PER_CHECK:
             check()
+            walks = steps = 0
+        walks += 1
         state = initial
-        trace = []
+        kept = True
+        trace = [] if hold else None
         units = [*start] if short else None
-        for _ in passes:
-            stop, n, moves = entries[state]
-            if stop and rand() < pa:
-                break
-            if not n:
-                trace = None  # nothing live to follow: discard and start over
-                break
-            s, unit, state = moves[int(rand() * n)]
-            trace.append(s)
-            if units is not None:
-                units.append(unit)
+        if trace is not None or units is not None:
+            for length in passes:
+                stop, n, moves = entries[state]
+                if stop and rand() < pa:
+                    break
+                if not n:
+                    kept = False  # nothing live to follow: discard and start over
+                    break
+                s, unit, state = moves[int(rand() * n)]
+                if trace is not None:
+                    trace.append(s)
+                if units is not None:
+                    units.append(unit)
+            else:
+                raise ResourceLimitError("random walk exceeded the step limit")
         else:
-            raise ResourceLimitError("random walk exceeded the step limit")
-        if trace is None:
+            for length in passes:
+                stop, n, targets = bare[state]
+                if stop and rand() < pa:
+                    break
+                if not n:
+                    kept = False
+                    break
+                state = targets[int(rand() * n)]
+            else:
+                raise ResourceLimitError("random walk exceeded the step limit")
+        steps += length
+        if not kept:
             restarts += 1
             continue
         restarts = 0
-        held += hold(tuple(trace), state)
-        if held > cap:
-            msg = f"{stage}: the traces held would take {held} slots (cap {cap})"
-            raise SizeGuardError(msg, estimate=held)
         walked += 1
+        if hold:
+            hold(tuple(trace))
+            held += length + 1
+            if held > cap:
+                msg = f"{stage}: the traces held would take {held} slots (cap {cap})"
+                raise SizeGuardError(msg, estimate=held)
+        else:
+            key = length * width + state
+            ends[key] = ends.get(key, 0) + 1
         if units:
             for unit in units:
                 coverage[unit] += 1
                 if coverage[unit] == need:
                     short -= 1
         if walked >= least and not short:
-            return
+            return ends
+
+
+@dataclass(frozen=True)
+class WalkTally:
+    """A walk set tallied by trace length 0..``longest``: the walks, and
+    the walks the other model accepts."""
+
+    walks: tuple[int, ...]
+    accepted: tuple[int, ...]
+
+    @property
+    def total(self):
+        return sum(self.walks)
+
+    @property
+    def longest(self):
+        return len(self.walks) - 1
 
 
 @dataclass
 class TraceSimilarityResult:
     precision: Fraction
     recall: Fraction
-    e_precision: EvaluationMultiset
-    e_recall: EvaluationMultiset
+    e_precision: WalkTally
+    e_recall: WalkTally
 
 
-def _judged_walks(model, states, judge, judge_states, rows, cfg, rng, budget):
-    """The walk multiset on ``model`` over R x H (``rows``), whose pair i
-    holds ``model``'s state ``states[i]`` and ``judge``'s state
-    ``judge_states[i]``, and per trace length (traces ``judge`` accepts,
-    traces).
+def _tallied_walks(model, states, judge, judge_states, rows, cfg, rng, budget):
+    """The walk set on ``model`` over R x H (``rows``), whose pair i holds
+    ``model``'s state ``states[i]`` and ``judge``'s state
+    ``judge_states[i]``, tallied by length (``WalkTally``).
 
     A walk chooses among the moves live in ``model``, stops only where it
     accepts and covers its step ids; ``judge`` accepts the trace when it
-    accepts in the pair the walk ends in.  Each distinct trace is judged
-    once, when it is first held."""
+    accepts in the pair the walk ends in."""
     table = _walk_table(model, rows, states, 0)
-    accepted = [q in judge.accepting for q in judge_states]
-    traces = Counter()
-    judged = []  # per distinct trace, in the order ``traces`` holds them
-
-    def hold(trace, end):
-        n = traces.get(trace, 0)
-        traces[trace] = n + 1
-        if n:
-            return 0
-        judged.append(accepted[end])
-        return len(trace) + 1
-
     least, need = cfg.target_trace_count, cfg.min_transition_coverage
-    _walk_until_covered(table, cfg, rng, least, need, hold, budget, "evaluation walks")
-    per_len = {}
-    for (t, c), hit in zip(traces.items(), judged):
-        hits, total = per_len.get(len(t), (0, 0))
-        per_len[len(t)] = (hits + c if hit else hits, total + c)
-    return EvaluationMultiset(traces), per_len
+    ends = _walk_until_covered(table, cfg, rng, least, need, budget, "evaluation walks")
+    width = len(rows)
+    walks = [0] * (max(ends) // width + 1)
+    accepted = walks.copy()
+    for key, count in ends.items():
+        length, end = divmod(key, width)
+        walks[length] += count
+        if judge_states[end] in judge.accepting:
+            accepted[length] += count
+    return WalkTally(tuple(walks), tuple(accepted))
 
 
-def _walked_and_judged(reference, inferred, cfg, budget):
-    """The walk multisets on ``inferred`` and on ``reference``, each judged
-    by the other model, length by length (``_judged_walks``), both walked
-    over one R x H; both sets share the deadline of ``budget`` (a fresh
+def _walked_and_tallied(reference, inferred, cfg, budget):
+    """The walk sets on ``inferred`` and on ``reference``, each tallied
+    against the other model (``_tallied_walks``), both walked over one
+    R x H; both sets share the deadline of ``budget`` (a fresh
     ``WorkBudget`` if None)."""
     budget = budget or WorkBudget()
     rows, pairs = _product_table(reference, inferred)
     in_r, in_h = [qr for qr, _ in pairs], [qh for _, qh in pairs]
     rng = derive_rng(cfg.seed, 0)
-    e_prec, p_part = _judged_walks(inferred, in_h, reference, in_r, rows, cfg, rng, budget)
+    e_prec = _tallied_walks(inferred, in_h, reference, in_r, rows, cfg, rng, budget)
     rng = derive_rng(cfg.seed, 1)
-    e_rec, r_part = _judged_walks(reference, in_r, inferred, in_h, rows, cfg, rng, budget)
-    return e_prec, e_rec, p_part, r_part
+    e_rec = _tallied_walks(reference, in_r, inferred, in_h, rows, cfg, rng, budget)
+    return e_prec, e_rec
 
 
 def trace_similarity(
@@ -291,9 +337,9 @@ def trace_similarity(
     """Classic statistical assessment: precision is the fraction of traces
     walked on the inferred model that the reference accepts; recall swaps the
     roles."""
-    e_prec, e_rec, p_part, r_part = _walked_and_judged(reference, inferred, cfg, budget)
-    precision = Fraction(sum(hits for hits, _ in p_part.values()), e_prec.total)
-    recall = Fraction(sum(hits for hits, _ in r_part.values()), e_rec.total)
+    e_prec, e_rec = _walked_and_tallied(reference, inferred, cfg, budget)
+    precision = Fraction(sum(e_prec.accepted), e_prec.total)
+    recall = Fraction(sum(e_rec.accepted), e_rec.total)
     return TraceSimilarityResult(precision, recall, e_prec, e_rec)
 
 
@@ -314,11 +360,12 @@ def trace_similarity_conditioned(
     Lengths never sampled get the undefined marker, mirroring the gaps such
     plots show in practice.
     """
-    _, _, p_part, r_part = _walked_and_judged(reference, inferred, cfg, budget)
+    parts = _walked_and_tallied(reference, inferred, cfg, budget)
     rows = []
-    for n in range(max(itertools.chain(p_part, r_part), default=-1) + 1):
-        p_hits, p_total = p_part.get(n, (0, 0))
-        r_hits, r_total = r_part.get(n, (0, 0))
+    for n in range(max(part.longest for part in parts) + 1):
+        (p_hits, p_total), (r_hits, r_total) = (
+            (part.accepted[n], part.walks[n]) if n <= part.longest else (0, 0) for part in parts
+        )
         rows.append(
             ConditionedRow(
                 n,

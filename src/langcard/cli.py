@@ -320,7 +320,7 @@ def _baseline_rows(args, reference, inferred):
     digits = args.digits
     if args.method == "trace-sim":
         res = trace_similarity(reference, inferred, cfg, budget)
-        n = max(map(len, [*res.e_precision.traces, *res.e_recall.traces]), default=0)
+        n = max(res.e_precision.longest, res.e_recall.longest)
         row = f"{n},{und},{und},{format_value(res.precision, digits)},{format_value(res.recall, digits)}"
         return [row], {"traces_precision": res.e_precision.total, "traces_recall": res.e_recall.total}
     if args.method == "trace-sim-conditioned":

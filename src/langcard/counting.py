@@ -519,13 +519,7 @@ def _dp_terms(d, classes, n_max, check):
     cls = [-1] * d.state_count  # slot -1 gathers the states in no set
     for q, sets in held.items():
         cls[q] = groups.setdefault(sets, len(groups))
-    moves = []
-    for row in d.transitions:
-        bundle = {}
-        for t in row:
-            if t not in dead:
-                bundle[t] = bundle.get(t, 0) + 1
-        moves.append(tuple(bundle.items()))
+    moves = [tuple(t for t in row if t not in dead) for row in d.transitions]
     seqs = [[0] * (n_max + 1) for _ in range(len(groups) + 1)]
     frontier = {} if d.initial in dead else {d.initial: 1}
     for n in range(n_max):
@@ -534,8 +528,8 @@ def _dp_terms(d, classes, n_max, check):
         get = nxt.get
         for q, v in frontier.items():
             seqs[cls[q]][n] += v
-            for t, mult in moves[q]:
-                nxt[t] = get(t, 0) + v * mult
+            for t in moves[q]:
+                nxt[t] = get(t, 0) + v
         frontier = nxt
     for q, v in frontier.items():
         seqs[cls[q]][n_max] += v

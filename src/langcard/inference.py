@@ -152,21 +152,17 @@ def generate_training_set(
     """Random-walk training material with a coverage-based stopping rule:
     keep walking until at least ``min_traces`` traces exist and every
     visitable state was visited ``min_state_visits`` times.  The deadline
-    of ``budget`` is checked once per ``_STEPS_PER_CHECK`` walks, restarted
-    ones included.  Each trace holds a slot of ``baselines.MAX_HELD_SLOTS``,
-    so a ``min_traces`` past it is refused before the first walk."""
+    of ``budget`` is checked as ``baselines._walk_until_covered`` says.
+    Each trace holds a slot of ``baselines.MAX_HELD_SLOTS``, so a
+    ``min_traces`` past it is refused before the first walk."""
     cap = baselines.MAX_HELD_SLOTS
     if min_traces > cap:
         msg = f"training walks: {min_traces} traces would take at least as many slots (cap {cap})"
         raise SizeGuardError(msg, estimate=min_traces)
     traces = []
-
-    def hold(trace, end):
-        traces.append(trace)
-        return len(trace) + 1
-
     rng = derive_rng(cfg.seed, 2)
     states = range(reference.state_count)
     table = _walk_table(reference, reference.transitions, states, reference.initial, by_state=True)
-    _walk_until_covered(table, cfg, rng, min_traces, min_state_visits, hold, budget, "training walks")
+    stage = "training walks"
+    _walk_until_covered(table, cfg, rng, min_traces, min_state_visits, budget, stage, traces.append)
     return TrainingSet(tuple(traces), reference.alphabet)

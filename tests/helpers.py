@@ -24,7 +24,8 @@ from langcard import (
     state_cover,
 )
 from langcard.automata import MAX_STATES
-from langcard.baselines import ConditionedRow, _walk_table, _walk_until_covered, derive_rng
+from langcard.baselines import ConditionedRow, WalkTally, _walk_table, _walk_until_covered, derive_rng
+from langcard.counting import WorkBudget
 from langcard.errors import ModelParseError, SizeGuardError
 from langcard.inference import _Trie
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
@@ -95,39 +96,40 @@ def random_walk_trace(d, cfg, rng):
     """One random-walk trace of ``d`` as the baselines walk it."""
     walked = []
     table = _walk_table(d, d.transitions, range(d.state_count), d.initial)
-    _walk_until_covered(table, cfg, rng, 1, 0, lambda t, end: walked.append(t) or 0, None, "walks")
+    _walk_until_covered(table, cfg, rng, 1, 0, None, "walks", walked.append)
     return walked[0]
 
 
-def trace_similarity_by_models(reference, inferred, cfg):
-    """Trace similarity with each walk set walked on its model alone and
-    each distinct trace then judged by ``Dfa.accepts`` of the other model:
-    the oracle of the walks over R x H.  Returns the multisets walked on
-    ``inferred`` and on ``reference``, precision, recall and the rows of
-    the conditioned method."""
-    walked, parts = [], []
+def trace_similarity_by_models(reference, inferred, cfg, budget=None):
+    """Trace similarity with each walk set walked on its model alone, every
+    trace recorded, and each distinct trace then judged by ``Dfa.accepts``
+    of the other model: the oracle of the tallied walks over R x H.  Both
+    sets share the deadline of ``budget`` (a fresh ``WorkBudget`` if None).
+
+    Returns the multisets walked on ``inferred`` and on ``reference``, their
+    ``WalkTally``s, precision, recall and the rows of the conditioned
+    method."""
+    budget = budget or WorkBudget()
+    walked, tallies = [], []
     for stream, (model, judge) in enumerate(((inferred, reference), (reference, inferred))):
         traces = Counter()
-
-        def hold(trace, end):
-            traces[trace] += 1
-            return len(trace) + 1 if traces[trace] == 1 else 0
-
         table = _walk_table(model, model.transitions, range(model.state_count), model.initial)
         least, need = cfg.target_trace_count, cfg.min_transition_coverage
-        _walk_until_covered(table, cfg, derive_rng(cfg.seed, stream), least, need, hold, None, "walks")
-        per_len = {}
+        rng = derive_rng(cfg.seed, stream)
+        _walk_until_covered(table, cfg, rng, least, need, budget, "walks", lambda t: traces.update((t,)))
+        walks = [0] * (max(map(len, traces)) + 1)
+        accepted = walks.copy()
         for t, c in traces.items():
-            hits, total = per_len.get(len(t), (0, 0))
-            per_len[len(t)] = (hits + c * judge.accepts(t), total + c)
+            walks[len(t)] += c
+            accepted[len(t)] += c * judge.accepts(t)
         walked.append(traces)
-        parts.append(per_len)
-    precision, recall = (
-        Fraction(sum(h for h, _ in part.values()), sum(t for _, t in part.values())) for part in parts
-    )
+        tallies.append(WalkTally(tuple(walks), tuple(accepted)))
+    precision, recall = (Fraction(sum(t.accepted), sum(t.walks)) for t in tallies)
     rows = []
-    for n in range(max(max(part, default=-1) for part in parts) + 1):
-        (p_hits, p_total), (r_hits, r_total) = (part.get(n, (0, 0)) for part in parts)
+    for n in range(max(len(t.walks) for t in tallies)):
+        (p_hits, p_total), (r_hits, r_total) = (
+            (t.accepted[n], t.walks[n]) if n < len(t.walks) else (0, 0) for t in tallies
+        )
         rows.append(
             ConditionedRow(
                 n,
@@ -137,7 +139,7 @@ def trace_similarity_by_models(reference, inferred, cfg):
                 r_total,
             )
         )
-    return *walked, precision, recall, rows
+    return walked, tallies, precision, recall, rows
 
 
 def enumerate_counts(d, n_max):

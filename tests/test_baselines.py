@@ -122,22 +122,28 @@ def test_trace_similarity_is_seed_reproducible():
     reference, inferred = signature_models()
     a = trace_similarity(reference, inferred, cfg(seed=99))
     b = trace_similarity(reference, inferred, cfg(seed=99))
-    assert a.precision == b.precision
-    assert a.e_precision.traces == b.e_precision.traces
+    assert a == b
     c = trace_similarity(reference, inferred, cfg(seed=100))
-    assert c.e_precision.traces != a.e_precision.traces
+    assert c.e_precision != a.e_precision
+    # the walks behind the tallies, recorded
+    walked = trace_similarity_by_models(reference, inferred, cfg(seed=99))[0]
+    assert walked == trace_similarity_by_models(reference, inferred, cfg(seed=99))[0]
+    assert walked != trace_similarity_by_models(reference, inferred, cfg(seed=100))[0]
 
 
 def test_coverage_rule_touches_every_live_transition():
     d = to_dfa(star(alt(sym("a"), seq(sym("b"), sym("a")))), AB)
     config = cfg(target_trace_count=10, min_transition_coverage=3)
     res = trace_similarity(d, d, config)
-    # multiset keeps collecting until coverage, so it exceeds the tiny target
+    (walked, _), tallies, *_ = trace_similarity_by_models(d, d, config)
+    # the tallied walks are the recorded ones, which walk on until coverage,
+    # so they exceed the tiny target
+    assert [res.e_precision, res.e_recall] == tallies
     assert res.e_precision.total >= 10
     # replay the traces: every live transition must appear >= 3 times
     errors = d.error_states
     traversed = {}
-    for trace, count in res.e_precision.traces.items():
+    for trace, count in walked.items():
         state = d.initial
         for s in trace:
             traversed[(state, s)] = traversed.get((state, s), 0) + count
@@ -161,7 +167,8 @@ def test_walks_at_pa_one_cover_only_what_they_can_reach(monkeypatch):
     # 0 -a-> 1 (accepting) and 0 -b-> 0, then 1 -a-> 2 -b-> 1: at pa = 1 a
     # walk stops on entering 1, so it never takes a step out of 1 or 2 and
     # never visits 2.  The clock passes the deadline at the first check,
-    # after 64 walks: walks that waited on those units would raise there
+    # after 64 walks: walks that waited on those units would raise there.
+    # The tallied walks are the recorded ones, whose traces are checked
     readings = []
 
     def monotonic():
@@ -172,8 +179,10 @@ def test_walks_at_pa_one_cover_only_what_they_can_reach(monkeypatch):
     d = Dfa(Alphabet(AB), ((1, 0), (2, 3), (3, 1), (3, 3)), 0, frozenset([1]))
     c = cfg(termination_probability=1.0, target_trace_count=2, min_transition_coverage=3)
     res = trace_similarity(d, d, c, WorkBudget(time_limit_s=1.0))
+    by_models = trace_similarity_by_models(d, d, c, WorkBudget(time_limit_s=1.0))
+    assert [res.e_precision, res.e_recall] == by_models[1]
     training = generate_training_set(d, c, min_traces=2, min_state_visits=3, budget=WorkBudget(time_limit_s=1.0))
-    walked = [list(res.e_precision.traces.elements()), list(res.e_recall.traces.elements())]
+    walked = [list(traces.elements()) for traces in by_models[0]]
     for traces in [*walked, training.traces]:
         assert all(t[-1] == 0 and set(t[:-1]) <= {1} for t in traces)  # b* a
         assert len(traces) >= 3  # each walk steps on a out of 0 into 1 once
@@ -251,10 +260,11 @@ _DEAD_END = Dfa(Alphabet(AB), ((1, 2), (2, 2), (2, 2)), 0, frozenset([0, 1]))
 @settings(max_examples=150, deadline=None)
 def test_walks_over_the_product_equal_walks_on_each_model(case):
     reference, inferred, config = case
-    e_prec, e_rec, precision, recall, rows = trace_similarity_by_models(reference, inferred, config)
+    # the tallies of the bare walks against those of the recorded walks on
+    # the same random streams
+    _, tallies, precision, recall, rows = trace_similarity_by_models(reference, inferred, config)
     res = trace_similarity(reference, inferred, config)
-    walked = [list(e.traces.items()) for e in (res.e_precision, res.e_recall)]
-    assert walked == [list(e_prec.items()), list(e_rec.items())]
+    assert [res.e_precision, res.e_recall] == tallies
     assert (res.precision, res.recall) == (precision, recall)
     assert trace_similarity_conditioned(reference, inferred, config) == rows
 
@@ -890,23 +900,21 @@ def test_training_walks_past_the_held_slots_are_refused_before_walking(monkeypat
         generate_training_set(all_accepting(2), cfg(), min_traces=21)
 
 
-def test_a_repeated_trace_holds_no_more_slots(monkeypatch):
-    # the only trace is "a": one multiset entry of 2 slots, however often
-    # it is walked
-    only_a = Dfa(Alphabet(AB), ((1, 2), (2, 2), (2, 2)), 0, frozenset([1]))
-    monkeypatch.setattr(baselines, "MAX_HELD_SLOTS", 20)
-    result = trace_similarity(only_a, only_a, cfg(target_trace_count=1000))
-    assert result.e_precision.traces == {(0,): 1000}
-    assert result.e_recall.traces == {(0,): 1000}
-
-
 @pytest.mark.parametrize("method", [trace_similarity, trace_similarity_conditioned])
-def test_evaluation_walks_past_the_held_slots_are_refused(monkeypatch, method):
-    monkeypatch.setattr(baselines, "MAX_HELD_SLOTS", 20)
+def test_evaluation_walks_hold_no_slots(monkeypatch, method):
+    # the walks are tallied, not held: 1,000 walks, whose traces would take
+    # thousands of slots, complete under a cap of 20 and give what they give
+    # uncapped
     top = all_accepting(2)
-    message = r"^evaluation walks: the traces held would take \d+ slots \(cap 20\)$"
-    with pytest.raises(SizeGuardError, match=message):
-        method(top, top, cfg(target_trace_count=1000))
+    config = cfg(target_trace_count=1000)
+    uncapped = method(top, top, config)
+    monkeypatch.setattr(baselines, "MAX_HELD_SLOTS", 20)
+    got = method(top, top, config)
+    assert got == uncapped
+    if method is trace_similarity:
+        assert (got.e_precision.total, got.e_recall.total) == (1000, 1000)
+    else:
+        assert sum(row.precision_samples for row in got) == 1000
 
 
 def test_walk_keeps_the_restart_limit(monkeypatch):
@@ -942,6 +950,61 @@ def test_a_walk_may_take_the_step_limit_and_no_more(monkeypatch, k):
     assert random_walk_trace(_chain(k), cfg(termination_probability=1.0), rng) == (0,) * k
     with pytest.raises(ResourceLimitError, match="step limit"):
         random_walk_trace(_chain(k + 1), cfg(termination_probability=1.0), rng)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_a_bare_walk_may_take_the_step_limit_and_no_more(monkeypatch, k):
+    # with no coverage to reach, trace-sim's walks run bare from the first
+    monkeypatch.setattr(baselines, "MAX_WALK_STEPS", k)
+    c = cfg(termination_probability=1.0, target_trace_count=3)
+    res = trace_similarity(_chain(k), _chain(k), c)
+    assert res.e_precision.walks == res.e_recall.walks == (0,) * k + (3,)
+    with pytest.raises(ResourceLimitError, match="step limit"):
+        trace_similarity(_chain(k + 1), _chain(k + 1), c)
+
+
+def test_a_bare_walk_keeps_the_restart_limit(monkeypatch):
+    # as in test_walk_keeps_the_restart_limit: a walk that draws no stop at
+    # the accepting initial state starts over
+    d = Dfa(Alphabet(AB), ((1, 1), (1, 1)), 0, frozenset([0]))
+    monkeypatch.setattr(baselines, "MAX_WALK_RESTARTS", 0)
+    with pytest.raises(ResourceLimitError, match="restart limit"):
+        trace_similarity(d, d, cfg(target_trace_count=100))
+
+
+@pytest.mark.parametrize("stage", ["evaluation walks", "training walks"])
+def test_long_walks_answer_to_the_deadline(monkeypatch, stage):
+    # every walk on the chain takes 2**14 steps, so the walks pass 2**16
+    # steps after the fourth: the clock, past the deadline from its second
+    # reading on, raises at the check before the fifth walk, long before 64
+    # walks.  A walk of k steps draws k + 1 numbers, the last its stop
+    k = 2**14
+    calls = []
+
+    class Counted(random.Random):
+        def random(self):
+            calls.append(None)
+            return super().random()
+
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1e9
+
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    for module in (baselines, inference):
+        monkeypatch.setattr(module, "derive_rng", lambda seed, stream: Counted(seed))
+    d = _chain(k)
+    c = cfg(termination_probability=1.0, target_trace_count=64)
+    budget = WorkBudget(time_limit_s=1.0)
+    with pytest.raises(ResourceLimitError, match=rf"^{stage}: time limit exceeded 1\.0 s$"):
+        if stage == "evaluation walks":
+            trace_similarity(d, d, c, budget)
+        else:
+            generate_training_set(d, c, min_traces=64, min_state_visits=0, budget=budget)
+    assert len(readings) == 2  # the budget's start and the first check
+    assert len(calls) == 4 * (k + 1)
 
 
 @st.composite

@@ -905,9 +905,8 @@ def test_walks_at_pa_one_stop_after_the_least_walks(tmp_path, monkeypatch, argv,
     [
         (["gen-traces", "M", "--min-traces", "10", "--min-state-visits", "0"], "the traces held"),
         (["gen-traces", "M", "--min-traces", "21"], "21 traces"),
-        (["baseline", "trace-sim", "M", "M", "--target-traces", "10"], "the traces held"),
     ],
-    ids=["gen-traces walking", "gen-traces before walking", "trace-sim walking"],
+    ids=["gen-traces walking", "gen-traces before walking"],
 )
 def test_walks_past_the_held_slots_exit_4(tmp_path, monkeypatch, capsys, argv, held):
     model = tmp_path / "top.dfa"
@@ -918,6 +917,23 @@ def test_walks_past_the_held_slots_exit_4(tmp_path, monkeypatch, capsys, argv, h
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and held in err and "(cap 20)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["trace-sim", "trace-sim-conditioned"])
+def test_trace_sim_holds_no_traces(tmp_path, monkeypatch, method):
+    # trace-sim tallies its walks and holds none, so 1,000 walks complete
+    # under a cap of 20 held slots and write the uncapped CSV
+    model = tmp_path / "top.dfa"
+    model.write_text(serialize_dfa(all_accepting(2)))
+    argv = ["baseline", method, str(model), str(model), "--target-traces", "1000", "--out"]
+    uncapped, capped = tmp_path / "uncapped.csv", tmp_path / "capped.csv"
+    assert run(*argv, str(uncapped)) == 0
+    monkeypatch.setattr(baselines, "MAX_HELD_SLOTS", 20)
+    assert run(*argv, str(capped)) == 0
+    assert capped.read_text() == uncapped.read_text()
+    if method == "trace-sim":
+        manifest = json.loads((tmp_path / "capped.csv.manifest.json").read_text())
+        assert (manifest["traces_precision"], manifest["traces_recall"]) == (1000, 1000)
 
 
 @pytest.mark.parametrize("stage", ["test automaton", "counting tests"])

@@ -8,6 +8,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "identity.py")
 
@@ -73,16 +75,20 @@ def _pairs_tool():
 
 class FakeBench:
     """A runner for ``tools/pairs.py`` that times nothing: each run of a
-    side reports the metrics ``values[side](seed)``."""
+    side reports the metrics ``values[side](seed)``, each traced run the
+    metrics ``layers[side]``."""
 
-    def __init__(self, values):
+    def __init__(self, values, layers=None):
         self.values = values
+        self.layers = layers
         self.runs = []
+        self.traced = []
 
-    def __call__(self, checkout, workload, seed, seconds):
+    def __call__(self, checkout, workload, seed, seconds, trace=0):
         side = "parent" if checkout.endswith("parent") else "change"
-        self.runs.append((side, workload, seed, seconds))
-        return {**self.values[side](seed), "attempted": 100, "failed": int(side == "change")}
+        (self.traced if trace else self.runs).append((side, workload, seed, seconds))
+        metrics = self.layers[side] if trace else self.values[side](seed)
+        return {**metrics, "attempted": 100, "failed": int(side == "change")}
 
 
 def _checkouts(tmp_path):
@@ -168,3 +174,36 @@ def test_pairs_merge_into_an_existing_file(tmp_path):
     assert written["baselines"]["summary"]["throughput_ops_s"]["change_median"] == 2.5
     assert written["baselines"]["summary"]["throughput_ops_s"]["wins"] == 4
     assert len(written["long-horizon"]["pairs"]) == 1
+
+
+def test_pairs_trace_one_run_per_side(tmp_path):
+    pairs = _pairs_tool()
+    fake = FakeBench(
+        {side: lambda seed: {"throughput_ops_s": 1.0} for side in ("parent", "change")},
+        {
+            "parent": {"baselines.trace_sim_s": 0.011, "baselines.eval_traces": 2000.0, "extra": 1.0},
+            "change": {"baselines.trace_sim_s": 0.007, "baselines.eval_traces": 2000.0, "extra": 5.0},
+        },
+    )
+    out = tmp_path / "bench.json"
+    checkouts = _checkouts(tmp_path)
+    argv = [*checkouts, "--workload", "baselines", "--seeds", "2-3", "--out", str(out)]
+    assert pairs.main([*argv, "--trace"], runner=fake, identity=_identity) == 0
+    seconds = pairs.benchmark()["run_seconds"]
+    # one traced run per side, of the same length, on the first seed and in
+    # its order, after the pairs
+    assert len(fake.runs) == 4
+    assert fake.traced == [("change", "baselines", 2, seconds), ("parent", "baselines", 2, seconds)]
+    written = json.loads(out.read_text())
+    traced = written["workloads"]["baselines"]["traced"]
+    assert traced["seed"] == 2 and traced["first"] == "change"
+    assert traced["parent"] == {**fake.layers["parent"], "attempted": 100, "failed": 0}
+    assert traced["change"] == {**fake.layers["change"], "attempted": 100, "failed": 1}
+    # deltas, change minus parent, of the per-layer metrics of BENCHMARK.json
+    assert traced["delta"] == pytest.approx({"baselines.trace_sim_s": -0.004, "baselines.eval_traces": 0.0})
+    assert "--trace 1" in written["command"]
+    # a later run without --trace keeps the traced runs
+    again = [*checkouts, "--workload", "baselines", "--seeds", "4", "--out", str(out)]
+    assert pairs.main(again, runner=fake, identity=_identity) == 0
+    assert json.loads(out.read_text())["workloads"]["baselines"]["traced"] == traced
+    assert len(fake.traced) == 2

@@ -1,14 +1,17 @@
 """Paired benchmark runs of two checkouts, written as one evidence file.
 
-    python3 tools/pairs.py PARENT CHANGE --workload W --seeds A-B --out FILE
+    python3 tools/pairs.py PARENT CHANGE --workload W --seeds A-B --out FILE [--trace]
 
 PARENT and CHANGE are source checkouts, each holding ``perfbench/run.py``
 and ``src/langcard``.  For each seed from A to B, each checkout runs its own
 ``perfbench/run.py --workload W --seed N --seconds S --trace 0`` in a
 subprocess, S being the ``run_seconds`` of ``BENCHMARK.json``, one after
 the other: the parent first on odd seeds and the change first on even ones,
-so that a drift in the machine's speed favours neither side.  Then ``tools/identity.py PARENT CHANGE --workload W``, from
-the checkout this script sits in, compares what the two produce.
+so that a drift in the machine's speed favours neither side.  Then
+``tools/identity.py PARENT CHANGE --workload W``, from the checkout this
+script sits in, compares what the two produce.  With ``--trace``, each side
+then makes one ``--trace 1`` run of the same length on seed A, in that
+seed's order.
 
 FILE is a JSON object whose ``workloads`` hold, per workload:
 
@@ -19,10 +22,14 @@ FILE is a JSON object whose ``workloads`` hold, per workload:
   (ties win nothing) and the exact two-sided sign-test p-value of those
   wins, ties left out;
 - ``failed``: per side, the operations failed and attempted in all;
-- ``identity``: the probe's exit code and output lines.
+- ``identity``: the probe's exit code and output lines;
+- ``traced`` (with ``--trace``): the seed, which side ran first, each side's
+  per-layer metrics of ``BENCHMARK.json``, ``attempted`` and ``failed``, and
+  per per-layer metric the change's value minus the parent's (``delta``).
 
 Running again into an existing FILE keeps its other workloads, replaces the
-pairs of the seeds run again and recomputes the summary from all the pairs.
+pairs of the seeds run again and recomputes the summary from all the pairs;
+a workload's ``traced`` is replaced only by another ``--trace`` run.
 ``--workload`` may be given more than once (default: every workload of
 ``BENCHMARK.json``).  Stdlib only.
 """
@@ -48,11 +55,11 @@ def benchmark():
         return json.load(fh)
 
 
-def run_bench(checkout, workload, seed, seconds):
-    """The end-to-end metrics, ``attempted`` and ``failed`` of one run of
-    ``checkout``'s own benchmark."""
+def run_bench(checkout, workload, seed, seconds, trace=0):
+    """The metrics (end-to-end, or per-layer with ``trace``), ``attempted``
+    and ``failed`` of one run of ``checkout``'s own benchmark."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}\n{proc.stderr}")
@@ -122,13 +129,28 @@ def collect(parent, change, workload, seeds, seconds, runner=run_bench, identity
     return pairs, identity(parent, change, workload)
 
 
-def merged(old, workload, pairs, probe, end_to_end):
+def traced(parent, change, workload, seed, seconds, layers, runner=run_bench):
+    """One ``--trace 1`` run per side of ``workload`` on ``seed``, and per
+    metric named in ``layers`` that both report, the change's value minus
+    the parent's."""
+    checkouts = dict(zip(SIDES, (parent, change)))
+    out = {"seed": seed, "first": order(seed)[0]}
+    for side in order(seed):
+        out[side] = runner(checkouts[side], workload, seed, seconds, trace=1)
+    out["delta"] = {name: out["change"][name] - out["parent"][name]
+                    for name in layers if name in out["parent"] and name in out["change"]}
+    return out
+
+
+def merged(old, workload, pairs, probe, end_to_end, trace=None):
     """``old`` (a FILE's object, or empty) with ``workload``'s pairs, by
-    seed, replaced by ``pairs`` and its summary recomputed."""
+    seed, replaced by ``pairs``, its summary recomputed and its traced runs
+    replaced by ``trace`` unless that is None."""
     entries = old.setdefault("workloads", {})
     seeds = {p["seed"] for p in pairs}
     kept = [p for p in entries.get(workload, {}).get("pairs", []) if p["seed"] not in seeds]
     everything = sorted(kept + pairs, key=lambda p: p["seed"])
+    trace = trace or entries.get(workload, {}).get("traced")
     entries[workload] = {
         "pairs": everything,
         "summary": summary(everything, end_to_end),
@@ -136,6 +158,8 @@ def merged(old, workload, pairs, probe, end_to_end):
                           sum(p[side]["attempted"] for p in everything)] for side in SIDES},
         "identity": probe,
     }
+    if trace:
+        entries[workload]["traced"] = trace
     return old
 
 
@@ -153,6 +177,7 @@ def main(argv=None, runner=run_bench, identity=run_identity):
     parser.add_argument("--workload", choices=names, action="append")
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, or one seed")
     parser.add_argument("--out", required=True)
+    parser.add_argument("--trace", action="store_true", help="add one --trace 1 run per side")
     args = parser.parse_args(argv)
     parent, change = (os.path.abspath(p) for p in (args.parent, args.change))
     for checkout in (parent, change):
@@ -163,15 +188,22 @@ def main(argv=None, runner=run_bench, identity=run_identity):
         with open(args.out) as fh:
             old = json.load(fh)
     seconds = bench["run_seconds"]
+    command = (f"perfbench/run.py --seconds {seconds} --trace 0, "
+               "parent first on odd seeds, change first on even ones")
+    if args.trace:
+        command += "; one --trace 1 run per side on the first seed"
     old.update(
-        command=f"perfbench/run.py --seconds {seconds} --trace 0, "
-                "parent first on odd seeds, change first on even ones",
+        command=command,
         python=platform.python_version(),
         machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
     )
     for workload in args.workload or names:
         pairs, probe = collect(parent, change, workload, args.seeds, seconds, runner, identity)
-        old = merged(old, workload, pairs, probe, bench["end_to_end"])
+        trace = None
+        if args.trace:
+            layers = [m["name"] for m in bench["per_layer"]]
+            trace = traced(parent, change, workload, args.seeds[0], seconds, layers, runner)
+        old = merged(old, workload, pairs, probe, bench["end_to_end"], trace)
         with open(args.out, "w") as fh:
             json.dump(old, fh, indent=1)
             fh.write("\n")
