@@ -900,6 +900,16 @@ def test_training_walks_past_the_held_slots_are_refused_before_walking(monkeypat
         generate_training_set(all_accepting(2), cfg(), min_traces=21)
 
 
+def test_a_repeated_trace_holds_no_more_slots(monkeypatch):
+    # the only trace is "a": its 1,000 walks are tallied at length 1, and
+    # none of them takes a slot of the cap
+    only_a = Dfa(Alphabet(AB), ((1, 2), (2, 2), (2, 2)), 0, frozenset([1]))
+    monkeypatch.setattr(baselines, "MAX_HELD_SLOTS", 20)
+    result = trace_similarity(only_a, only_a, cfg(target_trace_count=1000))
+    assert (result.e_precision.walks, result.e_precision.accepted) == ((0, 1000), (0, 1000))
+    assert (result.e_recall.walks, result.e_recall.accepted) == ((0, 1000), (0, 1000))
+
+
 @pytest.mark.parametrize("method", [trace_similarity, trace_similarity_conditioned])
 def test_evaluation_walks_hold_no_slots(monkeypatch, method):
     # the walks are tallied, not held: 1,000 walks, whose traces would take
