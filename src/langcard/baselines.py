@@ -16,14 +16,22 @@ it.  A walk set walks R x H choosing only among the moves live in the model
 it walks, so each trace is judged by the other model where it ends, and no
 trace is run through a model a second time, nor held: a walk is tallied by
 its length and by whether the other model accepts in the pair it ends in.
-It records the units it covers only while the coverage rule still waits on
-one, so most walks take a bare step per symbol, one table read and one
-``random()`` call (two at an accepting state), with nothing appended.
-``gen-traces`` walks a model's own states through the same loop and records
-every trace it keeps.  The W-method's tests are counted, not listed, the
-way the paper counts any finite language: a DFA of the test set, built by
-subset construction, runs against R x H in one DP that sums the distinct
-tests by the product state they end in.
+The walks run in two phases.  While the coverage rule still waits on some
+unit, each walk records the units it covers; then a loop of its own takes
+bare walks until enough are kept, one table read and one ``random()`` call
+per step (two at an accepting state), with nothing appended.
+``gen-traces`` walks a model's own states through the first phase alone
+and records every trace it keeps.  Each state's count of live moves is
+held as a float, because CPython 3.11 specializes the multiplication in
+``int(random() * n)`` for two floats and not for a float and an int;
+``float(n)`` is exact, so the same move is chosen.
+
+The W-method's tests are counted, not listed, the way the paper counts any
+finite language: a DFA of the test set, built by subset construction, runs
+against R x H in one DP that sums the distinct tests by the product state
+they end in.  A state bound whose test set the size bound takes past the
+cap with the fewest traces that could tell the states apart is refused
+before the state cover and the characterization set are built.
 
 Sampling draws a trace's symbols in bulk, yet consumes the generator exactly
 as one ``int(rng.random() * sigma)`` per symbol would.  CPython builds each
@@ -142,12 +150,12 @@ def _walk_table(d, rows, states, initial, by_state=False):
     its states, or R x H projected onto one of its components.
 
     Returns ``(initial, entries, size, start)``: per state, whether ``d``
-    accepts there, the count of its live moves and the moves (symbol, unit
-    covered, target); the number of units and the units every walk covers.
-    A move is live when ``d`` can still accept from its target.  It covers
-    ``d``'s step id ``state * sigma + symbol``, or with ``by_state`` the
-    state of ``d`` it enters, every walk then also covering ``d``'s initial
-    state."""
+    accepts there, the count of its live moves as a float and the moves
+    (symbol, unit covered, target); the number of units and the units every
+    walk covers.  A move is live when ``d`` can still accept from its
+    target.  It covers ``d``'s step id ``state * sigma + symbol``, or with
+    ``by_state`` the state of ``d`` it enters, every walk then also
+    covering ``d``'s initial state."""
     errors = d.error_states
     if states[initial] in errors:
         raise UnsuitableModelError("random walk needs a model with a nonempty language")
@@ -159,7 +167,9 @@ def _walk_table(d, rows, states, initial, by_state=False):
             for s, t in enumerate(row)
             if states[t] not in errors
         ]
-        entries.append((q in d.accepting, len(moves), moves))
+        # CPython 3.11 specializes float * float, not float * int, and
+        # float(n) is exact: int(rand() * n) picks the same move either way
+        entries.append((q in d.accepting, float(len(moves)), moves))
     if by_state:
         return initial, entries, d.state_count, (states[initial],)
     return initial, entries, d.state_count * sigma, ()
@@ -167,21 +177,25 @@ def _walk_table(d, rows, states, initial, by_state=False):
 
 def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
     """Random walks over the walk ``table`` (``_walk_table``) until at least
-    ``least`` traces are walked and each unit that walks can cover was
-    covered ``need`` times.
+    ``least`` traces are walked, one at the least, and each unit that walks
+    can cover was covered ``need`` times.
 
     Returns the walks kept per (length, end state), keyed by
-    ``length * len(entries) + end``.  A walk records the units it covers
-    while some unit is still short.  With ``hold``, it also records its
-    trace and hands it to ``hold(trace)`` in place of the tally, taking one
-    slot per symbol and one per trace; past ``MAX_HELD_SLOTS`` slots in all
-    the walks are refused.  A walk that records nothing runs bare, its
-    length the count of its steps.  The deadline of ``budget`` (a fresh ``WorkBudget`` if None)
-    is checked before a walk once ``_STEPS_PER_CHECK`` walks, restarted ones
-    included, or ``_WALK_STEPS_PER_CHECK`` steps have passed since the last
-    check."""
+    ``length * len(entries) + end``.  The walks run in two phases.  While
+    some unit is still short, or for as long as ``hold`` is given, a walk
+    records the units it covers until none is short, and with ``hold`` its
+    trace, which it hands to ``hold(trace)`` in place of the tally, taking
+    one slot per symbol and one per trace; past ``MAX_HELD_SLOTS`` slots in
+    all the walks are refused.  Then a loop of its own takes bare walks
+    until ``least`` are kept: one table read and one ``random()`` call per
+    step (two at an accepting state), the length the count of steps.  Both
+    choose a move as ``int(rand() * n)`` on the table's float count n.  A
+    walk meets a dead end only at an accepting state: a live state that
+    does not accept has a live move.  The deadline of ``budget`` (a fresh
+    ``WorkBudget`` if None) is checked before a walk of either phase once
+    ``_STEPS_PER_CHECK`` walks, restarted ones included, or
+    ``_WALK_STEPS_PER_CHECK`` steps have passed since the last check."""
     initial, entries, size, start = table
-    bare = [(stop, n, [t for _, _, t in moves]) for stop, n, moves in entries]
     width = len(entries)
     coverage = [0] * size
     pa = cfg.termination_probability
@@ -208,7 +222,7 @@ def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
     ends = {}
     held = walked = restarts = 0
     walks = steps = 0  # since the last deadline check
-    while True:
+    while hold or short:
         if restarts > MAX_WALK_RESTARTS:
             raise ResourceLimitError("random walk exceeded the restart limit")
         if walks >= _STEPS_PER_CHECK or steps >= _WALK_STEPS_PER_CHECK:
@@ -219,32 +233,21 @@ def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
         kept = True
         trace = [] if hold else None
         units = [*start] if short else None
-        if trace is not None or units is not None:
-            for length in passes:
-                stop, n, moves = entries[state]
-                if stop and rand() < pa:
+        for length in passes:
+            stop, n, moves = entries[state]
+            if stop:
+                if rand() < pa:
                     break
                 if not n:
                     kept = False  # nothing live to follow: discard and start over
                     break
-                s, unit, state = moves[int(rand() * n)]
-                if trace is not None:
-                    trace.append(s)
-                if units is not None:
-                    units.append(unit)
-            else:
-                raise ResourceLimitError("random walk exceeded the step limit")
+            s, unit, state = moves[int(rand() * n)]
+            if trace is not None:
+                trace.append(s)
+            if units is not None:
+                units.append(unit)
         else:
-            for length in passes:
-                stop, n, targets = bare[state]
-                if stop and rand() < pa:
-                    break
-                if not n:
-                    kept = False
-                    break
-                state = targets[int(rand() * n)]
-            else:
-                raise ResourceLimitError("random walk exceeded the step limit")
+            raise ResourceLimitError("random walk exceeded the step limit")
         steps += length
         if not kept:
             restarts += 1
@@ -266,6 +269,37 @@ def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
                 if coverage[unit] == need:
                     short -= 1
         if walked >= least and not short:
+            return ends
+    bare = [(stop, n, [t for _, _, t in moves]) for stop, n, moves in entries]
+    while True:
+        if restarts > MAX_WALK_RESTARTS:
+            raise ResourceLimitError("random walk exceeded the restart limit")
+        if walks >= _STEPS_PER_CHECK or steps >= _WALK_STEPS_PER_CHECK:
+            check()
+            walks = steps = 0
+        walks += 1
+        state = initial
+        kept = True
+        for length in passes:
+            stop, n, targets = bare[state]
+            if stop:
+                if rand() < pa:
+                    break
+                if not n:
+                    kept = False
+                    break
+            state = targets[int(rand() * n)]
+        else:
+            raise ResourceLimitError("random walk exceeded the step limit")
+        steps += length
+        if not kept:
+            restarts += 1
+            continue
+        restarts = 0
+        walked += 1
+        key = length * width + state
+        ends[key] = ends.get(key, 0) + 1
+        if walked >= least:
             return ends
 
 
@@ -457,26 +491,39 @@ def _test_set_bound(cover, sigma, k, dist):
     return cover * middles * dist, longest
 
 
-def _w_method_parts(d, m, check=None):
-    """k = m - |Q|, the state cover C and the characterization set D of the
-    W-method test set C (eps|Sigma|...|Sigma^{k+1}) D of ``d``, once the
-    set is known to be within ``MAX_TEST_SET_SIZE``; ``check`` is passed to
-    ``characterization_set``."""
-    if m < d.state_count:
-        raise ValueError("state bound m must be at least the reference size")
-    k = m - d.state_count
-    cover = state_cover(d)
-    dist = characterization_set(d, check)
-    estimate, longest = _test_set_bound(len(cover), len(d.alphabet), k, len(dist))
+def _refuse_past_the_cap(estimate, longest, m, k, claim):
+    """Raise ``SizeGuardError`` when ``estimate``, a size bound summed over
+    middles of up to ``longest`` symbols (``_test_set_bound``), passes
+    ``MAX_TEST_SET_SIZE``; the message opens with ``claim``."""
     if estimate > MAX_TEST_SET_SIZE:
         scope = "" if longest > k else (
             f" counting middles of at most {longest} symbols alone; m = {m} allows {k + 1}"
         )
         raise SizeGuardError(
-            f"W-method test set would hold up to {estimate} traces{scope} "
-            f"(cap {MAX_TEST_SET_SIZE})",
-            estimate=estimate,
+            f"{claim} {estimate} traces{scope} (cap {MAX_TEST_SET_SIZE})", estimate=estimate
         )
+
+
+def _w_method_parts(d, m, check=None):
+    """k = m - |Q|, the state cover C and the characterization set D of the
+    W-method test set C (eps|Sigma|...|Sigma^{k+1}) D of ``d``, once the
+    set is known to be within ``MAX_TEST_SET_SIZE``; ``check`` is passed to
+    ``characterization_set``.
+
+    The size bound is first taken with |C| = |Q| and |D| = ceil(log2 |Q|),
+    the fewest traces that tell |Q| states apart by acceptance, so a bound
+    that this already takes past the cap is refused before C and D are
+    built; the bound with D's own size is checked once they are."""
+    if m < d.state_count:
+        raise ValueError("state bound m must be at least the reference size")
+    n, sigma = d.state_count, len(d.alphabet)
+    k = m - n
+    bound = _test_set_bound(n, sigma, k, max(1, (n - 1).bit_length()))
+    _refuse_past_the_cap(*bound, m, k, "W-method test set's size bound would hold at least")
+    cover = state_cover(d)
+    dist = characterization_set(d, check)
+    bound = _test_set_bound(len(cover), sigma, k, len(dist))
+    _refuse_past_the_cap(*bound, m, k, "W-method test set would hold up to")
     return k, cover, dist
 
 

@@ -25,7 +25,6 @@ from langcard import (
 )
 from langcard.automata import MAX_STATES
 from langcard.baselines import ConditionedRow, WalkTally, _walk_table, _walk_until_covered, derive_rng
-from langcard.counting import WorkBudget
 from langcard.errors import ModelParseError, SizeGuardError
 from langcard.inference import _Trie
 from langcard.regexes import EPSILON, alt, one_of, seq, star, sym, to_dfa
@@ -100,23 +99,67 @@ def random_walk_trace(d, cfg, rng):
     return walked[0]
 
 
-def trace_similarity_by_models(reference, inferred, cfg, budget=None):
-    """Trace similarity with each walk set walked on its model alone, every
-    trace recorded, and each distinct trace then judged by ``Dfa.accepts``
-    of the other model: the oracle of the tallied walks over R x H.  Both
-    sets share the deadline of ``budget`` (a fresh ``WorkBudget`` if None).
+def reference_walks(d, cfg, rng, least, need, by_state=False):
+    """The traces random walks on ``d`` keep, walked as the baselines
+    document their walks but by none of their code: from the initial state,
+    a walk at an accepting state stops when ``rng.random() < pa``; else it
+    takes the move ``int(rng.random() * len(live))`` of the ``live`` moves,
+    those into states from which ``d`` can still accept, in symbol order,
+    and with none it is discarded and a new walk starts.  Walks are kept
+    until at least ``least`` are, and one at the least, and every unit that
+    walks can cover was covered ``need`` times: a step (state, symbol), or
+    with ``by_state`` a state entered, each walk also covering the initial
+    state.  At pa = 1 a walk stops at the first accepting state it meets,
+    so no step out of one counts.  Oracle of ``baselines._walk_until_covered``."""
+    pa = cfg.termination_probability
+    errors = d.error_states
+    live = [[(s, t) for s, t in enumerate(row) if t not in errors] for row in d.transitions]
+
+    def unit(q, s, t):
+        return t if by_state else (q, s)
+
+    coverable, seen, todo = {d.initial} if by_state else set(), {d.initial}, [d.initial]
+    while todo:
+        q = todo.pop()
+        if pa < 1 or q not in d.accepting:
+            for s, t in live[q]:
+                coverable.add(unit(q, s, t))
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+    covered = Counter()
+    traces = []
+    while not traces or len(traces) < least or any(covered[u] < need for u in coverable):
+        q, trace, units = d.initial, [], [d.initial] if by_state else []
+        while not (q in d.accepting and rng.random() < pa):
+            moves = live[q]
+            if not moves:
+                break
+            s, t = moves[int(rng.random() * len(moves))]
+            trace.append(s)
+            units.append(unit(q, s, t))
+            q = t
+        else:
+            traces.append(tuple(trace))
+            covered.update(units)
+    return traces
+
+
+def trace_similarity_by_models(reference, inferred, cfg):
+    """Trace similarity with each walk set walked on its model alone by
+    ``reference_walks``, every trace recorded, and each distinct trace then
+    judged by ``Dfa.accepts`` of the other model: the oracle of the tallied
+    walks over R x H.
 
     Returns the multisets walked on ``inferred`` and on ``reference``, their
     ``WalkTally``s, precision, recall and the rows of the conditioned
     method."""
-    budget = budget or WorkBudget()
     walked, tallies = [], []
     for stream, (model, judge) in enumerate(((inferred, reference), (reference, inferred))):
-        traces = Counter()
-        table = _walk_table(model, model.transitions, range(model.state_count), model.initial)
-        least, need = cfg.target_trace_count, cfg.min_transition_coverage
         rng = derive_rng(cfg.seed, stream)
-        _walk_until_covered(table, cfg, rng, least, need, budget, "walks", lambda t: traces.update((t,)))
+        traces = Counter(
+            reference_walks(model, cfg, rng, cfg.target_trace_count, cfg.min_transition_coverage)
+        )
         walks = [0] * (max(map(len, traces)) + 1)
         accepted = walks.copy()
         for t, c in traces.items():
@@ -213,6 +256,14 @@ def b_power(length, n_symbols):
         for q in range(length + 2)
     )
     return Dfa(Alphabet(SYMS[:n_symbols]), rows, 0, frozenset([length]))
+
+
+def a_chain(n):
+    """The n-state chain over {a, b} that moves on a to its next state and
+    loops on b, its last state, which also loops on a, alone accepting: the
+    traces with at least n - 1 a's.  Minimal, with |D| = n - 1."""
+    rows = tuple((min(q + 1, n - 1), q) for q in range(n))
+    return Dfa(Alphabet(SYMS[:2]), rows, 0, frozenset([n - 1]))
 
 
 def cycle(n):

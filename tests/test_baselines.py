@@ -14,6 +14,7 @@ from langcard import Alphabet, Dfa, baselines, confusion_product, counting, infe
 from langcard.baselines import (
     _symbol_draws,
     RandomWalkConfig,
+    WalkTally,
     characterization_set,
     derive_rng,
     mbt_assessment,
@@ -35,6 +36,7 @@ from langcard.metrics import confusion_counts, single_length_assessment
 from langcard.regexes import EPSILON, alt, seq, star, sym, to_dfa
 
 from helpers import (
+    a_chain,
     all_accepting,
     b_power,
     doubled,
@@ -44,6 +46,7 @@ from helpers import (
     random_dfa,
     random_nonempty_dfa,
     random_walk_trace,
+    reference_walks,
     seeded,
     sigma_sampling_by_draws,
     signature_models,
@@ -164,11 +167,11 @@ def test_pa_one_precision_is_one_exactly_when_reference_accepts_epsilon():
 
 
 def test_walks_at_pa_one_cover_only_what_they_can_reach(monkeypatch):
-    # 0 -a-> 1 (accepting) and 0 -b-> 0, then 1 -a-> 2 -b-> 1: at pa = 1 a
-    # walk stops on entering 1, so it never takes a step out of 1 or 2 and
-    # never visits 2.  The clock passes the deadline at the first check,
-    # after 64 walks: walks that waited on those units would raise there.
-    # The tallied walks are the recorded ones, whose traces are checked
+    # at pa = 1 a walk on _PA_ONE stops on entering 1, so it never takes a
+    # step out of 1 or 2 and never visits 2.  The clock passes the deadline
+    # at the first check, after 64 walks: walks that waited on those units
+    # would raise there.  The tallied walks are those of the reference
+    # walker, whose traces are checked
     readings = []
 
     def monotonic():
@@ -176,10 +179,10 @@ def test_walks_at_pa_one_cover_only_what_they_can_reach(monkeypatch):
         return 0.0 if len(readings) == 1 else 1e9
 
     monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
-    d = Dfa(Alphabet(AB), ((1, 0), (2, 3), (3, 1), (3, 3)), 0, frozenset([1]))
+    d = _PA_ONE
     c = cfg(termination_probability=1.0, target_trace_count=2, min_transition_coverage=3)
     res = trace_similarity(d, d, c, WorkBudget(time_limit_s=1.0))
-    by_models = trace_similarity_by_models(d, d, c, WorkBudget(time_limit_s=1.0))
+    by_models = trace_similarity_by_models(d, d, c)
     assert [res.e_precision, res.e_recall] == by_models[1]
     training = generate_training_set(d, c, min_traces=2, min_state_visits=3, budget=WorkBudget(time_limit_s=1.0))
     walked = [list(traces.elements()) for traces in by_models[0]]
@@ -252,21 +255,46 @@ def _walked_pairs(draw):
 
 # the accepting initial state moves on a into an accepting dead end
 _DEAD_END = Dfa(Alphabet(AB), ((1, 2), (2, 2), (2, 2)), 0, frozenset([0, 1]))
+# 0 -a-> 1 (accepting) and 0 -b-> 0, then 1 -a-> 2 -b-> 1
+_PA_ONE = Dfa(Alphabet(AB), ((1, 0), (2, 3), (3, 1), (3, 3)), 0, frozenset([1]))
 
 
 @given(_walked_pairs())
+# need = 0: every walk is bare
+@example((*signature_models(), cfg(termination_probability=0.1, target_trace_count=30)))
+# the coverage is met long after the one walk asked for
+@example((*signature_models(), cfg(termination_probability=0.1, target_trace_count=1, min_transition_coverage=2)))
+# the coverage is met within a few walks, and bare walks make up the rest
+@example((all_accepting(2), all_accepting(2), cfg(termination_probability=0.5, target_trace_count=60, min_transition_coverage=1)))
+@example((_PA_ONE, all_accepting(2), cfg(termination_probability=1.0, target_trace_count=20, min_transition_coverage=3)))
 @example((_DEAD_END, all_accepting(2), cfg(termination_probability=0.1, min_transition_coverage=2)))
 @example((all_accepting(2), _DEAD_END, cfg(termination_probability=0.5, min_transition_coverage=2)))
 @settings(max_examples=150, deadline=None)
 def test_walks_over_the_product_equal_walks_on_each_model(case):
     reference, inferred, config = case
-    # the tallies of the bare walks against those of the recorded walks on
-    # the same random streams
+    # trace-sim's tallied walks over R x H, in both of their phases, and
+    # gen-traces' recorded walks against walks taken on each model alone by
+    # the reference walker, on the same random streams
     _, tallies, precision, recall, rows = trace_similarity_by_models(reference, inferred, config)
     res = trace_similarity(reference, inferred, config)
     assert [res.e_precision, res.e_recall] == tallies
     assert (res.precision, res.recall) == (precision, recall)
     assert trace_similarity_conditioned(reference, inferred, config) == rows
+    least, need = config.target_trace_count, config.min_transition_coverage
+    training = generate_training_set(reference, config, least, need)
+    rng = derive_rng(config.seed, 2)
+    assert list(training.traces) == reference_walks(reference, config, rng, least, need, by_state=True)
+
+
+def test_each_walk_set_keeps_one_walk_when_none_is_asked_for():
+    # a target of 0 traces and no coverage ask for no walk, yet each set
+    # keeps its first: a bare loop that tested the target before walking
+    # would take none
+    config = RandomWalkConfig(target_trace_count=0, min_transition_coverage=0, seed=3)
+    res = trace_similarity(*signature_models(), config)
+    assert res.e_precision == WalkTally((0, 0, 0, 1), (0, 0, 0, 0))
+    assert res.e_recall == WalkTally((0, 0, 1), (0, 0, 1))
+    assert (res.precision, res.recall) == (0, 1)
 
 
 def test_trace_similarity_runs_no_trace_through_a_model(monkeypatch):
@@ -371,6 +399,39 @@ def test_a_huge_state_bound_is_refused_at_once(sigma, m):
     # sigma = 1: 1 * (k + 2) * 1 exactly; sigma = 2: 2 * (1 + ... + 2^21) * 1,
     # the first partial sum past the cap
     assert exc.value.estimate == (m + 1 if sigma == 1 else 2 * (2**22 - 1))
+
+
+@pytest.mark.parametrize(
+    "method", [lambda d, m: mbt_assessment(d, d, m), w_method_test_set], ids=["mbt", "w-method"]
+)
+def test_a_bound_past_the_cap_with_the_fewest_suffixes_is_refused_first(monkeypatch, method):
+    # |C| = 2001 and |D| >= ceil(log2 2001) = 11 take the bound past the cap
+    # at middles of 7 symbols: 2001 * (2^8 - 1) * 11.  The refusal comes
+    # before the cover or the characterization set is built
+    def unreachable(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(baselines, "state_cover", unreachable)
+    monkeypatch.setattr(baselines, "characterization_set", unreachable)
+    d = a_chain(2001)
+    with pytest.raises(SizeGuardError, match=r"^W-method test set's size bound would hold at least ") as exc:
+        method(d, 2030)
+    assert exc.value.estimate == 2001 * (2**8 - 1) * 11
+
+
+def test_the_fewest_suffixes_bound_the_test_set_below_its_own_bound():
+    # every minimal model needs at least ceil(log2 |Q|) traces to tell its
+    # states apart, so the bound the refusal takes first is never above the
+    # bound with D's own size
+    rng = seeded(62)
+    for _ in range(60):
+        d = random_dfa(rng, rng.randrange(1, 12), rng.randrange(1, 4)).minimize()
+        n, sigma = d.state_count, len(d.alphabet)
+        fewest, cover, dist = max(1, (n - 1).bit_length()), state_cover(d), characterization_set(d)
+        assert fewest <= len(dist)
+        for k in (0, 1, 3):
+            first, _ = baselines._test_set_bound(n, sigma, k, fewest)
+            assert first <= baselines._test_set_bound(len(cover), sigma, k, len(dist))[0]
 
 
 def test_w_method_requires_m_at_least_reference_size():

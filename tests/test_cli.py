@@ -14,7 +14,7 @@ from langcard import automata, baselines, cli, counting, polynomials
 from langcard.automata import MAX_STATES, Alphabet, Dfa, serialize_dfa
 from langcard.cli import main
 from langcard.metrics import confusion_counts
-from helpers import all_accepting, b_power, binary_tree, cycle, empty_language, signature_models
+from helpers import a_chain, all_accepting, b_power, binary_tree, cycle, empty_language, signature_models
 
 
 @pytest.fixture
@@ -128,6 +128,26 @@ def test_baseline_trace_sim_pa_one(tmp_path, signature_files):
     assert code == 0
     row = out.read_text().strip().splitlines()[1].split(",")
     assert row[3] == "1.000000"  # precision_le column carries the overall value
+
+
+def test_baseline_trace_sim_keeps_one_walk_at_a_target_of_none(tmp_path, signature_files):
+    # no walk is asked for, yet each walk set keeps its first
+    r_path, h_path = signature_files
+    expected = {
+        "trace-sim": "n,precision_eq,recall_eq,precision_le,recall_le\n3,undefined,undefined,0.000000,1.000000\n",
+        "trace-sim-conditioned": (
+            "n,precision_eq,recall_eq,precision_le,recall_le\n"
+            "0,undefined,undefined,undefined,undefined\n1,undefined,undefined,undefined,undefined\n"
+            "2,undefined,1.000000,undefined,undefined\n3,0.000000,undefined,undefined,undefined\n"
+        ),
+    }
+    for method, csv in expected.items():
+        out = tmp_path / f"{method}.csv"
+        argv = ["baseline", method, r_path, h_path, "--target-traces", "0", "--min-coverage", "0"]
+        assert run(*argv, "--seed", "3", "--out", str(out)) == 0
+        assert out.read_text() == csv
+    manifest = json.loads((tmp_path / "trace-sim.csv.manifest.json").read_text())
+    assert (manifest["traces_precision"], manifest["traces_recall"]) == (1, 1)
 
 
 def test_baseline_seeded_runs_are_identical(tmp_path, signature_files):
@@ -1077,17 +1097,46 @@ def test_the_horizon_cap_admits_the_benchmark_horizons():
     counting.check_horizon(1600, 4, 3)  # long-horizon's assess
 
 
-def test_mbt_over_the_test_set_cap_is_refused(tmp_path, signature_files, monkeypatch, capsys):
-    r_path, h_path = signature_files
+def test_mbt_over_the_test_set_cap_is_refused(tmp_path, monkeypatch, capsys):
+    # the 5-state chain has |D| = 4 distinguishing traces, one more than the
+    # ceil(log2 5) = 3 the bound takes before D is built.  At m = 6 the
+    # middles are eps, a, b, aa, ab, ba and bb, so the bound is first
+    # 5 * 7 * 3 = 105, which a cap of 105 lets through, and then 5 * 7 * 4
+    model = tmp_path / "chain.dfa"
+    model.write_text(serialize_dfa(a_chain(5)))
     out = tmp_path / "o.csv"
-    argv = ["baseline", "mbt", r_path, h_path, "--m-bound", "6", "--out", str(out)]
+    argv = ["baseline", "mbt", str(model), str(model), "--m-bound", "6", "--out", str(out)]
     assert run(*argv) == 0
     out.unlink()
     (tmp_path / "o.csv.manifest.json").unlink()
-    monkeypatch.setattr(baselines, "MAX_TEST_SET_SIZE", 5)
+    monkeypatch.setattr(baselines, "MAX_TEST_SET_SIZE", 105)
     assert run(*argv) == 4
-    assert "refused: W-method test set would hold up to " in capsys.readouterr().err
+    assert capsys.readouterr().err == "refused: W-method test set would hold up to 140 traces (cap 105)\n"
     assert not out.exists()
+
+
+def test_mbt_past_the_cap_by_a_lower_bound_is_refused_before_the_characterization_set(
+    tmp_path, monkeypatch, capsys
+):
+    # the 2,001-state chain at m = 2030: 2001 cover traces and at least
+    # ceil(log2 2001) = 11 distinguishing ones take the bound past the cap
+    # at middles of 7 symbols, 2001 * (2^8 - 1) * 11 traces, with neither
+    # the cover nor the characterization set built
+    def unreachable(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(baselines, "state_cover", unreachable)
+    monkeypatch.setattr(baselines, "characterization_set", unreachable)
+    model = tmp_path / "chain.dfa"
+    model.write_text(serialize_dfa(a_chain(2001)))
+    out = tmp_path / "o.csv"
+    argv = ["baseline", "mbt", str(model), str(model), "--m-bound", "2030", "--out", str(out)]
+    assert run(*argv) == 4
+    assert capsys.readouterr().err == (
+        "refused: W-method test set's size bound would hold at least 5612805 traces counting "
+        "middles of at most 7 symbols alone; m = 2030 allows 30 (cap 5000000)\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.dfa"]
 
 
 def test_no_command_reaches_a_gcd_or_node_elimination(tmp_path, signature_files, monkeypatch):
