@@ -16,13 +16,13 @@ it.  A walk set walks R x H choosing only among the moves live in the model
 it walks, so each trace is judged by the other model where it ends, and no
 trace is run through a model a second time, nor held: a walk is tallied by
 its length and by whether the other model accepts in the pair it ends in.
-The walks run in two phases.  While the coverage rule still waits on some
-unit, each walk records the units it covers; then a loop of its own takes
-bare walks until enough are kept, one table read and one ``random()`` call
-per step (two at an accepting state), with nothing appended.
-``gen-traces`` walks a model's own states through the first phase alone
-and records every trace it keeps.  Each state's count of live moves is
-held as a float, because CPython 3.11 specializes the multiplication in
+One loop takes every walk over one table, in one of two step kernels.
+While the coverage rule still waits on some unit, a walk records the units
+it covers; once none does, walks are bare, one table read and one
+``random()`` call per step (two at an accepting state), with nothing
+appended.  ``gen-traces`` walks a model's own states, recording every walk
+and every trace it keeps.  Each state's count of live moves is held as a
+float, because CPython 3.11 specializes the multiplication in
 ``int(random() * n)`` for two floats and not for a float and an int;
 ``float(n)`` is exact, so the same move is chosen.
 
@@ -31,7 +31,8 @@ finite language: a DFA of the test set, built by subset construction, runs
 against R x H in one DP that sums the distinct tests by the product state
 they end in.  A state bound whose test set the size bound takes past the
 cap with the fewest traces that could tell the states apart is refused
-before the state cover and the characterization set are built.
+before the characterization set is built.  The DFA reads the state cover
+off the reference's BFS tree, whose paths it is, so no cover is listed.
 
 Sampling draws a trace's symbols in bulk, yet consumes the generator exactly
 as one ``int(rng.random() * sigma)`` per symbol would.  CPython builds each
@@ -149,30 +150,33 @@ def _walk_table(d, rows, states, initial, by_state=False):
     is ``d``'s state ``states[i]``: ``d`` itself when ``states`` numbers
     its states, or R x H projected onto one of its components.
 
-    Returns ``(initial, entries, size, start)``: per state, whether ``d``
-    accepts there, the count of its live moves as a float and the moves
-    (symbol, unit covered, target); the number of units and the units every
-    walk covers.  A move is live when ``d`` can still accept from its
-    target.  It covers ``d``'s step id ``state * sigma + symbol``, or with
-    ``by_state`` the state of ``d`` it enters, every walk then also
-    covering ``d``'s initial state."""
+    Returns ``(initial, targets, moves, size, start)``: two rows per state,
+    each holding whether ``d`` accepts there and the count of its live moves
+    as a float, then their targets in ``targets`` and the moves themselves
+    (symbol, unit covered, target) in ``moves``; then the number of units
+    and the units every walk covers.  A move is live when ``d`` can still
+    accept from its target.  It covers ``d``'s step id
+    ``state * sigma + symbol``, or with ``by_state`` the state of ``d`` it
+    enters, every walk then also covering ``d``'s initial state."""
     errors = d.error_states
     if states[initial] in errors:
         raise UnsuitableModelError("random walk needs a model with a nonempty language")
     sigma = len(d.alphabet)
-    entries = []
+    targets, moves = [], []
     for q, row in zip(states, rows):
-        moves = [
+        live = [
             (s, states[t] if by_state else q * sigma + s, t)
             for s, t in enumerate(row)
             if states[t] not in errors
         ]
         # CPython 3.11 specializes float * float, not float * int, and
         # float(n) is exact: int(rand() * n) picks the same move either way
-        entries.append((q in d.accepting, float(len(moves)), moves))
+        head = (q in d.accepting, float(len(live)))
+        targets.append((*head, [t for _, _, t in live]))
+        moves.append((*head, live))
     if by_state:
-        return initial, entries, d.state_count, (states[initial],)
-    return initial, entries, d.state_count * sigma, ()
+        return initial, targets, moves, d.state_count, (states[initial],)
+    return initial, targets, moves, d.state_count * sigma, ()
 
 
 def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
@@ -181,22 +185,23 @@ def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
     can cover was covered ``need`` times.
 
     Returns the walks kept per (length, end state), keyed by
-    ``length * len(entries) + end``.  The walks run in two phases.  While
-    some unit is still short, or for as long as ``hold`` is given, a walk
-    records the units it covers until none is short, and with ``hold`` its
+    ``length * len(targets) + end``.  One loop takes every walk, in one of
+    two step kernels over the one table.  While some unit is still short,
+    or for as long as ``hold`` is given, a walk steps on the table's
+    ``moves`` rows and records the units it covers, and with ``hold`` its
     trace, which it hands to ``hold(trace)`` in place of the tally, taking
     one slot per symbol and one per trace; past ``MAX_HELD_SLOTS`` slots in
-    all the walks are refused.  Then a loop of its own takes bare walks
-    until ``least`` are kept: one table read and one ``random()`` call per
-    step (two at an accepting state), the length the count of steps.  Both
-    choose a move as ``int(rand() * n)`` on the table's float count n.  A
-    walk meets a dead end only at an accepting state: a live state that
-    does not accept has a live move.  The deadline of ``budget`` (a fresh
-    ``WorkBudget`` if None) is checked before a walk of either phase once
-    ``_STEPS_PER_CHECK`` walks, restarted ones included, or
-    ``_WALK_STEPS_PER_CHECK`` steps have passed since the last check."""
-    initial, entries, size, start = table
-    width = len(entries)
+    all the walks are refused.  Any other walk is bare, on the ``targets``
+    rows: one table read and one ``random()`` call per step (two at an
+    accepting state), the length the count of steps.  Both choose a move
+    as ``int(rand() * n)`` on the table's float count n.  A walk meets a
+    dead end only at an accepting state: a live state that does not accept
+    has a live move.
+    The deadline of ``budget`` (a fresh ``WorkBudget`` if None) is checked
+    before a walk once ``_STEPS_PER_CHECK`` walks, restarted ones included,
+    or ``_WALK_STEPS_PER_CHECK`` steps have passed since the last check."""
+    initial, targets, moves, size, start = table
+    width = len(targets)
     coverage = [0] * size
     pa = cfg.termination_probability
     short = 0  # the units still covered fewer than ``need`` times
@@ -205,9 +210,9 @@ def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
         # the first accepting state it meets, so none out of those
         units, seen, order = set(start), {initial}, [initial]
         for q in order:
-            stop, _, moves = entries[q]
+            stop, _, live = moves[q]
             if pa < 1 or not stop:
-                for _, u, t in moves:
+                for _, u, t in live:
                     units.add(u)
                     if t not in seen:
                         seen.add(t)
@@ -222,7 +227,7 @@ def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
     ends = {}
     held = walked = restarts = 0
     walks = steps = 0  # since the last deadline check
-    while hold or short:
+    while True:
         if restarts > MAX_WALK_RESTARTS:
             raise ResourceLimitError("random walk exceeded the restart limit")
         if walks >= _STEPS_PER_CHECK or steps >= _WALK_STEPS_PER_CHECK:
@@ -231,23 +236,36 @@ def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
         walks += 1
         state = initial
         kept = True
-        trace = [] if hold else None
-        units = [*start] if short else None
-        for length in passes:
-            stop, n, moves = entries[state]
-            if stop:
-                if rand() < pa:
-                    break
-                if not n:
-                    kept = False  # nothing live to follow: discard and start over
-                    break
-            s, unit, state = moves[int(rand() * n)]
-            if trace is not None:
-                trace.append(s)
-            if units is not None:
-                units.append(unit)
+        if hold or short:
+            trace = [] if hold else None
+            units = [*start] if short else None
+            for length in passes:
+                stop, n, live = moves[state]
+                if stop:
+                    if rand() < pa:
+                        break
+                    if not n:
+                        kept = False  # nothing live to follow: discard and start over
+                        break
+                s, unit, state = live[int(rand() * n)]
+                if trace is not None:
+                    trace.append(s)
+                if units is not None:
+                    units.append(unit)
+            else:
+                raise ResourceLimitError("random walk exceeded the step limit")
         else:
-            raise ResourceLimitError("random walk exceeded the step limit")
+            for length in passes:
+                stop, n, live = targets[state]
+                if stop:
+                    if rand() < pa:
+                        break
+                    if not n:
+                        kept = False
+                        break
+                state = live[int(rand() * n)]
+            else:
+                raise ResourceLimitError("random walk exceeded the step limit")
         steps += length
         if not kept:
             restarts += 1
@@ -263,43 +281,12 @@ def _walk_until_covered(table, cfg, rng, least, need, budget, stage, hold=None):
         else:
             key = length * width + state
             ends[key] = ends.get(key, 0) + 1
-        if units:
+        if short:  # the walk recorded its units
             for unit in units:
                 coverage[unit] += 1
                 if coverage[unit] == need:
                     short -= 1
         if walked >= least and not short:
-            return ends
-    bare = [(stop, n, [t for _, _, t in moves]) for stop, n, moves in entries]
-    while True:
-        if restarts > MAX_WALK_RESTARTS:
-            raise ResourceLimitError("random walk exceeded the restart limit")
-        if walks >= _STEPS_PER_CHECK or steps >= _WALK_STEPS_PER_CHECK:
-            check()
-            walks = steps = 0
-        walks += 1
-        state = initial
-        kept = True
-        for length in passes:
-            stop, n, targets = bare[state]
-            if stop:
-                if rand() < pa:
-                    break
-                if not n:
-                    kept = False
-                    break
-            state = targets[int(rand() * n)]
-        else:
-            raise ResourceLimitError("random walk exceeded the step limit")
-        steps += length
-        if not kept:
-            restarts += 1
-            continue
-        restarts = 0
-        walked += 1
-        key = length * width + state
-        ends[key] = ends.get(key, 0) + 1
-        if walked >= least:
             return ends
 
 
@@ -328,41 +315,36 @@ class TraceSimilarityResult:
     e_recall: WalkTally
 
 
-def _tallied_walks(model, states, judge, judge_states, rows, cfg, rng, budget):
-    """The walk set on ``model`` over R x H (``rows``), whose pair i holds
-    ``model``'s state ``states[i]`` and ``judge``'s state
-    ``judge_states[i]``, tallied by length (``WalkTally``).
-
-    A walk chooses among the moves live in ``model``, stops only where it
-    accepts and covers its step ids; ``judge`` accepts the trace when it
-    accepts in the pair the walk ends in."""
-    table = _walk_table(model, rows, states, 0)
-    least, need = cfg.target_trace_count, cfg.min_transition_coverage
-    ends = _walk_until_covered(table, cfg, rng, least, need, budget, "evaluation walks")
-    width = len(rows)
-    walks = [0] * (max(ends) // width + 1)
-    accepted = walks.copy()
-    for key, count in ends.items():
-        length, end = divmod(key, width)
-        walks[length] += count
-        if judge_states[end] in judge.accepting:
-            accepted[length] += count
-    return WalkTally(tuple(walks), tuple(accepted))
-
-
 def _walked_and_tallied(reference, inferred, cfg, budget):
-    """The walk sets on ``inferred`` and on ``reference``, each tallied
-    against the other model (``_tallied_walks``), both walked over one
-    R x H; both sets share the deadline of ``budget`` (a fresh
-    ``WorkBudget`` if None)."""
+    """The walk sets on ``inferred`` and on ``reference``, both walked over
+    one R x H and each tallied by length against the other model
+    (``WalkTally``); both sets share the deadline of ``budget`` (a fresh
+    ``WorkBudget`` if None).
+
+    Set i draws stream i of ``cfg.seed``.  A walk chooses among the moves
+    live in its model, stops only where that model accepts and covers its
+    step ids; the other model accepts the trace when it accepts in the pair
+    the walk ends in."""
     budget = budget or WorkBudget()
     rows, pairs = _product_table(reference, inferred)
     in_r, in_h = [qr for qr, _ in pairs], [qh for _, qh in pairs]
-    rng = derive_rng(cfg.seed, 0)
-    e_prec = _tallied_walks(inferred, in_h, reference, in_r, rows, cfg, rng, budget)
-    rng = derive_rng(cfg.seed, 1)
-    e_rec = _tallied_walks(reference, in_r, inferred, in_h, rows, cfg, rng, budget)
-    return e_prec, e_rec
+    least, need = cfg.target_trace_count, cfg.min_transition_coverage
+    width = len(rows)
+    sets = [(inferred, in_h, reference, in_r), (reference, in_r, inferred, in_h)]
+    tallies = []
+    for stream, (model, states, judge, judged) in enumerate(sets):
+        table = _walk_table(model, rows, states, 0)
+        rng = derive_rng(cfg.seed, stream)
+        ends = _walk_until_covered(table, cfg, rng, least, need, budget, "evaluation walks")
+        walks = [0] * (max(ends) // width + 1)
+        accepted = walks.copy()
+        for key, count in ends.items():
+            length, end = divmod(key, width)
+            walks[length] += count
+            if judged[end] in judge.accepting:
+                accepted[length] += count
+        tallies.append(WalkTally(tuple(walks), tuple(accepted)))
+    return tallies
 
 
 def trace_similarity(
@@ -416,22 +398,35 @@ def trace_similarity_conditioned(
 # W-method
 
 
-def state_cover(d) -> list[tuple[int, ...]]:
-    """Prefix-closed set of shortest traces reaching every state (BFS)."""
-    paths = {d.initial: ()}
-    todo = [d.initial]
-    while todo:
-        nxt = []
-        for q in todo:
-            for s, t in enumerate(d.transitions[q]):
-                if t not in paths:
-                    paths[t] = paths[q] + (s,)
-                    nxt.append(t)
-        todo = nxt
-    if len(paths) != d.state_count:
+def _bfs_tree(d):
+    """The BFS tree of ``d``: per state, its children by symbol.  The path
+    to each state is its shortest trace, the least by symbols among those;
+    raises when some state is unreachable."""
+    kids = [None] * d.state_count
+    kids[d.initial] = {}
+    order = [d.initial]
+    for q in order:
+        for s, t in enumerate(d.transitions[q]):
+            if kids[t] is None:
+                kids[q][s] = t
+                kids[t] = {}
+                order.append(t)
+    if len(order) != d.state_count:
         # unreachable states cannot be covered; minimize() removes them
         raise UnsuitableModelError("state cover requires every state to be reachable")
-    return sorted(paths.values(), key=lambda t: (len(t), t))
+    return kids
+
+
+def state_cover(d) -> list[tuple[int, ...]]:
+    """Prefix-closed set of shortest traces reaching every state: the paths
+    of the BFS tree (``_bfs_tree``)."""
+    kids = _bfs_tree(d)
+    paths, order = [()], [d.initial]
+    for i, q in enumerate(order):
+        for s, t in kids[q].items():
+            paths.append(paths[i] + (s,))
+            order.append(t)
+    return sorted(paths, key=lambda t: (len(t), t))
 
 
 def characterization_set(d, check=None) -> list[tuple[int, ...]]:
@@ -505,26 +500,28 @@ def _refuse_past_the_cap(estimate, longest, m, k, claim):
 
 
 def _w_method_parts(d, m, check=None):
-    """k = m - |Q|, the state cover C and the characterization set D of the
-    W-method test set C (eps|Sigma|...|Sigma^{k+1}) D of ``d``, once the
-    set is known to be within ``MAX_TEST_SET_SIZE``; ``check`` is passed to
+    """k = m - |Q|, the BFS tree of ``d`` (``_bfs_tree``), whose paths are
+    the state cover C, and the characterization set D of the W-method test
+    set C (eps|Sigma|...|Sigma^{k+1}) D of ``d``, once the set is known to
+    be within ``MAX_TEST_SET_SIZE``; ``check`` is passed to
     ``characterization_set``.
 
-    The size bound is first taken with |C| = |Q| and |D| = ceil(log2 |Q|),
-    the fewest traces that tell |Q| states apart by acceptance, so a bound
-    that this already takes past the cap is refused before C and D are
-    built; the bound with D's own size is checked once they are."""
+    C holds one trace per state, so |C| = |Q|.  The size bound is first
+    taken with |D| = ceil(log2 |Q|), the fewest traces that tell |Q| states
+    apart by acceptance, so a bound that this already takes past the cap is
+    refused before the tree and D are built; the bound with D's own size is
+    checked once they are."""
     if m < d.state_count:
         raise ValueError("state bound m must be at least the reference size")
     n, sigma = d.state_count, len(d.alphabet)
     k = m - n
     bound = _test_set_bound(n, sigma, k, max(1, (n - 1).bit_length()))
     _refuse_past_the_cap(*bound, m, k, "W-method test set's size bound would hold at least")
-    cover = state_cover(d)
+    tree = _bfs_tree(d)
     dist = characterization_set(d, check)
-    bound = _test_set_bound(len(cover), sigma, k, len(dist))
+    bound = _test_set_bound(n, sigma, k, len(dist))
     _refuse_past_the_cap(*bound, m, k, "W-method test set would hold up to")
-    return k, cover, dist
+    return k, tree, dist
 
 
 def w_method_test_set(d, m) -> EvaluationMultiset:
@@ -532,7 +529,8 @@ def w_method_test_set(d, m) -> EvaluationMultiset:
     k = m - |Q|, duplicates removed; ``m`` bounds the state count of the
     model under test.  Tests are listed in the order the set spells them,
     cover string first, then middle, then distinguishing suffix."""
-    k, cover, dist = _w_method_parts(d, m)
+    k, _, dist = _w_method_parts(d, m)
+    cover = state_cover(d)
     middles = [
         mid
         for i in range(k + 2)
@@ -559,32 +557,32 @@ def _trie(words):
     return children, ends
 
 
-def _test_automaton(alpha, k, cover, dist, check):
-    """A DFA accepting exactly the W-method test set C (eps|...|Sigma^{k+1}) D.
+def _test_automaton(d, k, tree, dist, check):
+    """A DFA accepting exactly the W-method test set C (eps|...|Sigma^{k+1}) D
+    of ``d``, C being the paths of ``d``'s BFS ``tree`` (``_bfs_tree``).
 
-    It is the subset construction of an NFA whose positions are the nodes
-    of C's trie, then the middle lengths 0..k+1, then the nodes of D's trie.
-    A whole cover string moves on epsilon to middle length 0, and every
-    middle length to the root of D's trie; a subset accepts when it holds
-    the end of a whole D word.  The set is finite, so the DFA is acyclic but
-    for its sink, the empty subset.  ``check`` is called on every step of
-    a subset."""
-    cover_kids, cover_ends = _trie(cover)
+    It is the subset construction of an NFA whose positions are the states
+    of ``d``, as nodes of the tree, then 1..k+1 symbols past the tree, then
+    the nodes of D's trie.  C is the tree's paths, so C (eps|...|Sigma^{k+1})
+    holds exactly the traces that leave the tree at most k + 1 symbols
+    before their end.  A symbol moves a node to its child on it, or one
+    symbol past the tree when it has none, and j < k + 1 symbols past it to
+    j + 1; a D word starts after every prefix that holds a tree or
+    past-the-tree position, and a subset accepts when it holds the end of a
+    whole D word.  The set is finite, so the DFA is acyclic but for its
+    sink, the empty subset.  ``check`` is called on every step of a
+    subset."""
     dist_kids, dist_ends = _trie(dist)
-    middle = len(cover_kids)  # position of middle length 0
-    root = middle + k + 2  # position of D's root
-    last = root - 1  # position of middle length k + 1
+    past = d.state_count  # position of one symbol past the tree
+    root = past + k + 1  # position of D's root
+    last = root - 1  # position of k + 1 symbols past the tree
 
     def step(subset, s):
         check()
         nxt = set()
         for pos in subset:
-            if pos < middle:
-                child = cover_kids[pos].get(s)
-                if child is not None:
-                    nxt.add(child)
-                    if child in cover_ends:
-                        nxt.update((middle, root))
+            if pos < past:
+                nxt.update((tree[pos].get(s, past), root))
             elif pos < last:
                 nxt.update((pos + 1, root))
             elif pos >= root:
@@ -593,9 +591,9 @@ def _test_automaton(alpha, k, cover, dist, check):
                     nxt.add(root + child)
         return frozenset(nxt)
 
-    start = frozenset((0, middle, root))  # the cover holds the empty string
+    start = frozenset((d.initial, root))  # the cover holds the empty string
     ends = frozenset(root + node for node in dist_ends)
-    return subset_construction(alpha, start, step, lambda subset: not ends.isdisjoint(subset))
+    return subset_construction(d.alphabet, start, step, lambda subset: not ends.isdisjoint(subset))
 
 
 def mbt_assessment(reference, inferred, m, budget: WorkBudget | None = None):
@@ -612,7 +610,7 @@ def mbt_assessment(reference, inferred, m, budget: WorkBudget | None = None):
     DP."""
     budget = budget or WorkBudget()
     parts = _w_method_parts(reference, m, budget.check("characterization set"))
-    tests = _test_automaton(reference.alphabet, *parts, budget.check("test automaton"))
+    tests = _test_automaton(reference, *parts, budget.check("test automaton"))
     product, classes = confusion_product(reference, inferred)
     columns = tuple(zip(*product.transitions))  # columns[s][p]: p's successor on s
     rows = tests.transitions

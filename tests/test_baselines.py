@@ -453,10 +453,15 @@ def test_w_method_distinguishes_inequivalent_pairs():
         assert any(r.accepts(t) != h.accepts(t) for t in tests.traces)
 
 
-def test_mbt_counts_equal_the_enumeration():
+def test_mbt_counts_equal_the_enumeration(monkeypatch):
     # the count over the test set's DFA against listing and running every
     # test: sigma 1-4, single-state references (D = {eps}), inferred models
-    # with unreachable states or doubled (unminimized), m = |R|..|R|+3
+    # with unreachable states or doubled (unminimized), m = |R|..|R|+3.  The
+    # test DFA reads the reference's BFS tree, so mbt lists no state cover
+    def listed(*args):
+        raise AssertionError("listed")
+
+    monkeypatch.setattr(baselines, "state_cover", listed)
     rng = seeded(60)
     unreachable = 0
     for i in range(320):
@@ -907,6 +912,29 @@ def test_both_walk_sets_share_one_time_limit(monkeypatch, method):
         with pytest.raises(ResourceLimitError, match=r"^evaluation walks: time limit exceeded 1\.0 s$"):
             method(top, top, cfg(target_trace_count=1000), budget)
         assert passed[0]
+
+
+def test_one_deadline_count_runs_across_the_switch_to_bare_walks(monkeypatch):
+    # on one state looping on its one symbol, each walk set records its
+    # units for 20 to 64 walks, then walks bare up to 200 walks.  The clock
+    # is read when the budget starts and at the checks before walks 65, 129
+    # and 193 of each set; a count of walks since the last check that
+    # started afresh at the switch would read it twice per set
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 0.0
+
+    d = all_accepting(1)
+    c = cfg(target_trace_count=200, min_transition_coverage=80)
+    for stream in (0, 1):
+        recording = reference_walks(d, c, baselines.derive_rng(c.seed, stream), 1, 80)
+        assert 20 <= len(recording) <= 64
+    monkeypatch.setattr(counting, "time", SimpleNamespace(monotonic=monotonic))
+    res = trace_similarity(d, d, c)
+    assert res.e_precision.total == res.e_recall.total == 200
+    assert len(readings) == 1 + 2 * (199 // 64)
 
 
 def test_restarted_walks_answer_to_the_deadline(monkeypatch):

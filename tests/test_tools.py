@@ -174,6 +174,18 @@ def test_pairs_merge_into_an_existing_file(tmp_path):
     assert written["baselines"]["summary"]["throughput_ops_s"]["change_median"] == 2.5
     assert written["baselines"]["summary"]["throughput_ops_s"]["wins"] == 4
     assert len(written["long-horizon"]["pairs"]) == 1
+    # each run's own summary stays under its seed range
+    fake = FakeBench({"parent": lambda seed: {"throughput_ops_s": 1.0},
+                      "change": lambda seed: {"throughput_ops_s": 5.0}})
+    pairs.main([*checkouts, "--workload", "baselines", "--seeds", "4-5", "--out", str(out)],
+               runner=fake, identity=_identity)
+    written = json.loads(out.read_text())["workloads"]["baselines"]
+    runs = {seeds: (s["throughput_ops_s"]["pairs"], s["throughput_ops_s"]["change_median"])
+            for seeds, s in written["summaries"].items()}
+    assert runs == {"1-3": (3, 2.0), "3-4": (2, 3.0), "4-5": (2, 5.0)}
+    assert len(written["pairs"]) == 5
+    assert written["summary"]["throughput_ops_s"]["pairs"] == 5
+    assert written["summary"]["throughput_ops_s"]["change_median"] == 3.0
 
 
 def test_pairs_trace_one_run_per_side(tmp_path):

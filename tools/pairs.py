@@ -20,7 +20,10 @@ FILE is a JSON object whose ``workloads`` hold, per workload:
 - ``summary``: per end-to-end metric of ``BENCHMARK.json``, both sides'
   medians, the parent's interquartile range, the pairs the change wins
   (ties win nothing) and the exact two-sided sign-test p-value of those
-  wins, ties left out;
+  wins, ties left out, over all the pairs;
+- ``summaries``: the same per run, over that run's own pairs, keyed by its
+  seed range ``A-B``, so that seeds held out of a claim stay readable
+  apart from the seeds it was made on;
 - ``failed``: per side, the operations failed and attempted in all;
 - ``identity``: the probe's exit code and output lines;
 - ``traced`` (with ``--trace``): the seed, which side ran first, each side's
@@ -28,8 +31,10 @@ FILE is a JSON object whose ``workloads`` hold, per workload:
   per per-layer metric the change's value minus the parent's (``delta``).
 
 Running again into an existing FILE keeps its other workloads, replaces the
-pairs of the seeds run again and recomputes the summary from all the pairs;
-a workload's ``traced`` is replaced only by another ``--trace`` run.
+pairs of the seeds run again, recomputes the summary from all the pairs and
+adds the run's own summary to ``summaries``, keeping those of earlier runs
+but one of the same seed range; a workload's ``traced`` is replaced only by
+another ``--trace`` run.
 ``--workload`` may be given more than once (default: every workload of
 ``BENCHMARK.json``).  Stdlib only.
 """
@@ -144,16 +149,21 @@ def traced(parent, change, workload, seed, seconds, layers, runner=run_bench):
 
 def merged(old, workload, pairs, probe, end_to_end, trace=None):
     """``old`` (a FILE's object, or empty) with ``workload``'s pairs, by
-    seed, replaced by ``pairs``, its summary recomputed and its traced runs
+    seed, replaced by ``pairs``, its summary recomputed, the summary of
+    ``pairs`` alone stored under their seed range and its traced runs
     replaced by ``trace`` unless that is None."""
     entries = old.setdefault("workloads", {})
+    before = entries.get(workload, {})
     seeds = {p["seed"] for p in pairs}
-    kept = [p for p in entries.get(workload, {}).get("pairs", []) if p["seed"] not in seeds]
+    kept = [p for p in before.get("pairs", []) if p["seed"] not in seeds]
     everything = sorted(kept + pairs, key=lambda p: p["seed"])
-    trace = trace or entries.get(workload, {}).get("traced")
+    trace = trace or before.get("traced")
+    runs = before.get("summaries", {})
+    runs[f"{pairs[0]['seed']}-{pairs[-1]['seed']}"] = summary(pairs, end_to_end)
     entries[workload] = {
         "pairs": everything,
         "summary": summary(everything, end_to_end),
+        "summaries": runs,
         "failed": {side: [sum(p[side]["failed"] for p in everything),
                           sum(p[side]["attempted"] for p in everything)] for side in SIDES},
         "identity": probe,
